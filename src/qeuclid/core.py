@@ -26,6 +26,7 @@ __all__ = [
     "NotDiagonalError",
     "DomainError",
     "DEFAULT_WINDOW_CAPACITY",
+    "ALIASES",
     "qpow",
     "DeformationParams",
     "BasisIndex",
@@ -69,6 +70,19 @@ class DomainError(QeuclidError):
 
 #: Default cap on truncation-window sizes; guards accidental huge windows.
 DEFAULT_WINDOW_CAPACITY = 200_000
+
+#: Accepted spellings of operator names, shared by the lattice catalogue and
+#: the smooth deformed rules.
+ALIASES: dict[str, str] = {
+    "X+": "Xplus",
+    "X-": "Xminus",
+    "t+": "tplus",
+    "t-": "tminus",
+    "K+": "Kplus",
+    "K-": "Kminus",
+    "Torb+": "Torbplus",
+    "Torb-": "Torbminus",
+}
 
 
 def qpow(q: float, n: int) -> float:

@@ -37,6 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
+    ALIASES,
     BasisIndex,
     DeformationParams,
     NotDiagonalError,
@@ -296,18 +297,6 @@ CATALOGUE: dict[str, LatticeOperator] = {
     )
 }
 
-#: Accepted spellings for CLI-facing operator names.
-ALIASES: dict[str, str] = {
-    "X+": "Xplus",
-    "X-": "Xminus",
-    "t+": "tplus",
-    "t-": "tminus",
-    "K+": "Kplus",
-    "K-": "Kminus",
-    "Torb+": "Torbplus",
-    "Torb-": "Torbminus",
-}
-
 
 def resolve_name(name: str) -> str:
     """Canonical catalogue name for ``name`` (alias-aware); raises if unknown."""
@@ -410,30 +399,17 @@ def materialize(
     return OperatorMatrix(window=w, entries=entries, boundary_mask=frozenset(mask))
 
 
-def adjoint_matrix(A: OperatorMatrix, p: DeformationParams, name: str | None = None) -> OperatorMatrix:
+def adjoint_matrix(A: OperatorMatrix, p: DeformationParams) -> OperatorMatrix:
     """Jackson adjoint W^-1 A^H W of a windowed matrix (W = diagonal weights).
 
-    The operation is involutive.  When ``name`` is given, the boundary mask
-    of the adjoint is recomputed from that operator's branch structure;
-    otherwise it is left empty (the entries are exact either way: windowed
-    entries of a single catalogue operator are always exact).
+    The operation is involutive.  The basis comes from A's window without a
+    second capacity check: A already passed the caller's.  The boundary mask
+    is left empty (windowed entries of a single catalogue operator are exact).
     """
-    order = build_window(A.window)
-    wgt = np.array([jackson_weight(idx, p) for idx in order])
+    wgt = np.array([jackson_weight(idx, p) for idx in A.window.iter_indices()])
     AH = A.entries.conjugate().transpose().tocsr()
     entries = sp.diags(1.0 / wgt) @ AH @ sp.diags(wgt)
-    mask: set[int] = set()
-    if name is not None:
-        pos = {idx: k for k, idx in enumerate(order)}
-        op = get_operator(name)
-        for col, idx in enumerate(order):
-            for br in op.branches:
-                src = idx.shifted(-br.dM, -br.dmt, -br.dm)
-                if not src.is_valid() or src in pos:
-                    continue
-                if complex(br.coeff(src, p)) != 0.0:
-                    mask.add(col)
-    return OperatorMatrix(window=A.window, entries=entries.tocsr(), boundary_mask=frozenset(mask))
+    return OperatorMatrix(window=A.window, entries=entries.tocsr(), boundary_mask=frozenset())
 
 
 def spectrum_diagonal(

@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (
+    ALIASES,
     DeformationParams,
     DomainError,
     QeuclidError,
@@ -491,17 +492,6 @@ DEFORMED_RULES: dict[str, Callable] = {
     "Torbminus": _rule_Torbminus,
 }
 
-_SMOOTH_ALIASES = {
-    "X+": "Xplus",
-    "X-": "Xminus",
-    "t+": "tplus",
-    "t-": "tminus",
-    "K+": "Kplus",
-    "K-": "Kminus",
-    "Torb+": "Torbplus",
-    "Torb-": "Torbminus",
-}
-
 
 def smooth_names() -> tuple[str, ...]:
     return tuple(sorted(DEFORMED_RULES))
@@ -509,7 +499,7 @@ def smooth_names() -> tuple[str, ...]:
 
 def smooth_apply(name: str, f: SmoothFunction, p: DeformationParams) -> SmoothFunction:
     """Apply a deformed operator to a smooth function, mode by mode."""
-    cname = _SMOOTH_ALIASES.get(name, name)
+    cname = ALIASES.get(name, name)
     rule = DEFORMED_RULES.get(cname)
     if rule is None:
         known = ", ".join(smooth_names())

@@ -18,18 +18,16 @@ and the number of excluded columns is reported.
 
 Two evaluation paths
 --------------------
-Words are composed rule-by-rule (sparse path).  On windows of at most 2^9
-states every word is recomputed as a dense product of materialized matrices
-and the two paths must agree to 1e-13; disagreement raises, since it can
-only mean an implementation defect.
+Each word is composed rule-by-rule once (sparse path).  On windows of at
+most 2^9 states that matrix is compared with a dense product of materialized
+matrices and the two paths must agree to 1e-13; disagreement raises, since
+it can only mean an implementation defect.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Sequence
@@ -381,49 +379,26 @@ def _balanced_residual(L: sp.csr_matrix, R: sp.csr_matrix, cols: list[int]) -> f
     return _frob(Ls - Rs) / max(1.0, _frob(Ls), _frob(Rs))
 
 
-def _term_sum(
-    terms: Sequence[Term],
+def _require_dense_agreement(
+    spec_id: str,
+    word: tuple[str, ...],
+    sparse_mat: sp.csr_matrix,
     w: TruncationWindow,
     p: DeformationParams,
-    order: list[BasisIndex],
-    pos: dict[BasisIndex, int],
-) -> tuple[sp.csr_matrix, float]:
-    n = len(order)
-    total = sp.csr_matrix((n, n), dtype=np.complex128)
-    leak = 0.0
-    for t in terms:
-        mat, lk = word_matrix(t.word, w, p, order, pos)
-        c = complex(t.coeff(p))
-        total = total + c * mat
-        leak += abs(c) ** 2 * lk
-    return total.tocsr(), leak
-
-
-def _dense_word_check(
-    spec: RelationSpec,
-    w: TruncationWindow,
-    p: DeformationParams,
-    order: list[BasisIndex],
-    pos: dict[BasisIndex, int],
     dense_cache: dict[str, np.ndarray],
 ) -> None:
-    """Recompute every word densely and require 1e-13 agreement."""
-
-    def dense(name: str) -> np.ndarray:
+    """Recompute a word as a dense matrix product and require 1e-13 agreement."""
+    for name in word:
         if name not in dense_cache:
             dense_cache[name] = materialize(name, w, p).entries.toarray()
-        return dense_cache[name]
-
-    for term in spec.lhs + spec.rhs:
-        sparse_mat, _ = word_matrix(term.word, w, p, order, pos)
-        dense_mat = reduce(np.matmul, [dense(n) for n in term.word])
-        scale = max(1.0, float(np.linalg.norm(dense_mat)))
-        diff = float(np.linalg.norm(sparse_mat.toarray() - dense_mat)) / scale
-        if diff > 1e-13:
-            raise QeuclidError(
-                f"evaluation paths disagree on word {term.word} of {spec.id}: "
-                f"sparse composition vs dense product differ by {diff:.3e}"
-            )
+    dense_mat = reduce(np.matmul, [dense_cache[name] for name in word])
+    scale = max(1.0, float(np.linalg.norm(dense_mat)))
+    diff = float(np.linalg.norm(sparse_mat.toarray() - dense_mat)) / scale
+    if diff > 1e-13:
+        raise QeuclidError(
+            f"evaluation paths disagree on word {word} of {spec_id}: "
+            f"sparse composition vs dense product differ by {diff:.3e}"
+        )
 
 
 def check_relations(
@@ -434,27 +409,42 @@ def check_relations(
     capacity: int | None = None,
     asserted: bool = True,
 ) -> list[ResidualReport]:
-    """Interior relative residual of each relation over the window."""
+    """Interior relative residual of each relation over the window.
+
+    Every word is composed once; on windows of at most DENSE_ORACLE_LIMIT
+    states that same matrix is also checked against the dense product.
+    """
     order = build_window(w, capacity)
     pos = {idx: k for k, idx in enumerate(order)}
-    use_dense = len(order) <= DENSE_ORACLE_LIMIT
+    n = len(order)
+    use_dense = n <= DENSE_ORACLE_LIMIT
     dense_cache: dict[str, np.ndarray] = {}
     reports = []
     for spec in specs:
-        if use_dense:
-            _dense_word_check(spec, w, p, order, pos, dense_cache)
-        L, leak_l = _term_sum(spec.lhs, w, p, order, pos)
-        R, leak_r = _term_sum(spec.rhs, w, p, order, pos)
+        sums: list[sp.csr_matrix] = []
+        leaks: list[float] = []
+        for terms in (spec.lhs, spec.rhs):
+            total = sp.csr_matrix((n, n), dtype=np.complex128)
+            leak = 0.0
+            for t in terms:
+                mat, lk = word_matrix(t.word, w, p, order, pos)
+                if use_dense:
+                    _require_dense_agreement(spec.id, t.word, mat, w, p, dense_cache)
+                c = complex(t.coeff(p))
+                total = total + c * mat
+                leak += abs(c) ** 2 * lk
+            sums.append(total.tocsr())
+            leaks.append(leak)
         interior = interior_positions(spec.words(), w, order)
-        residual = _balanced_residual(L, R, interior)
+        residual = _balanced_residual(sums[0], sums[1], interior)
         reports.append(
             ResidualReport(
                 id=spec.id,
                 window=w,
                 q=p.q,
                 max_interior_residual=residual,
-                boundary_rows_excluded=len(order) - len(interior),
-                leakage_norm=math.sqrt(leak_l + leak_r),
+                boundary_rows_excluded=n - len(interior),
+                leakage_norm=math.sqrt(leaks[0] + leaks[1]),
                 tolerance=tol if asserted else math.inf,
                 asserted=asserted,
             )
@@ -478,7 +468,7 @@ def check_adjointness(
     for a_name, coeff, b_name in pairs:
         A = materialize(a_name, w, p, capacity)
         B = materialize(b_name, w, p, capacity)
-        adj = adjoint_matrix(A, p, name=a_name)
+        adj = adjoint_matrix(A, p)
         c = complex(coeff(p))
         target = c * B.entries
         residual = _frob(adj.entries - target) / max(
@@ -532,13 +522,12 @@ def check_homomorphism(
         )
         / lam,
     }
-    worst = 0.0
+    residuals = []
     for name, mat in assembled.items():
         direct = materialize(name, w, p, capacity).entries
-        worst = max(
-            worst,
-            _frob(mat - direct) / max(1.0, _frob(mat), _frob(direct)),
-        )
+        residuals.append(_frob(mat - direct) / max(1.0, _frob(mat), _frob(direct)))
+    # np.max, unlike the builtin max, propagates a NaN residual.
+    worst = float(np.max(residuals))
     reports = [
         ResidualReport(
             id="hopping_from_coordinate_ladder",
@@ -724,17 +713,22 @@ def check_lowest_weight(
 
 # --- suite driver ---------------------------------------------------------------
 
-SUITE_NAMES: tuple[str, ...] = (
-    "x_relations",
-    "k_relations",
-    "adjointness",
-    "casimir",
-    "commutant",
-    "homomorphism",
-    "tensor",
-    "recursions",
-    "lowest_weight",
-)
+#: Suite name -> check of (window, params, tol, capacity), in run order.
+#: Each entry looks its check function up in this module at call time, so a
+#: wrapper installed on the module attribute sees every call.
+_SUITES: dict[str, Callable[..., list[ResidualReport]]] = {
+    "x_relations": lambda w, p, tol, cap: check_relations(X_RELATIONS, w, p, tol, cap),
+    "k_relations": lambda w, p, tol, cap: check_relations(K_RELATIONS, w, p, tol, cap),
+    "adjointness": lambda w, p, tol, cap: check_adjointness(ADJOINT_PAIRS, w, p, tol, cap),
+    "casimir": lambda w, p, tol, cap: check_relations(CASIMIR, w, p, tol, cap),
+    "commutant": lambda w, p, tol, cap: check_relations(COMMUTANT, w, p, tol, cap),
+    "homomorphism": lambda w, p, tol, cap: check_homomorphism(w, p, tol, cap),
+    "tensor": lambda w, p, tol, cap: check_tensor_torb(w, p, tol, cap),
+    "recursions": lambda w, p, tol, cap: check_recursions(p, w),
+    "lowest_weight": lambda w, p, tol, cap: check_lowest_weight(w, p, cap),
+}
+
+SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
 
 
 def run_suite(
@@ -744,39 +738,12 @@ def run_suite(
     tol: float,
     capacity: int | None = None,
 ) -> SuiteReport:
-    if name == "x_relations":
-        checks = check_relations(X_RELATIONS, w, p, tol, capacity)
-    elif name == "k_relations":
-        checks = check_relations(K_RELATIONS, w, p, tol, capacity)
-    elif name == "adjointness":
-        checks = check_adjointness(ADJOINT_PAIRS, w, p, tol, capacity)
-    elif name == "casimir":
-        checks = check_relations(CASIMIR, w, p, tol, capacity)
-    elif name == "commutant":
-        checks = check_relations(COMMUTANT, w, p, tol, capacity)
-    elif name == "homomorphism":
-        checks = check_homomorphism(w, p, tol, capacity)
-    elif name == "tensor":
-        checks = check_tensor_torb(w, p, tol, capacity)
-    elif name == "recursions":
-        checks = check_recursions(p, w)
-    elif name == "lowest_weight":
-        checks = check_lowest_weight(w, p, capacity)
-    else:
+    check = _SUITES.get(name)
+    if check is None:
         raise QeuclidError(f"unknown suite {name!r}; have: {', '.join(SUITE_NAMES)}")
-    return SuiteReport(suite=name, config=config_dict(w, p, tol), checks=checks)
-
-
-def _thread_cap(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("QEUCLID_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise QeuclidError(f"QEUCLID_THREADS must be an integer, got {env!r}") from exc
-    return min(len(SUITE_NAMES), os.cpu_count() or 1)
+    return SuiteReport(
+        suite=name, config=config_dict(w, p, tol), checks=check(w, p, tol, capacity)
+    )
 
 
 def run_all_suites(
@@ -784,15 +751,6 @@ def run_all_suites(
     p: DeformationParams,
     tol: float,
     capacity: int | None = None,
-    max_workers: int | None = None,
 ) -> dict[str, SuiteReport]:
-    """Run every suite; fan-out is capped by QEUCLID_THREADS (or max_workers)."""
-    workers = _thread_cap(max_workers)
-    if workers <= 1:
-        return {name: run_suite(name, w, p, tol, capacity) for name in SUITE_NAMES}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            name: pool.submit(run_suite, name, w, p, tol, capacity)
-            for name in SUITE_NAMES
-        }
-        return {name: futures[name].result() for name in SUITE_NAMES}
+    """Run every suite, one after another, in SUITE_NAMES order."""
+    return {name: run_suite(name, w, p, tol, capacity) for name in SUITE_NAMES}

@@ -20,6 +20,7 @@ from qeuclid.core import (
     TruncationWindow,
     UnknownOperatorError,
 )
+from qeuclid import lattice
 from qeuclid.lattice import LatticeState, load_state, save_state
 from qeuclid.operators import (
     ALIASES,
@@ -192,7 +193,7 @@ class TestAdjoint:
         w = TruncationWindow(-1, 1, -3, 3)
         A = materialize(name_a, w, P2)
         expected = factor * materialize(name_b, w, P2).entries.toarray()
-        got = adjoint_matrix(A, P2, name=name_a).entries.toarray()
+        got = adjoint_matrix(A, P2).entries.toarray()
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-300)
 
     def test_adjoint_is_involutive(self):
@@ -212,6 +213,16 @@ class TestAdjoint:
             got = adjoint_matrix(materialize(name, w, P2), P2).entries.toarray()
             want = materialize(inv, w, P2).entries.toarray()
             assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_adjoint_keeps_caller_capacity(self, monkeypatch):
+        # A matrix built under a raised cap must not be re-checked against
+        # the default cap when its adjoint is taken.
+        monkeypatch.setattr(lattice, "DEFAULT_WINDOW_CAPACITY", 100)
+        w = TruncationWindow(0, 0, -8, 8)
+        A = materialize("Xplus", w, P2, capacity=1000)
+        got = adjoint_matrix(A, P2).entries.toarray()
+        want = -2.0 * materialize("Xminus", w, P2, capacity=1000).entries.toarray()
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
 
     def test_mode_raise_adjoint_conjugates_phase(self):
         # (K+)* = -q^-2 K- for every unit phase, because the lowering rule

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qeuclid.core import (
+    ALIASES,
     BasisIndex,
     DeformationParams,
     DomainError,
@@ -71,6 +72,16 @@ class TestRuleTables:
             "Xminus_cl",
             "Xplus_cl",
         )
+
+    @pytest.mark.parametrize("alias, canonical", sorted(ALIASES.items()))
+    def test_aliases_resolve_to_deformed_rules(self, alias, canonical):
+        f = SmoothFunction({0: _poly_mode()})
+        a = smooth_apply(alias, f, P2)
+        b = smooth_apply(canonical, f, P2)
+        assert a.mode_indices() == b.mode_indices()
+        r, x = np.float64(1.0), np.float64(0.2)
+        for m in a.mode_indices():
+            assert complex(a.modes[m](r, x)) == complex(b.modes[m](r, x))
 
     def test_unknown_names_rejected(self):
         f = SmoothFunction({0: _const_mode()})

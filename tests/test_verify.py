@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from qeuclid import lattice, verify
 from qeuclid.core import DeformationParams, QeuclidError, TruncationWindow
 from qeuclid.lattice import build_window
 from qeuclid.verify import (
@@ -40,12 +41,12 @@ TOL = 1e-12
 
 @pytest.fixture(scope="module")
 def suites():
-    return run_all_suites(W, P2, TOL, max_workers=1)
+    return run_all_suites(W, P2, TOL)
 
 
 class TestAllSuitesPass:
     def test_every_suite_passes(self, suites):
-        assert set(suites) == set(SUITE_NAMES)
+        assert tuple(suites) == SUITE_NAMES
         for name, report in suites.items():
             assert report.passed, f"suite {name} failed"
 
@@ -224,26 +225,64 @@ class TestReports:
 
 
 class TestSuiteDriver:
-    def test_serial_and_parallel_agree(self):
-        serial = run_all_suites(W, P2, TOL, max_workers=1)
-        parallel = run_all_suites(W, P2, TOL, max_workers=4)
-        for name in SUITE_NAMES:
-            assert serial[name].to_json() == parallel[name].to_json()
+    def test_suites_look_up_checks_at_call_time(self, monkeypatch):
+        # A wrapper installed on the module attribute sees the suite's call.
+        seen = []
+        real = verify.check_relations
 
-    def test_thread_env_is_honored(self, monkeypatch):
-        monkeypatch.setenv("QEUCLID_THREADS", "1")
-        suites = run_all_suites(W, P2, TOL)
-        assert all(suites[name].passed for name in SUITE_NAMES)
+        def spy(specs, *args, **kwargs):
+            seen.append(specs)
+            return real(specs, *args, **kwargs)
 
-    def test_invalid_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("QEUCLID_THREADS", "many")
-        with pytest.raises(QeuclidError, match="QEUCLID_THREADS"):
-            run_all_suites(W, P2, TOL)
+        monkeypatch.setattr(verify, "check_relations", spy)
+        run_suite("casimir", W, P2, TOL)
+        assert seen == [verify.CASIMIR]
 
     @pytest.mark.parametrize("q", [1.1, 1.5, 3.0])
     def test_other_deformation_values(self, q):
         p = DeformationParams(q=q)
         w = TruncationWindow(0, 0, -4, 4)
-        suites = run_all_suites(w, p, TOL, max_workers=1)
+        suites = run_all_suites(w, p, TOL)
         for name, report in suites.items():
             assert report.passed, f"suite {name} failed at q = {q}"
+
+
+class TestSinglePass:
+    def test_each_word_is_composed_once(self, monkeypatch):
+        # The dense second path reuses the composed word instead of
+        # composing it again.
+        calls = []
+
+        def counting(word, *args, **kwargs):
+            calls.append(tuple(word))
+            return word_matrix(word, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "word_matrix", counting)
+        assert len(build_window(W)) <= verify.DENSE_ORACLE_LIMIT
+        check_relations(X_RELATIONS, W, P2, TOL)
+        terms = [t.word for spec in X_RELATIONS for t in spec.lhs + spec.rhs]
+        assert len(terms) == 7
+        assert calls == terms
+
+
+class TestNonFiniteResiduals:
+    def test_nan_residual_fails_homomorphism(self):
+        # At q = 40 and M = 24, R2 overflows to inf, so the assembled t3 is
+        # NaN; the NaN must reach the report rather than vanish in a max().
+        report = run_suite(
+            "homomorphism", TruncationWindow(24, 24, 0, 0), DeformationParams(q=40.0), TOL
+        )
+        check = report.checks[0]
+        assert check.id == "hopping_from_coordinate_ladder"
+        assert math.isnan(check.max_interior_residual)
+        assert not check.passed
+        assert not report.passed
+
+
+class TestCallerCapacity:
+    def test_adjointness_honours_caller_capacity(self, monkeypatch):
+        monkeypatch.setattr(lattice, "DEFAULT_WINDOW_CAPACITY", 100)
+        w = TruncationWindow(0, 0, -8, 8)
+        assert w.size > 100
+        report = run_suite("adjointness", w, P2, TOL, capacity=1000)
+        assert report.passed
