@@ -24,6 +24,7 @@ from .core import (
 __all__ = [
     "LatticeState",
     "build_window",
+    "check_capacity",
     "inner_product",
     "save_state",
     "load_state",
@@ -94,17 +95,19 @@ class LatticeState:
         return abs(inner_product(self, self, p)) ** 0.5
 
 
-def build_window(
-    w: TruncationWindow, capacity: int | None = None
-) -> list[BasisIndex]:
-    """Ordered basis of a truncation window (sigma=+1 block first, then M, mt, m).
-
-    Raises :class:`CapacityError` when w.size exceeds ``capacity``
-    (default ``DEFAULT_WINDOW_CAPACITY``).
-    """
+def check_capacity(w: TruncationWindow, capacity: int | None = None) -> int:
+    """Return w.size; raise CapacityError above ``capacity`` (default DEFAULT_WINDOW_CAPACITY)."""
     cap = DEFAULT_WINDOW_CAPACITY if capacity is None else capacity
     if w.size > cap:
         raise CapacityError(f"window holds {w.size} states, exceeding the cap {cap}")
+    return w.size
+
+
+def build_window(
+    w: TruncationWindow, capacity: int | None = None
+) -> list[BasisIndex]:
+    """Ordered basis of a capacity-checked window (sigma=+1 block first, then M, mt, m)."""
+    check_capacity(w, capacity)
     return list(w.iter_indices())
 
 

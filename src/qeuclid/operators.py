@@ -46,7 +46,7 @@ from .core import (
     jackson_weight,
     validate_index,
 )
-from .lattice import LatticeState, build_window
+from .lattice import LatticeState, build_window, check_capacity
 
 __all__ = [
     "Branch",
@@ -90,9 +90,6 @@ class LatticeOperator:
     @property
     def is_diagonal(self) -> bool:
         return all(b.shift == (0, 0, 0) for b in self.branches)
-
-    def shifts(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(b.shift for b in self.branches)
 
 
 def _rval(idx: BasisIndex, p: DeformationParams) -> float:
@@ -353,12 +350,14 @@ class OperatorMatrix:
     ``entries[j, i]`` is the coefficient of window index j in the action on
     window index i.  ``boundary_mask`` lists the column positions whose image
     carries nonzero amplitude to a valid index outside the window (that
-    amplitude is simply absent from the matrix).
+    amplitude is simply absent from the matrix); ``leakage[i]`` is the summed
+    squared magnitude of what column i carries there.
     """
 
     window: TruncationWindow
     entries: sp.csr_matrix
     boundary_mask: frozenset[int]
+    leakage: np.ndarray
 
     def to_dense(self) -> np.ndarray:
         return self.entries.toarray()
@@ -370,33 +369,39 @@ def materialize(
     p: DeformationParams,
     capacity: int | None = None,
 ) -> OperatorMatrix:
-    """Matrix of an operator over a window (columns = canonical order)."""
-    order = build_window(w, capacity)
-    pos = {idx: k for k, idx in enumerate(order)}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    mask: set[int] = set()
+    """Matrix of an operator over a window (columns = canonical order).
+
+    Canonical positions are linear in (M, mt, m - mt) within a sign block, so
+    an in-window target sits at its column plus its branch's fixed offset.
+    """
+    n = check_capacity(w, capacity)
     op = get_operator(name)
-    for col, idx in enumerate(order):
-        for br in op.branches:
+    nk = w.k_max + 1
+    offsets = np.array(
+        [(br.dM * (1 - w.mt_min) + br.dmt) * nk + br.dm - br.dmt for br in op.branches]
+    )
+    vals = np.zeros((n, len(op.branches)), dtype=np.complex128)
+    mask: set[int] = set()
+    leakage = np.zeros(n)
+    for col, idx in enumerate(w.iter_indices()):
+        for b, br in enumerate(op.branches):
             tgt = idx.shifted(br.dM, br.dmt, br.dm)
             if not tgt.is_valid():
                 continue
             c = complex(br.coeff(idx, p))
             if c == 0.0:
                 continue
-            if tgt in pos:
-                rows.append(pos[tgt])
-                cols.append(col)
-                vals.append(c)
+            if w.contains(tgt):
+                vals[col, b] = c
             else:
                 mask.add(col)
-    n = len(order)
+                # A float product overflows to inf where abs(c) ** 2 raises.
+                leakage[col] += c.real * c.real + c.imag * c.imag
+    cols, branch = np.nonzero(vals)
     entries = sp.csr_matrix(
-        (np.asarray(vals, dtype=np.complex128), (rows, cols)), shape=(n, n)
+        (vals[cols, branch], (cols + offsets[branch], cols)), shape=(n, n)
     )
-    return OperatorMatrix(window=w, entries=entries, boundary_mask=frozenset(mask))
+    return OperatorMatrix(w, entries, frozenset(mask), leakage)
 
 
 def adjoint_matrix(A: OperatorMatrix, p: DeformationParams) -> OperatorMatrix:
@@ -404,12 +409,13 @@ def adjoint_matrix(A: OperatorMatrix, p: DeformationParams) -> OperatorMatrix:
 
     The operation is involutive.  The basis comes from A's window without a
     second capacity check: A already passed the caller's.  The boundary mask
-    is left empty (windowed entries of a single catalogue operator are exact).
+    and leakage are left empty (windowed entries of a single catalogue
+    operator are exact).
     """
     wgt = np.array([jackson_weight(idx, p) for idx in A.window.iter_indices()])
     AH = A.entries.conjugate().transpose().tocsr()
     entries = sp.diags(1.0 / wgt) @ AH @ sp.diags(wgt)
-    return OperatorMatrix(window=A.window, entries=entries.tocsr(), boundary_mask=frozenset())
+    return OperatorMatrix(A.window, entries.tocsr(), frozenset(), np.zeros(len(wgt)))
 
 
 def spectrum_diagonal(

@@ -18,10 +18,11 @@ and the number of excluded columns is reported.
 
 Two evaluation paths
 --------------------
-Each word is composed rule-by-rule once (sparse path).  On windows of at
-most 2^9 states that matrix is compared with a dense product of materialized
-matrices and the two paths must agree to 1e-13; disagreement raises, since
-it can only mean an implementation defect.
+A check materializes each distinct letter once and composes every word as
+a chain of sparse products of those matrices (sparse path).  On windows of
+at most 2^9 states the same letters are also multiplied as dense arrays and
+the two products must agree to 1e-13; disagreement raises, since it can only
+mean an implementation defect.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .core import (
 )
 from .lattice import build_window
 from .operators import (
+    OperatorMatrix,
     adjoint_matrix,
     get_operator,
     materialize,
@@ -286,45 +288,33 @@ def word_matrix(
     word: Sequence[str],
     w: TruncationWindow,
     p: DeformationParams,
-    order: list[BasisIndex] | None = None,
-    pos: dict[BasisIndex, int] | None = None,
+    letters: dict[str, OperatorMatrix] | None = None,
     capacity: int | None = None,
 ) -> tuple[sp.csr_matrix, float]:
     """Windowed matrix of an operator word plus the squared leakage it drops.
 
-    The word applies rightmost-first; after every step amplitudes on valid
-    indices outside the window are dropped and their squared magnitudes
-    accumulate in the returned leakage.
+    The word is the product of its letters' materialized matrices, applied
+    rightmost first; the leakage sums the squared magnitude of every
+    amplitude a step carries to a valid index outside the window.
+    ``letters`` caches materialized letters of this (w, p) by name.
     """
-    if order is None:
-        order = build_window(w, capacity)
-    if pos is None:
-        pos = {idx: k for k, idx in enumerate(order)}
-    n = len(order)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    leak = 0.0
-    for col, idx in enumerate(order):
-        cur: dict[BasisIndex, complex] = {idx: 1.0 + 0.0j}
-        for name in reversed(tuple(word)):
-            nxt: dict[BasisIndex, complex] = {}
-            for src, amp in cur.items():
-                for tgt, c in operator_action(name, src, p):
-                    a = amp * c
-                    if w.contains(tgt):
-                        nxt[tgt] = nxt.get(tgt, 0.0 + 0.0j) + a
-                    else:
-                        leak += abs(a) ** 2
-            cur = nxt
-        for tgt, a in cur.items():
-            rows.append(pos[tgt])
-            cols.append(col)
-            vals.append(a)
-    mat = sp.csr_matrix(
-        (np.asarray(vals, dtype=np.complex128), (rows, cols)), shape=(n, n)
-    )
-    return mat, leak
+    if letters is None:
+        letters = {}
+    for name in word:
+        if name not in letters:
+            letters[name] = materialize(name, w, p, capacity)
+    *rest, first = [letters[name] for name in word]
+    prod, leak = first.entries, float(first.leakage.sum())
+    for letter in reversed(rest):
+        # What a letter drops from source j scales with the squared norm of
+        # row j of the product so far.  Squares may overflow to inf; only
+        # rows that are reached and leak count, so no inf meets a 0 (NaN).
+        with np.errstate(over="ignore"):
+            reach = np.asarray(abs(prod).power(2).sum(axis=1)).ravel()
+            hit = (reach != 0.0) & (letter.leakage != 0.0)
+            leak += float(reach[hit] @ letter.leakage[hit])
+        prod = letter.entries @ prod
+    return prod, leak
 
 
 def _shift_prefixes(word: Sequence[str]) -> set[tuple[int, int, int]]:
@@ -383,14 +373,13 @@ def _require_dense_agreement(
     spec_id: str,
     word: tuple[str, ...],
     sparse_mat: sp.csr_matrix,
-    w: TruncationWindow,
-    p: DeformationParams,
+    letters: dict[str, OperatorMatrix],
     dense_cache: dict[str, np.ndarray],
 ) -> None:
     """Recompute a word as a dense matrix product and require 1e-13 agreement."""
     for name in word:
         if name not in dense_cache:
-            dense_cache[name] = materialize(name, w, p).entries.toarray()
+            dense_cache[name] = letters[name].entries.toarray()
     dense_mat = reduce(np.matmul, [dense_cache[name] for name in word])
     scale = max(1.0, float(np.linalg.norm(dense_mat)))
     diff = float(np.linalg.norm(sparse_mat.toarray() - dense_mat)) / scale
@@ -411,13 +400,14 @@ def check_relations(
 ) -> list[ResidualReport]:
     """Interior relative residual of each relation over the window.
 
-    Every word is composed once; on windows of at most DENSE_ORACLE_LIMIT
-    states that same matrix is also checked against the dense product.
+    Each distinct letter is materialized once and every word is composed
+    once from those matrices; on windows of at most DENSE_ORACLE_LIMIT
+    states that same word matrix is also checked against the dense product.
     """
     order = build_window(w, capacity)
-    pos = {idx: k for k, idx in enumerate(order)}
     n = len(order)
     use_dense = n <= DENSE_ORACLE_LIMIT
+    letters: dict[str, OperatorMatrix] = {}
     dense_cache: dict[str, np.ndarray] = {}
     reports = []
     for spec in specs:
@@ -427,9 +417,9 @@ def check_relations(
             total = sp.csr_matrix((n, n), dtype=np.complex128)
             leak = 0.0
             for t in terms:
-                mat, lk = word_matrix(t.word, w, p, order, pos)
+                mat, lk = word_matrix(t.word, w, p, letters, capacity)
                 if use_dense:
-                    _require_dense_agreement(spec.id, t.word, mat, w, p, dense_cache)
+                    _require_dense_agreement(spec.id, t.word, mat, letters, dense_cache)
                 c = complex(t.coeff(p))
                 total = total + c * mat
                 leak += abs(c) ** 2 * lk
@@ -503,7 +493,6 @@ def check_homomorphism(
     The ladder-template relations for the hopping and orbital families are
     appended report-only.
     """
-    order = build_window(w, capacity)
     x3_inv = sp.diags(
         [1.0 / complex(val) for _, val in spectrum_diagonal("X3", w, p, capacity)],
         format="csr",
@@ -517,7 +506,7 @@ def check_homomorphism(
         "tminus": (p.qpow(2) * root / lam)
         * (materialize("Xminus", w, p, capacity).entries @ x3_inv),
         "t3": (
-            sp.identity(len(order), dtype=np.complex128, format="csr")
+            sp.identity(x3_inv.shape[0], dtype=np.complex128, format="csr")
             + materialize("R2", w, p, capacity).entries @ x3_inv @ x3_inv
         )
         / lam,
@@ -689,15 +678,10 @@ def check_lowest_weight(
     merely small.
     """
     worst = 0.0
-    seen: set[tuple[int, int, int]] = set()
     for idx in build_window(w, capacity):
-        key = (idx.M, idx.sigma, idx.mt)
-        if key in seen:
-            continue
-        seen.add(key)
-        lowest = BasisIndex(idx.M, idx.sigma, idx.mt, idx.mt)
-        emitted = operator_action("Kminus", lowest, p)
-        worst = max(worst, sum(abs(c) for _, c in emitted))
+        if idx.mk == 0:
+            emitted = operator_action("Kminus", idx, p)
+            worst = max(worst, sum(abs(c) for _, c in emitted))
     return [
         ResidualReport(
             id="lowest_weight_annihilation",

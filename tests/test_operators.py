@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qeuclid.core import (
     BasisIndex,
+    CapacityError,
     DeformationParams,
     NotDiagonalError,
     TruncationWindow,
@@ -142,12 +143,22 @@ class TestMaterialize:
         dense = A.to_dense()
         assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
         assert A.boundary_mask == frozenset()
+        assert not A.leakage.any()
 
     def test_mode_raise_on_degenerate_window_is_all_boundary(self):
         w = TruncationWindow(0, 0, 0, 0)  # two states, both at the mode top
         A = materialize("Kplus", w, P2)
         assert A.entries.nnz == 0
         assert A.boundary_mask == frozenset({0, 1})
+        want = [abs(c) ** 2 for i in w.iter_indices() for _, c in operator_action("Kplus", i, P2)]
+        assert np.allclose(A.leakage, want, rtol=1e-15, atol=0.0)
+
+    def test_default_capacity_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(lattice, "DEFAULT_WINDOW_CAPACITY", 100)
+        w = TruncationWindow(0, 0, -8, 8)
+        with pytest.raises(CapacityError):
+            materialize("Xplus", w, P2)
+        assert materialize("Xplus", w, P2, capacity=w.size).entries.shape == (162, 162)
 
     def test_matrix_agrees_with_pointwise_action(self):
         w = TruncationWindow(-1, 1, -3, 3)

@@ -10,7 +10,8 @@ import math
 
 import pytest
 
-from qeuclid import lattice, verify
+from oracle import oracle_action
+from qeuclid import lattice, operators, verify
 from qeuclid.core import DeformationParams, QeuclidError, TruncationWindow
 from qeuclid.lattice import build_window
 from qeuclid.verify import (
@@ -36,6 +37,8 @@ from qeuclid.verify import (
 
 P2 = DeformationParams(q=2.0)
 W = TruncationWindow(0, 0, -6, 6)
+#: 578 states: above DENSE_ORACLE_LIMIT, so the dense second path is off.
+W_SPARSE = TruncationWindow(0, 0, -16, 16)
 TOL = 1e-12
 
 
@@ -122,12 +125,50 @@ class TestNegativeControls:
 
 class TestWordMatrices:
     def test_leakage_counts_window_escapes(self):
-        order = build_window(W)
-        pos = {idx: k for k, idx in enumerate(order)}
-        _, leak = word_matrix(("Xminus",), W, P2, order, pos)
+        letters = {}
+        _, leak = word_matrix(("Xminus",), W, P2, letters)
         assert leak > 0.0  # the bottom polar row exits the window
-        _, leak_diag = word_matrix(("X3",), W, P2, order, pos)
+        _, leak_diag = word_matrix(("X3",), W, P2, letters)
         assert leak_diag == 0.0
+
+    @pytest.mark.parametrize("w", [W, W_SPARSE], ids=["98", "578"])
+    @pytest.mark.parametrize(
+        "word", [("Xminus",), ("Xminus", "Xplus"), ("Torbplus", "Torbminus")]
+    )
+    def test_leakage_matches_oracle_walk(self, word, w):
+        # Walk every column through the oracle rules one letter at a time,
+        # summing |amp * c|^2 of each amplitude that lands outside the window.
+        def inside(idx):
+            M, _, mt, m = idx
+            return (
+                w.M_min <= M <= w.M_max
+                and w.mt_min <= mt <= 0
+                and 0 <= m - mt <= w.k_max
+            )
+
+        expected = 0.0
+        for col in w.iter_indices():
+            cur = {tuple(col): 1.0 + 0.0j}
+            for name in reversed(word):
+                nxt = {}
+                for src, amp in cur.items():
+                    for tgt, c in oracle_action(name, src, P2.q).items():
+                        if inside(tgt):
+                            nxt[tgt] = nxt.get(tgt, 0.0) + amp * c
+                        else:
+                            expected += abs(amp * c) ** 2
+                cur = nxt
+        _, leak = word_matrix(word, w, P2)
+        assert leak == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_overflowed_leakage_meets_no_zero(self):
+        # At q = 40 and M = 24 the squared ladder coefficients overflow to
+        # inf.  X- leaks inf from the bottom row, which X+ never reaches,
+        # and X+ reaches the top row with inf weight, where X- leaks
+        # nothing: no amplitude is dropped, and no 0 * inf may read NaN.
+        w = TruncationWindow(24, 24, -1, 0)
+        _, leak = word_matrix(("Xminus", "Xplus"), w, DeformationParams(q=40.0))
+        assert leak == 0.0
 
     def test_interior_positions_match_reported_exclusions(self):
         order = build_window(W)
@@ -263,6 +304,32 @@ class TestSinglePass:
         terms = [t.word for spec in X_RELATIONS for t in spec.lhs + spec.rhs]
         assert len(terms) == 7
         assert calls == terms
+
+
+class TestLetterMatrices:
+    @pytest.mark.parametrize("w", [W, W_SPARSE], ids=["dense", "sparse"])
+    def test_each_letter_is_materialized_once(self, monkeypatch, w):
+        # Words are products of the letters' matrices: no letter is built
+        # twice, and no basis state is walked through the scalar rules.
+        made, walked = [], []
+        materialize = operators.materialize
+        operator_action = operators.operator_action
+
+        def materialize_spy(name, *args, **kwargs):
+            made.append(name)
+            return materialize(name, *args, **kwargs)
+
+        def action_spy(*args, **kwargs):
+            walked.append(args)
+            return operator_action(*args, **kwargs)
+
+        for mod in (operators, verify):
+            monkeypatch.setattr(mod, "materialize", materialize_spy)
+            monkeypatch.setattr(mod, "operator_action", action_spy)
+        check_relations(X_RELATIONS, w, P2, TOL)
+        assert sorted(made) == ["X3", "Xminus", "Xplus"]
+        assert walked == []
+        assert W.size <= verify.DENSE_ORACLE_LIMIT < W_SPARSE.size
 
 
 class TestNonFiniteResiduals:
