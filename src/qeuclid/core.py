@@ -15,9 +15,12 @@ product carries the Jackson weight q^(4M) * q^(2*mt).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "QeuclidError",
@@ -26,10 +29,14 @@ __all__ = [
     "NotDiagonalError",
     "DomainError",
     "DEFAULT_WINDOW_CAPACITY",
+    "LABEL_LIMIT",
     "ALIASES",
     "qpow",
+    "qpow_array",
     "DeformationParams",
     "BasisIndex",
+    "stack_indices",
+    "unstack_indices",
     "TruncationWindow",
     "canonical_key",
     "lattice_coordinates",
@@ -71,6 +78,10 @@ class DomainError(QeuclidError):
 #: Default cap on truncation-window sizes; guards accidental huge windows.
 DEFAULT_WINDOW_CAPACITY = 200_000
 
+#: Largest accepted |M|, |mt| and |m|: the array paths compute power
+#: exponents up to 8*|M| + 4 in int64.
+LABEL_LIMIT = 2**59
+
 #: Accepted spellings of operator names, shared by the lattice catalogue and
 #: the smooth deformed rules.
 ALIASES: dict[str, str] = {
@@ -100,6 +111,17 @@ def qpow(q: float, n: int) -> float:
         base *= base
         e >>= 1
     return out
+
+
+def qpow_array(q: float, n) -> np.ndarray:
+    """Elementwise q**n for an integer array n, read from a :func:`qpow` table.
+
+    The table holds one :func:`qpow` value per distinct exponent, so every
+    entry is bit-identical to the scalar power.
+    """
+    exps, inv = np.unique(n, return_inverse=True)
+    table = np.array([qpow(q, k) for k in exps.tolist()], dtype=np.float64)
+    return table[inv].reshape(np.shape(n))
 
 
 @dataclass(frozen=True)
@@ -155,6 +177,10 @@ class BasisIndex(NamedTuple):
     M indexes the radial point r0*q^(4M+2); sigma in {+1, -1} picks the sign
     sector of the polar coordinate; mt <= 0 indexes xi = sigma*q^(2*mt-1);
     m >= mt is the Fourier mode on the circle.
+
+    The fields may also be equal-length int arrays holding many states (see
+    :func:`stack_indices`); ``mk``, ``is_valid``, ``shifted`` and
+    :meth:`TruncationWindow.contains` then act elementwise.
     """
 
     M: int
@@ -168,11 +194,22 @@ class BasisIndex(NamedTuple):
         return self.m - self.mt
 
     def is_valid(self) -> bool:
-        return self.sigma in (1, -1) and self.mt <= 0 and self.m >= self.mt
+        return ((self.sigma == 1) | (self.sigma == -1)) & (self.mt <= 0) & (self.m >= self.mt)
 
     def shifted(self, dM: int, dmt: int, dm: int) -> "BasisIndex":
         """Index displaced by a shift triple; may be invalid (checked by caller)."""
         return BasisIndex(self.M + dM, self.sigma, self.mt + dmt, self.m + dm)
+
+
+def stack_indices(indices: Iterable[BasisIndex]) -> BasisIndex:
+    """Basis indices as one BasisIndex of equal-length int64 arrays."""
+    table = np.fromiter(itertools.chain.from_iterable(indices), dtype=np.int64)
+    return BasisIndex(*np.ascontiguousarray(table.reshape(-1, 4).T))
+
+
+def unstack_indices(ix: BasisIndex) -> Iterator[BasisIndex]:
+    """The inverse of :func:`stack_indices`: one BasisIndex of ints per state."""
+    return map(BasisIndex._make, zip(*(a.tolist() for a in ix)))
 
 
 def validate_index(idx: BasisIndex) -> BasisIndex:
@@ -183,6 +220,8 @@ def validate_index(idx: BasisIndex) -> BasisIndex:
         raise ValueError(
             f"invalid basis index {tuple(idx)}: need sigma in {{+1,-1}}, mt <= 0, m >= mt"
         )
+    if max(abs(idx.M), -idx.mt, abs(idx.m)) > LABEL_LIMIT:
+        raise ValueError(f"basis index {tuple(idx)} has a label beyond 2^59 in magnitude")
     return idx
 
 
@@ -211,26 +250,38 @@ class TruncationWindow:
             raise ValueError(f"mt_min must be <= 0 (got {self.mt_min})")
         if self.k_max < 0:
             raise ValueError(f"k_max must be >= 0 (got {self.k_max})")
+        if max(abs(self.M_min), abs(self.M_max), -self.mt_min, self.k_max) > LABEL_LIMIT:
+            raise ValueError("window labels must stay within 2^59 in magnitude")
 
     @property
     def size(self) -> int:
         return 2 * (self.M_max - self.M_min + 1) * (-self.mt_min + 1) * (self.k_max + 1)
 
     def contains(self, idx: BasisIndex) -> bool:
+        """Whether idx is a valid index inside the box (elementwise on arrays)."""
         return (
             idx.is_valid()
-            and self.M_min <= idx.M <= self.M_max
-            and self.mt_min <= idx.mt <= 0
-            and 0 <= idx.m - idx.mt <= self.k_max
+            & (self.M_min <= idx.M)
+            & (idx.M <= self.M_max)
+            & (self.mt_min <= idx.mt)
+            & (idx.mk <= self.k_max)
         )
+
+    def index_arrays(self) -> BasisIndex:
+        """The window's indices as arrays in canonical order (sigma=+1 block
+        first, then M, mt, m)."""
+        sigma, M, mt, mk = np.meshgrid(
+            np.array([1, -1]),
+            np.arange(self.M_min, self.M_max + 1),
+            np.arange(self.mt_min, 1),
+            np.arange(self.k_max + 1),
+            indexing="ij",
+        )
+        return BasisIndex(M.ravel(), sigma.ravel(), mt.ravel(), (mt + mk).ravel())
 
     def iter_indices(self) -> Iterator[BasisIndex]:
         """Yield the window's indices in canonical order."""
-        for sigma in (1, -1):
-            for M in range(self.M_min, self.M_max + 1):
-                for mt in range(self.mt_min, 1):
-                    for m in range(mt, mt + self.k_max + 1):
-                        yield BasisIndex(M, sigma, mt, m)
+        return unstack_indices(self.index_arrays())
 
 
 def lattice_coordinates(idx: BasisIndex, p: DeformationParams) -> tuple[float, float, float]:

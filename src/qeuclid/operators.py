@@ -1,9 +1,17 @@
 """The lattice operator catalogue: shift rules, matrices, adjoints, spectra.
 
-Every operator acts on a basis index through one or two *branches*; a branch
-is a shift triple (dM, dmt, dm) plus a coefficient evaluated at the source
-index.  Multiplication factors that depend on the polar point are evaluated
-at the post-shift lattice point (that is what pointwise evaluation of the
+One branch table defines every operator.  An operator acts through one or
+two *branches*; a branch is a shift triple (dM, dmt, dm), a numpy expression
+for the real coefficient over the source points' label arrays (M, sigma, mt,
+m) and their powers of q, and optionally the ladder phase, multiplied in
+last.  The scalar action (:func:`operator_action`), the state action
+(:func:`apply`), the windowed matrix (:func:`materialize`) and the
+eigenvalue list (:func:`spectrum_diagonal`) all evaluate that one table on
+arrays of points, so they cannot disagree.  A branch coefficient is only
+evaluated on points whose target is a valid index.
+
+Multiplication factors that depend on the polar point are evaluated at the
+post-shift lattice point (that is what pointwise evaluation of the
 difference-operator formulas on lattice eigenfunctions produces), and
 functions of the mode-twisted coordinate xihat standing left of a mode shift
 see the post-shift mode.
@@ -29,9 +37,8 @@ zero class of the factor space (bare Lambda_xi_inv, bare exp_minus_iphi).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +50,9 @@ from .core import (
     NotDiagonalError,
     TruncationWindow,
     UnknownOperatorError,
-    jackson_weight,
+    qpow_array,
+    stack_indices,
+    unstack_indices,
     validate_index,
 )
 from .lattice import LatticeState, build_window, check_capacity
@@ -55,6 +64,7 @@ __all__ = [
     "catalogue_names",
     "get_operator",
     "resolve_name",
+    "images",
     "operator_action",
     "apply",
     "materialize",
@@ -63,21 +73,68 @@ __all__ = [
     "save_matrix",
 ]
 
-CoeffFn = Callable[[BasisIndex, DeformationParams], complex]
+
+class Points:
+    """Source points of a branch: index arrays, powers of q and coordinates.
+
+    r = r0*q^(4M+2), xi = sigma*q^(2mt-1) and xihat = sigma*q^(2(mt-m)-1)
+    are the lattice coordinates (see :func:`core.lattice_coordinates`).
+    """
+
+    def __init__(self, ix: BasisIndex, p: DeformationParams):
+        self.M, self.sigma, self.mt, self.m = ix
+        self.mk = ix.mk
+        self.p = p
+
+    def q(self, n: np.ndarray) -> np.ndarray:
+        return qpow_array(self.p.q, n)
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.p.r0 * self.q(4 * self.M + 2)
+
+    @property
+    def xi(self) -> np.ndarray:
+        return self.sigma * self.q(2 * self.mt - 1)
+
+    @property
+    def xihat(self) -> np.ndarray:
+        return self.sigma * self.q(2 * (self.mt - self.m) - 1)
+
+
+Coeff = Callable[[Points], "np.ndarray | float"]
 
 
 @dataclass(frozen=True)
 class Branch:
-    """One shift triple with its source-evaluated coefficient."""
+    """One shift triple with its coefficient expression over the source points.
+
+    ``coeff`` multiplies the real factors in a fixed order.  ``phase`` is
+    +1 for a branch carrying the ladder phase theta, -1 for one carrying its
+    conjugate and 0 for none; the phase is multiplied in last.
+    """
 
     dM: int
     dmt: int
     dm: int
-    coeff: CoeffFn
+    coeff: Coeff
+    phase: int = 0
 
     @property
     def shift(self) -> tuple[int, int, int]:
         return (self.dM, self.dmt, self.dm)
+
+    def values(self, src: BasisIndex, p: DeformationParams) -> np.ndarray:
+        """Complex coefficients at the source points (Python-float semantics:
+        an overflow reads inf, never a warning)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = np.full(src.M.shape, self.coeff(Points(src, p)), dtype=np.complex128)
+            if self.phase:
+                c *= p.theta_phase if self.phase > 0 else p.theta_phase.conjugate()
+                # Adding 0.0 turns the -0.0 imaginary part that a real phase
+                # leaves on negative entries into +0.0.
+                c += 0.0
+        return c
 
 
 @dataclass(frozen=True)
@@ -92,205 +149,82 @@ class LatticeOperator:
         return all(b.shift == (0, 0, 0) for b in self.branches)
 
 
-def _rval(idx: BasisIndex, p: DeformationParams) -> float:
-    return p.r0 * p.qpow(4 * idx.M + 2)
-
-
-def _xival(idx: BasisIndex, p: DeformationParams) -> float:
-    return idx.sigma * p.qpow(2 * idx.mt - 1)
-
-
-def _xihatval(idx: BasisIndex, p: DeformationParams) -> float:
-    return idx.sigma * p.qpow(2 * (idx.mt - idx.m) - 1)
-
-
-# --- diagonal coefficients ------------------------------------------------
-
-def _c_identity(idx, p):
-    return 1.0
-
-
-def _c_r(idx, p):
-    return _rval(idx, p)
-
-
-def _c_xi(idx, p):
-    return _xival(idx, p)
-
-
-def _c_xi_inv(idx, p):
-    return idx.sigma * p.qpow(1 - 2 * idx.mt)
-
-
-def _c_abs_xi_inv(idx, p):
-    return p.qpow(1 - 2 * idx.mt)
-
-
-def _c_xihat(idx, p):
-    return _xihatval(idx, p)
-
-
-def _c_R2(idx, p):
-    return p.r0 * p.r0 * p.qpow(8 * idx.M + 4)
-
-
-def _c_X3(idx, p):
-    return _rval(idx, p) * _xival(idx, p)
-
-
-def _c_t3(idx, p):
-    u = p.qpow(1 - 2 * idx.mt)
-    return (1.0 + u * u) / p.lam
-
-
-def _c_K3(idx, p):
-    return (1.0 + p.qpow(-4 * idx.mk - 2)) / p.lam
-
-
-def _c_tau_k(idx, p):
-    v = _xihatval(idx, p)
-    return -(v * v)
-
-
-def _c_tau_t(idx, p):
-    u = p.qpow(1 - 2 * idx.mt)
-    return -(u * u)
-
-
-def _c_tau_orb(idx, p):
-    return p.qpow(-4 * idx.m)
-
-
-def _c_Torb3(idx, p):
-    return (1.0 - p.qpow(-4 * idx.m)) / p.lam
-
-
-# --- ladder coefficients ----------------------------------------------------
-#
-# Raising in mt multiplies by the square-root factor at the post-shift polar
-# point; the exact boundary zero at mt = 0 keeps mt <= 0 invariant.
-
-def _c_Xplus(idx, p):
-    if idx.mt == 0:
-        return 0.0
-    arg = 1.0 - p.qpow(4 * idx.mt)
-    return -_rval(idx, p) * p.qpow(-1) * math.sqrt(arg / (1.0 + p.qpow(-2)))
-
-
-def _c_Xminus(idx, p):
-    arg = 1.0 - p.qpow(4 * idx.mt - 4)
-    return _rval(idx, p) * p.q * math.sqrt(arg / (1.0 + p.qpow(2)))
-
-
-def _c_tplus(idx, p):
-    if idx.mt == 0:
-        return 0.0
-    return idx.sigma * p.qpow(-2 * idx.mt - 2) * math.sqrt(1.0 - p.qpow(4 * idx.mt)) / p.lam
-
-
-def _c_tminus(idx, p):
-    return idx.sigma * p.qpow(4 - 2 * idx.mt) * math.sqrt(1.0 - p.qpow(4 * idx.mt - 4)) / p.lam
-
-
-def _c_Kplus(idx, p):
-    arg = 1.0 - p.qpow(-4 * idx.mk - 4)
-    return p.theta_phase * math.sqrt(arg) / (p.qpow(2) - 1.0)
-
-
-def _c_Kminus(idx, p):
-    if idx.mk == 0:
-        return 0.0
-    arg = 1.0 - p.qpow(-4 * idx.mk)
-    return -p.qpow(2) * p.theta_phase.conjugate() * math.sqrt(arg) / (p.qpow(2) - 1.0)
-
-
-def _c_Torbplus_ladder(idx, p):
-    # 1/xi times the K+ factor; the signed 1/xi keeps the printed form.
-    arg = 1.0 - p.qpow(-4 * idx.mk - 4)
-    return (
-        idx.sigma
-        * p.qpow(1 - 2 * idx.mt)
-        * p.theta_phase
-        * math.sqrt(arg)
-        / (p.qpow(2) - 1.0)
-    )
-
-
-def _c_Torbminus_ladder(idx, p):
-    if idx.mk == 0:
-        return 0.0
-    arg = 1.0 - p.qpow(-4 * idx.mk)
-    return (
-        idx.sigma
-        * p.qpow(1 - 2 * idx.mt)
-        * p.theta_phase
-        * p.qpow(2)
-        * math.sqrt(arg)
-        / (p.qpow(2) - 1.0)
-    )
-
-
-def _c_Lambda(idx, p):
-    return p.qpow(-2)
-
-
-def _c_Lambda_inv(idx, p):
-    return p.qpow(2)
-
-
-def _c_Lambda_xi(idx, p):
-    return p.q
-
-
-def _c_Lambda_xi_inv(idx, p):
-    return p.qpow(-1)
-
-
-def _c_one(idx, p):
-    return 1.0
-
-
-def _diag(name: str, coeff: CoeffFn) -> LatticeOperator:
+def _diag(name: str, coeff: Coeff) -> LatticeOperator:
     return LatticeOperator(name, (Branch(0, 0, 0, coeff),))
 
+
+# Raising in mt multiplies by the square-root factor at the post-shift polar
+# point; the coefficient is never evaluated where the target leaves mt <= 0
+# or m >= mt, which is where the analytic prefactors vanish.
+_tplus = Branch(
+    0, +1, +1,
+    lambda s: s.sigma * s.q(-2 * s.mt - 2) * np.sqrt(1.0 - s.q(4 * s.mt)) / s.p.lam,
+)
+_tminus = Branch(
+    0, -1, -1,
+    lambda s: s.sigma * s.q(4 - 2 * s.mt) * np.sqrt(1.0 - s.q(4 * s.mt - 4)) / s.p.lam,
+)
 
 CATALOGUE: dict[str, LatticeOperator] = {
     op.name: op
     for op in (
-        _diag("identity", _c_identity),
-        _diag("r", _c_r),
-        _diag("xi", _c_xi),
-        _diag("xi_inv", _c_xi_inv),
-        _diag("abs_xi_inv", _c_abs_xi_inv),
-        _diag("xihat", _c_xihat),
-        _diag("R2", _c_R2),
-        _diag("X3", _c_X3),
-        _diag("t3", _c_t3),
-        _diag("K3", _c_K3),
-        _diag("tau_k", _c_tau_k),
-        _diag("tau_t", _c_tau_t),
-        _diag("tau_orb", _c_tau_orb),
-        _diag("Torb3", _c_Torb3),
-        LatticeOperator("Xplus", (Branch(0, +1, +1, _c_Xplus),)),
-        LatticeOperator("Xminus", (Branch(0, -1, -1, _c_Xminus),)),
-        LatticeOperator("tplus", (Branch(0, +1, +1, _c_tplus),)),
-        LatticeOperator("tminus", (Branch(0, -1, -1, _c_tminus),)),
-        LatticeOperator("Kplus", (Branch(0, 0, +1, _c_Kplus),)),
-        LatticeOperator("Kminus", (Branch(0, 0, -1, _c_Kminus),)),
-        LatticeOperator(
-            "Torbplus",
-            (Branch(0, +1, +1, _c_tplus), Branch(0, 0, +1, _c_Torbplus_ladder)),
-        ),
-        LatticeOperator(
-            "Torbminus",
-            (Branch(0, -1, -1, _c_tminus), Branch(0, 0, -1, _c_Torbminus_ladder)),
-        ),
-        LatticeOperator("Lambda", (Branch(+1, 0, 0, _c_Lambda),)),
-        LatticeOperator("Lambda_inv", (Branch(-1, 0, 0, _c_Lambda_inv),)),
-        LatticeOperator("Lambda_xi", (Branch(0, -1, 0, _c_Lambda_xi),)),
-        LatticeOperator("Lambda_xi_inv", (Branch(0, +1, 0, _c_Lambda_xi_inv),)),
-        LatticeOperator("exp_iphi", (Branch(0, 0, +1, _c_one),)),
-        LatticeOperator("exp_minus_iphi", (Branch(0, 0, -1, _c_one),)),
+        _diag("identity", lambda s: 1.0),
+        _diag("r", lambda s: s.r),
+        _diag("xi", lambda s: s.xi),
+        _diag("xi_inv", lambda s: s.sigma * s.q(1 - 2 * s.mt)),
+        _diag("abs_xi_inv", lambda s: s.q(1 - 2 * s.mt)),
+        _diag("xihat", lambda s: s.xihat),
+        _diag("R2", lambda s: s.p.r0 * s.p.r0 * s.q(8 * s.M + 4)),
+        _diag("X3", lambda s: s.r * s.xi),
+        _diag("t3", lambda s: (1.0 + np.square(s.q(1 - 2 * s.mt))) / s.p.lam),
+        _diag("K3", lambda s: (1.0 + s.q(-4 * s.mk - 2)) / s.p.lam),
+        _diag("tau_k", lambda s: -np.square(s.xihat)),
+        _diag("tau_t", lambda s: -np.square(s.q(1 - 2 * s.mt))),
+        _diag("tau_orb", lambda s: s.q(-4 * s.m)),
+        _diag("Torb3", lambda s: (1.0 - s.q(-4 * s.m)) / s.p.lam),
+        LatticeOperator("Xplus", (Branch(
+            0, +1, +1,
+            lambda s: -s.r * s.p.qpow(-1)
+            * np.sqrt((1.0 - s.q(4 * s.mt)) / (1.0 + s.p.qpow(-2))),
+        ),)),
+        LatticeOperator("Xminus", (Branch(
+            0, -1, -1,
+            lambda s: s.r * s.p.q
+            * np.sqrt((1.0 - s.q(4 * s.mt - 4)) / (1.0 + s.p.qpow(2))),
+        ),)),
+        LatticeOperator("tplus", (_tplus,)),
+        LatticeOperator("tminus", (_tminus,)),
+        LatticeOperator("Kplus", (Branch(
+            0, 0, +1,
+            lambda s: np.sqrt(1.0 - s.q(-4 * s.mk - 4)) / (s.p.qpow(2) - 1.0),
+            +1,
+        ),)),
+        LatticeOperator("Kminus", (Branch(
+            0, 0, -1,
+            lambda s: -s.p.qpow(2) * np.sqrt(1.0 - s.q(-4 * s.mk)) / (s.p.qpow(2) - 1.0),
+            -1,
+        ),)),
+        # The orbital ladder branches are 1/xi times the K+- factors; the
+        # signed 1/xi keeps the printed form, and Torb- keeps theta
+        # unconjugated.
+        LatticeOperator("Torbplus", (_tplus, Branch(
+            0, 0, +1,
+            lambda s: s.sigma * s.q(1 - 2 * s.mt)
+            * np.sqrt(1.0 - s.q(-4 * s.mk - 4)) / (s.p.qpow(2) - 1.0),
+            +1,
+        ))),
+        LatticeOperator("Torbminus", (_tminus, Branch(
+            0, 0, -1,
+            lambda s: s.sigma * s.q(1 - 2 * s.mt) * s.p.qpow(2)
+            * np.sqrt(1.0 - s.q(-4 * s.mk)) / (s.p.qpow(2) - 1.0),
+            +1,
+        ))),
+        LatticeOperator("Lambda", (Branch(+1, 0, 0, lambda s: s.p.qpow(-2)),)),
+        LatticeOperator("Lambda_inv", (Branch(-1, 0, 0, lambda s: s.p.qpow(2)),)),
+        LatticeOperator("Lambda_xi", (Branch(0, -1, 0, lambda s: s.p.q),)),
+        LatticeOperator("Lambda_xi_inv", (Branch(0, +1, 0, lambda s: s.p.qpow(-1)),)),
+        LatticeOperator("exp_iphi", (Branch(0, 0, +1, lambda s: 1.0),)),
+        LatticeOperator("exp_minus_iphi", (Branch(0, 0, -1, lambda s: 1.0),)),
     )
 }
 
@@ -312,6 +246,24 @@ def get_operator(name: str) -> LatticeOperator:
     return CATALOGUE[resolve_name(name)]
 
 
+def images(
+    name: str, src: BasisIndex, p: DeformationParams
+) -> Iterator[tuple[np.ndarray, BasisIndex, np.ndarray]]:
+    """Action of an operator on arrays of basis indices, one entry per branch.
+
+    Each entry holds the positions in ``src`` whose shifted target is a valid
+    index with a nonzero coefficient, those targets, and the coefficients.
+    Coefficients are evaluated on valid targets only.
+    """
+    for br in get_operator(name).branches:
+        tgt = src.shifted(br.dM, br.dmt, br.dm)
+        pos = np.flatnonzero(tgt.is_valid())
+        c = br.values(BasisIndex(*(a[pos] for a in src)), p)
+        keep = c != 0.0
+        pos, c = pos[keep], c[keep]
+        yield pos, BasisIndex(*(a[pos] for a in tgt)), c
+
+
 def operator_action(
     name: str, idx: BasisIndex, p: DeformationParams
 ) -> list[tuple[BasisIndex, complex]]:
@@ -321,26 +273,28 @@ def operator_action(
     coefficients are exact zeros), and exact zero coefficients are pruned,
     so the list is empty at annihilation points (K- at m = mt, t+ at mt = 0).
     """
-    idx = validate_index(idx)
-    op = get_operator(name)
-    out: list[tuple[BasisIndex, complex]] = []
-    for br in op.branches:
-        tgt = idx.shifted(br.dM, br.dmt, br.dm)
-        if not tgt.is_valid():
-            continue
-        c = complex(br.coeff(idx, p))
-        if c != 0.0:
-            out.append((tgt, c))
-    return out
+    src = stack_indices([validate_index(idx)])
+    return [
+        (next(unstack_indices(tgt)), complex(c[0]))
+        for _, tgt, c in images(name, src, p)
+        if len(c)
+    ]
 
 
 def apply(name: str, state: LatticeState, p: DeformationParams) -> LatticeState:
-    """Linear extension of :func:`operator_action` to a sparse state."""
-    acc: dict[BasisIndex, complex] = {}
-    for idx, amp in state.amplitudes.items():
-        for tgt, c in operator_action(name, idx, p):
-            acc[tgt] = acc.get(tgt, 0.0 + 0.0j) + amp * c
-    return LatticeState(acc)
+    """Linear extension of :func:`operator_action` to a sparse state.
+
+    The whole support is evaluated at once; the LatticeState constructor sums
+    the amplitudes that two branches carry to one target.
+    """
+    src = stack_indices(state.amplitudes)
+    amps = np.fromiter(state.amplitudes.values(), np.complex128, len(state))
+    # Adding 0.0 turns a -0.0 part into +0.0, as a sum started at 0 would.
+    return LatticeState(
+        pair
+        for pos, tgt, c in images(name, src, p)
+        for pair in zip(unstack_indices(tgt), (amps[pos] * c + 0.0).tolist())
+    )
 
 
 @dataclass
@@ -381,38 +335,34 @@ def materialize(
         [(br.dM * (1 - w.mt_min) + br.dmt) * nk + br.dm - br.dmt for br in op.branches]
     )
     vals = np.zeros((n, len(op.branches)), dtype=np.complex128)
-    mask: set[int] = set()
+    lost = np.zeros(n, dtype=bool)
     leakage = np.zeros(n)
-    for col, idx in enumerate(w.iter_indices()):
-        for b, br in enumerate(op.branches):
-            tgt = idx.shifted(br.dM, br.dmt, br.dm)
-            if not tgt.is_valid():
-                continue
-            c = complex(br.coeff(idx, p))
-            if c == 0.0:
-                continue
-            if w.contains(tgt):
-                vals[col, b] = c
-            else:
-                mask.add(col)
-                # A float product overflows to inf where abs(c) ** 2 raises.
-                leakage[col] += c.real * c.real + c.imag * c.imag
+    for b, (pos, tgt, c) in enumerate(images(name, w.index_arrays(), p)):
+        inside = w.contains(tgt)
+        vals[pos[inside], b] = c[inside]
+        out, c = pos[~inside], c[~inside]
+        lost[out] = True
+        # Like a Python float product, the square overflows to inf silently.
+        with np.errstate(over="ignore"):
+            leakage[out] += c.real * c.real + c.imag * c.imag
     cols, branch = np.nonzero(vals)
     entries = sp.csr_matrix(
         (vals[cols, branch], (cols + offsets[branch], cols)), shape=(n, n)
     )
-    return OperatorMatrix(w, entries, frozenset(mask), leakage)
+    return OperatorMatrix(w, entries, frozenset(np.flatnonzero(lost).tolist()), leakage)
 
 
 def adjoint_matrix(A: OperatorMatrix, p: DeformationParams) -> OperatorMatrix:
     """Jackson adjoint W^-1 A^H W of a windowed matrix (W = diagonal weights).
 
+    W holds the Jackson weights q^(4M) * q^(2*mt) of the window's states.
     The operation is involutive.  The basis comes from A's window without a
     second capacity check: A already passed the caller's.  The boundary mask
     and leakage are left empty (windowed entries of a single catalogue
     operator are exact).
     """
-    wgt = np.array([jackson_weight(idx, p) for idx in A.window.iter_indices()])
+    ix = A.window.index_arrays()
+    wgt = qpow_array(p.q, 4 * ix.M) * qpow_array(p.q, 2 * ix.mt)
     AH = A.entries.conjugate().transpose().tocsr()
     entries = sp.diags(1.0 / wgt) @ AH @ sp.diags(wgt)
     return OperatorMatrix(A.window, entries.tocsr(), frozenset(), np.zeros(len(wgt)))
@@ -428,11 +378,9 @@ def spectrum_diagonal(
     op = get_operator(name)
     if not op.is_diagonal:
         raise NotDiagonalError(f"operator {name!r} is not diagonal; no eigenvalue list")
-    out = []
-    for idx in build_window(w, capacity):
-        val = complex(op.branches[0].coeff(idx, p))
-        out.append((idx, val.real if val.imag == 0.0 else val))
-    return out
+    order = build_window(w, capacity)
+    vals = op.branches[0].values(w.index_arrays(), p).tolist()
+    return [(idx, v.real if v.imag == 0.0 else v) for idx, v in zip(order, vals)]
 
 
 def save_matrix(path: str, A: OperatorMatrix, header: str = "") -> None:

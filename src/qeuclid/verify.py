@@ -43,14 +43,13 @@ from .core import (
     QeuclidError,
     TruncationWindow,
 )
-from .lattice import build_window
+from .lattice import check_capacity
 from .operators import (
     OperatorMatrix,
     adjoint_matrix,
     get_operator,
+    images,
     materialize,
-    operator_action,
-    spectrum_diagonal,
 )
 
 __all__ = [
@@ -332,10 +331,9 @@ def _shift_prefixes(word: Sequence[str]) -> set[tuple[int, int, int]]:
     return prefixes
 
 
-def interior_positions(
-    words: Iterable[Sequence[str]], w: TruncationWindow, order: list[BasisIndex]
-) -> list[int]:
-    """Columns that no prefix of any word can carry outside the window.
+def interior_positions(words: Iterable[Sequence[str]], w: TruncationWindow) -> list[int]:
+    """Columns (canonical positions) that no prefix of any word can carry
+    outside the window.
 
     Prefix images on invalid indices do not disqualify: the rules carry
     exact zeros there, so truncation drops nothing.
@@ -343,17 +341,12 @@ def interior_positions(
     shifts: set[tuple[int, int, int]] = set()
     for word in words:
         shifts |= _shift_prefixes(word)
-    out = []
-    for k, idx in enumerate(order):
-        ok = True
-        for dM, dmt, dm in shifts:
-            tgt = idx.shifted(dM, dmt, dm)
-            if tgt.is_valid() and not w.contains(tgt):
-                ok = False
-                break
-        if ok:
-            out.append(k)
-    return out
+    ix = w.index_arrays()
+    ok = np.ones(w.size, dtype=bool)
+    for shift in shifts:
+        tgt = ix.shifted(*shift)
+        ok &= w.contains(tgt) | ~tgt.is_valid()
+    return np.flatnonzero(ok).tolist()
 
 
 def _frob(a) -> float:
@@ -404,8 +397,7 @@ def check_relations(
     once from those matrices; on windows of at most DENSE_ORACLE_LIMIT
     states that same word matrix is also checked against the dense product.
     """
-    order = build_window(w, capacity)
-    n = len(order)
+    n = check_capacity(w, capacity)
     use_dense = n <= DENSE_ORACLE_LIMIT
     letters: dict[str, OperatorMatrix] = {}
     dense_cache: dict[str, np.ndarray] = {}
@@ -425,7 +417,7 @@ def check_relations(
                 leak += abs(c) ** 2 * lk
             sums.append(total.tocsr())
             leaks.append(leak)
-        interior = interior_positions(spec.words(), w, order)
+        interior = interior_positions(spec.words(), w)
         residual = _balanced_residual(sums[0], sums[1], interior)
         reports.append(
             ResidualReport(
@@ -493,11 +485,11 @@ def check_homomorphism(
     The ladder-template relations for the hopping and orbital families are
     appended report-only.
     """
-    x3_inv = sp.diags(
-        [1.0 / complex(val) for _, val in spectrum_diagonal("X3", w, p, capacity)],
-        format="csr",
-        dtype=np.complex128,
-    )
+    check_capacity(w, capacity)
+    x3 = get_operator("X3").branches[0].values(w.index_arrays(), p)
+    # Where X3 underflows to 0 its inverse reads inf and the residual NaN.
+    with np.errstate(all="ignore"):
+        x3_inv = sp.diags(1.0 / x3, format="csr", dtype=np.complex128)
     q, lam = p.q, p.lam
     root = math.sqrt(1.0 + p.qpow(2))
     assembled = {
@@ -552,7 +544,6 @@ def check_tensor_torb(
     sector, where the direct rules carry a signed 1/xi, is reported only.
     """
     p_det = DeformationParams(q=p.q, r0=p.r0, theta_phase=-1.0 + 0.0j)
-    order = build_window(w, capacity)
     abs_inv = materialize("abs_xi_inv", w, p, capacity).entries
     assembled = {
         "Torb3": materialize("t3", w, p, capacity).entries
@@ -563,8 +554,9 @@ def check_tensor_torb(
         "Torbminus": materialize("tminus", w, p, capacity).entries
         - abs_inv @ materialize("Kminus", w, p, capacity).entries,
     }
-    plus_cols = [k for k, idx in enumerate(order) if idx.sigma > 0]
-    minus_cols = [k for k, idx in enumerate(order) if idx.sigma < 0]
+    sigma = w.index_arrays().sigma
+    plus_cols = np.flatnonzero(sigma > 0)
+    minus_cols = np.flatnonzero(sigma < 0)
     reports = []
     for name, mat in assembled.items():
         direct = materialize(name, w, p_det, capacity).entries
@@ -677,11 +669,15 @@ def check_lowest_weight(
     it must be identically zero (the rule produces no targets at all), not
     merely small.
     """
-    worst = 0.0
-    for idx in build_window(w, capacity):
-        if idx.mk == 0:
-            emitted = operator_action("Kminus", idx, p)
-            worst = max(worst, sum(abs(c) for _, c in emitted))
+    check_capacity(w, capacity)
+    ix = w.index_arrays()
+    bottom = ix.mk == 0
+    lowest = BasisIndex(*(a[bottom] for a in ix))
+    emitted = np.zeros(len(lowest.M))
+    for pos, _, c in images("Kminus", lowest, p):
+        np.add.at(emitted, pos, np.abs(c))
+    # np.max, unlike the builtin max, propagates a NaN.
+    worst = float(np.max(emitted))
     return [
         ResidualReport(
             id="lowest_weight_annihilation",

@@ -108,7 +108,7 @@ def test_criterion_04_central_length_is_diagonal_radius_squared():
         xp = materialize("Xplus", WINDOW, p).entries.toarray()
         xm = materialize("Xminus", WINDOW, p).entries.toarray()
         cas = x3 @ x3 - q * (xp @ xm) - (1.0 / q) * (xm @ xp)
-        interior = interior_positions(words, WINDOW, order)
+        interior = interior_positions(words, WINDOW)
         for col in interior:
             idx = order[col]
             expected = r0 * r0 * q ** (8 * idx.M + 4)

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line driver and its exit-code contract."""
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,10 @@ class TestVerifyCommand:
         code = main(["verify", "--window", "nope", "--output-dir", str(tmp_path)])
         assert code == EXIT_USAGE
 
+    def test_window_beyond_label_limit_is_a_usage_error(self, tmp_path):
+        window = "--window=10000000000000000000:10000000000000000000,0,0"
+        assert main(["verify", window, "--output-dir", str(tmp_path)]) == EXIT_USAGE
+
     def test_wrong_ladder_phase_fails(self, tmp_path, capsys):
         code = main(
             ["verify", "--theta-phase", "+1", "--output-dir", str(tmp_path)]
@@ -67,6 +73,42 @@ class TestVerifyCommand:
         )
         assert code == EXIT_CAPACITY
         assert "exceeding the cap" in capsys.readouterr().err
+
+    def test_overflowing_q_ends_in_a_verdict(self, tmp_path, capsys):
+        # At q = 40 the X3 spectrum underflows to 0 and R2 overflows: the
+        # run must end in failing NaN residuals, not in a traceback.
+        code = main(
+            ["verify", "--q", "40", "--window=-60:60,-3,2", "--output-dir", str(tmp_path)]
+        )
+        assert code == EXIT_CHECK_FAILURE
+        assert "FAILURES detected" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "homomorphism.json").read_text())
+        (check,) = [c for c in doc["checks"] if c["id"] == "hopping_from_coordinate_ladder"]
+        assert math.isnan(check["residual"])
+        assert check["pass"] is False
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenReports:
+    """Reports and stdout must match checked-in bytes, not only themselves."""
+
+    @pytest.mark.parametrize(
+        "golden, extra, rc",
+        [
+            ("q1.5", [], EXIT_PASS),
+            ("q1.5-phase+1", ["--theta-phase", "+1"], EXIT_CHECK_FAILURE),
+        ],
+    )
+    def test_reports_match_golden_bytes(self, golden, extra, rc, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["verify", "--q", "1.5", "--window=0:2,-8,8", *extra, "--output-dir", "out"])
+        assert code == rc
+        assert capsys.readouterr().out == (GOLDEN / golden / "stdout.txt").read_text()
+        for name in SUITE_NAMES:
+            want = (GOLDEN / golden / f"{name}.json").read_bytes()
+            assert (tmp_path / "out" / f"{name}.json").read_bytes() == want, name
 
 
 class TestSpectrumCommand:

@@ -17,6 +17,7 @@ from qeuclid.core import (
     t3_eigenvalue,
     tauk_eigenvalue,
     torb3_eigenvalue,
+    validate_index,
 )
 
 
@@ -90,6 +91,15 @@ class TestBasisIndex:
     def test_is_valid(self, idx, valid):
         assert idx.is_valid() is valid
 
+    @pytest.mark.parametrize(
+        "idx", [(2**59 + 1, 1, 0, 0), (0, 1, -(2**59) - 1, 0), (0, 1, 0, 2**59 + 1)]
+    )
+    def test_rejects_labels_beyond_the_limit(self, idx):
+        # Labels this large would overflow the int64 exponents of the
+        # array paths.
+        with pytest.raises(ValueError, match="2\\^59"):
+            validate_index(BasisIndex(*idx))
+
     def test_shifted(self):
         idx = BasisIndex(1, -1, -2, 0)
         assert idx.shifted(1, -1, 2) == BasisIndex(2, -1, -3, 2)
@@ -131,7 +141,9 @@ class TestTruncationWindow:
         assert not w.contains(BasisIndex(0, 1, -1, 2))  # mk = 3 > k_max
 
     @pytest.mark.parametrize(
-        "args", [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)]
+        "args",
+        [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1),
+         (0, 2**59 + 1, 0, 0), (0, 0, -(2**59) - 1, 0), (0, 0, 0, 2**59 + 1)],
     )
     def test_rejects_malformed_bounds(self, args):
         with pytest.raises(ValueError):

@@ -37,6 +37,7 @@ from qeuclid.operators import (
 from oracle import ORACLE_NAMES, oracle_action
 
 P2 = DeformationParams(q=2.0)
+PHASES = (-1.0 + 0.0j, 1.0 + 0.0j, cmath.exp(0.7j))
 ORIGIN = BasisIndex(0, 1, 0, 0)
 
 SAMPLE_INDICES = [
@@ -52,7 +53,7 @@ class TestPointwiseRulesAgainstOracle:
     @pytest.mark.parametrize("name", ORACLE_NAMES)
     @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
     def test_action_matches_plain_arithmetic(self, name, q):
-        for theta in (-1.0 + 0.0j, 1.0 + 0.0j, cmath.exp(0.7j)):
+        for theta in PHASES:
             p = DeformationParams(q=q, r0=1.25, theta_phase=theta)
             for raw in SAMPLE_INDICES:
                 got = {
@@ -106,6 +107,28 @@ class TestFrozenValues:
 
 
 class TestApplyLinearity:
+    @pytest.mark.parametrize("name", ["Torbplus", "Torbminus"])
+    def test_branches_sum_on_shared_targets(self, name):
+        # Both branches of the orbital ladders reach the same targets from
+        # different sources of a block state; apply must add the two terms.
+        p = DeformationParams(q=1.5, r0=1.25, theta_phase=cmath.exp(0.7j))
+        rng = np.random.default_rng(7)
+        block = list(TruncationWindow(0, 1, -3, 3).iter_indices())
+        amps = rng.uniform(-1, 1, len(block)) + 1j * rng.uniform(-1, 1, len(block))
+        state = LatticeState(dict(zip(block, amps)))
+        want: dict = {}
+        terms: dict = {}
+        for idx, amp in state.amplitudes.items():
+            for tgt, c in oracle_action(name, tuple(idx), p.q, 1.25, p.theta_phase).items():
+                want[tgt] = want.get(tgt, 0.0) + amp * c
+                terms[tgt] = terms.get(tgt, 0) + 1
+        assert max(terms.values()) == 2
+        got = apply(name, state, p)
+        assert {tuple(idx) for idx in got.amplitudes} == set(want)
+        for tgt, val in want.items():
+            assert got[BasisIndex(*tgt)] == pytest.approx(val, rel=1e-14), tgt
+
+
     @given(
         a=st.complex_numbers(max_magnitude=5, allow_nan=False),
         b=st.complex_numbers(max_magnitude=5, allow_nan=False),
@@ -160,20 +183,33 @@ class TestMaterialize:
             materialize("Xplus", w, P2)
         assert materialize("Xplus", w, P2, capacity=w.size).entries.shape == (162, 162)
 
-    def test_matrix_agrees_with_pointwise_action(self):
+    @pytest.mark.parametrize("name", ORACLE_NAMES)
+    @pytest.mark.parametrize("q", [1.1, 2.0, 3.0])
+    def test_matrix_agrees_with_pointwise_action(self, name, q):
+        # Every shift leaves this window through one of its four edges
+        # (M_min, M_max, mt_min, k_max), so entries, boundary columns and
+        # leakage are all exercised against the oracle's pointwise rules.
         w = TruncationWindow(-1, 1, -3, 3)
-        from qeuclid.lattice import build_window
-
-        order = build_window(w)
+        order = [tuple(idx) for idx in w.iter_indices()]
         pos = {idx: k for k, idx in enumerate(order)}
-        for name in ("Xplus", "Torbminus", "Lambda_xi", "K3"):
-            A = materialize(name, w, P2).to_dense()
+        for theta in PHASES:
+            p = DeformationParams(q=q, r0=1.25, theta_phase=theta)
+            want = np.zeros((len(order), len(order)), dtype=complex)
+            leakage = np.zeros(len(order))
+            mask = set()
             for col, idx in enumerate(order):
-                seen = np.zeros(len(order), dtype=complex)
-                for tgt, c in operator_action(name, idx, P2):
+                for tgt, c in oracle_action(name, idx, q, r0=1.25, theta=theta).items():
                     if tgt in pos:
-                        seen[pos[tgt]] = c
-                assert np.array_equal(A[:, col], seen), f"{name} column {idx}"
+                        want[pos[tgt], col] = c
+                    else:
+                        leakage[col] += abs(c) ** 2
+                        mask.add(col)
+            A = materialize(name, w, p)
+            got = A.to_dense()
+            assert np.array_equal(got != 0, want != 0), name
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), name
+            assert A.boundary_mask == frozenset(mask), name
+            assert np.all(np.abs(A.leakage - leakage) <= 1e-14 * leakage), name
 
     def test_radial_scaling_commutation(self):
         # r scales by q^4 under the radial shift: r Lambda = q^4 Lambda r

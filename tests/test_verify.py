@@ -11,14 +11,18 @@ import math
 import pytest
 
 from oracle import oracle_action
-from qeuclid import lattice, operators, verify
+from qeuclid import cli, lattice, operators, smooth, verify
 from qeuclid.core import DeformationParams, QeuclidError, TruncationWindow
 from qeuclid.lattice import build_window
+from qeuclid.operators import apply, get_operator
 from qeuclid.verify import (
     ADJOINT_PAIRS,
+    COMMUTANT,
     K_RELATIONS,
     RelationSpec,
     SUITE_NAMES,
+    TORB_TEMPLATE,
+    T_TEMPLATE,
     Term,
     X_RELATIONS,
     check_adjointness,
@@ -176,9 +180,43 @@ class TestWordMatrices:
         lower = reports["x_lower_exchange"]
         words = [t.word for spec in X_RELATIONS if spec.id == "x_lower_exchange"
                  for t in spec.lhs + spec.rhs]
-        interior = interior_positions(words, W, order)
+        interior = interior_positions(words, W)
         assert len(order) - len(interior) == lower.boundary_rows_excluded
         assert lower.boundary_rows_excluded == 14  # both mt = mt_min rows
+
+    @pytest.mark.parametrize(
+        "specs", [X_RELATIONS, COMMUTANT, T_TEMPLATE + TORB_TEMPLATE],
+        ids=["x", "commutant", "templates"],
+    )
+    @pytest.mark.parametrize(
+        "w",
+        [W, TruncationWindow(-1, 1, 0, 3), TruncationWindow(-1, 0, -3, 0),
+         TruncationWindow(0, 0, 0, 0)],
+        ids=["98", "mt_min=0", "k_max=0", "2"],
+    )
+    def test_interior_positions_match_per_index_reference(self, specs, w):
+        # Reference: walk every column through every prefix shift of every
+        # branch choice, one basis index at a time.
+        shifts = set()
+        for word in (word for spec in specs for word in spec.words()):
+            cur = {(0, 0, 0)}
+            for name in reversed(word):
+                cur = {
+                    (a + br.dM, b + br.dmt, c + br.dm)
+                    for a, b, c in cur
+                    for br in get_operator(name).branches
+                }
+                shifts |= cur
+        want = [
+            k
+            for k, idx in enumerate(w.iter_indices())
+            if all(
+                not idx.shifted(*s).is_valid() or w.contains(idx.shifted(*s))
+                for s in shifts
+            )
+        ]
+        words = [word for spec in specs for word in spec.words()]
+        assert interior_positions(words, w) == want
 
     def test_raise_exchange_needs_no_exclusions(self):
         reports = {r.id: r for r in check_relations(X_RELATIONS, W, P2, TOL)}
@@ -325,11 +363,34 @@ class TestLetterMatrices:
 
         for mod in (operators, verify):
             monkeypatch.setattr(mod, "materialize", materialize_spy)
-            monkeypatch.setattr(mod, "operator_action", action_spy)
+            monkeypatch.setattr(mod, "operator_action", action_spy, raising=False)
         check_relations(X_RELATIONS, w, P2, TOL)
         assert sorted(made) == ["X3", "Xminus", "Xplus"]
         assert walked == []
         assert W.size <= verify.DENSE_ORACLE_LIMIT < W_SPARSE.size
+
+
+class TestNoScalarWalk:
+    def test_suites_and_apply_make_no_scalar_calls(self, monkeypatch):
+        # The suites and apply evaluate whole arrays; the per-index
+        # operator_action is never called, through any module's reference.
+        calls = []
+        real = operators.operator_action
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod in (cli, lattice, operators, smooth, verify):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, spy)
+        run_all_suites(TruncationWindow(0, 0, -3, 3), P2, TOL)
+        state = lattice.LatticeState(
+            {idx: 1.0 + 0.5j for idx in TruncationWindow(0, 0, -2, 2).iter_indices()}
+        )
+        apply("Torbplus", state, P2)
+        assert calls == []
 
 
 class TestNonFiniteResiduals:
