@@ -26,6 +26,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
     CapacityError,
     DeformationParams,
@@ -355,7 +357,8 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         path = cfg.output_dir / f"{name}.json"
         path.write_text(report.to_json(), encoding="utf-8")
         asserted = [c for c in report.checks if c.asserted]
-        worst = max((c.max_interior_residual for c in asserted), default=0.0)
+        # np.max, unlike the builtin max, propagates a NaN residual.
+        worst = float(np.max([c.max_interior_residual for c in asserted], initial=0.0))
         status = "pass" if report.passed else "FAIL"
         all_pass = all_pass and report.passed
         print(f"{name:<14} {status:<4}  worst asserted residual {worst:.3e}  {path}")

@@ -19,10 +19,19 @@ and the number of excluded columns is reported.
 Two evaluation paths
 --------------------
 A check materializes each distinct letter once and composes every word as
-a chain of sparse products of those matrices (sparse path).  On windows of
-at most 2^9 states the same letters are also multiplied as dense arrays and
-the two products must agree to 1e-13; disagreement raises, since it can only
-mean an implementation defect.
+a chain of sparse products of those matrices (sparse path).  Two second
+paths recompute each word from the same letters; a disagreement beyond
+1e-13 raises, since it can only mean an implementation defect in the
+composition (order, association, a lost letter or entry):
+
+* On windows of any size, the letters are applied one at a time to one
+  seeded real Gaussian probe vector, and the result must match the composed
+  word times the same vector (Freivalds' randomized product check).
+* On windows of at most 2^9 states, the letters are also multiplied as
+  dense arrays, and every entry of the product must match the composed
+  word.  A matrix whose stored entries are all real is densified as a
+  float64 array, so real phases multiply real arrays; a complex phase keeps
+  complex arithmetic.
 """
 
 from __future__ import annotations
@@ -331,13 +340,8 @@ def _shift_prefixes(word: Sequence[str]) -> set[tuple[int, int, int]]:
     return prefixes
 
 
-def interior_positions(words: Iterable[Sequence[str]], w: TruncationWindow) -> list[int]:
-    """Columns (canonical positions) that no prefix of any word can carry
-    outside the window.
-
-    Prefix images on invalid indices do not disqualify: the rules carry
-    exact zeros there, so truncation drops nothing.
-    """
+def _interior_mask(words: Iterable[Sequence[str]], w: TruncationWindow) -> np.ndarray:
+    """Boolean mask over canonical positions of the interior columns."""
     shifts: set[tuple[int, int, int]] = set()
     for word in words:
         shifts |= _shift_prefixes(word)
@@ -346,20 +350,32 @@ def interior_positions(words: Iterable[Sequence[str]], w: TruncationWindow) -> l
     for shift in shifts:
         tgt = ix.shifted(*shift)
         ok &= w.contains(tgt) | ~tgt.is_valid()
-    return np.flatnonzero(ok).tolist()
+    return ok
+
+
+def interior_positions(words: Iterable[Sequence[str]], w: TruncationWindow) -> list[int]:
+    """Columns (canonical positions) that no prefix of any word can carry
+    outside the window.
+
+    Prefix images on invalid indices do not disqualify: the rules carry
+    exact zeros there, so truncation drops nothing.
+    """
+    return np.flatnonzero(_interior_mask(words, w)).tolist()
 
 
 def _frob(a) -> float:
     return float(sparse_norm(a)) if sp.issparse(a) else float(np.linalg.norm(a))
 
 
-def _balanced_residual(L: sp.csr_matrix, R: sp.csr_matrix, cols: list[int]) -> float:
-    """Frobenius norm of (L-R) on the given columns over max(1, |L|, |R|)."""
-    if not cols:
+def _balanced_residual(L: sp.csr_matrix, R: sp.csr_matrix, mask: np.ndarray) -> float:
+    """Frobenius norm of (L-R) on the masked columns over max(1, |L|, |R|)."""
+    if not mask.any():
         return 0.0
-    Ls = L[:, cols]
-    Rs = R[:, cols]
-    return _frob(Ls - Rs) / max(1.0, _frob(Ls), _frob(Rs))
+    norms = []
+    for A in (L - R, L, R):
+        A.sum_duplicates()
+        norms.append(float(np.linalg.norm(A.data[mask[A.indices]])))
+    return norms[0] / max(1.0, norms[1], norms[2])
 
 
 def _require_dense_agreement(
@@ -369,17 +385,62 @@ def _require_dense_agreement(
     letters: dict[str, OperatorMatrix],
     dense_cache: dict[str, np.ndarray],
 ) -> None:
-    """Recompute a word as a dense matrix product and require 1e-13 agreement."""
+    """Recompute a word as a dense matrix product and require 1e-13 agreement.
+
+    A matrix whose stored entries have no imaginary part is taken as real,
+    each letter and the word on its own, so real phases multiply float64
+    arrays and an imaginary part that only the word holds is still compared.
+    The word's entries are subtracted from the product in place rather than
+    from a dense copy of the word: at 486 states two fewer arrays per word
+    halve the cost.
+    """
     for name in word:
         if name not in dense_cache:
-            dense_cache[name] = letters[name].entries.toarray()
-    dense_mat = reduce(np.matmul, [dense_cache[name] for name in word])
-    scale = max(1.0, float(np.linalg.norm(dense_mat)))
-    diff = float(np.linalg.norm(sparse_mat.toarray() - dense_mat)) / scale
+            letter = letters[name].entries
+            real = not letter.data.imag.any()
+            dense_cache[name] = (letter.real if real else letter).toarray()
+    mats = [dense_cache[name] for name in word]
+    gap = reduce(np.matmul, mats) if len(mats) > 1 else mats[0].copy()
+    scale = max(1.0, float(np.linalg.norm(gap)))
+    coo = sparse_mat.tocoo()
+    entries = coo.data if coo.data.imag.any() else coo.data.real
+    gap = gap.astype(np.result_type(gap, entries), copy=False)
+    np.subtract.at(gap, (coo.row, coo.col), entries)
+    diff = float(np.linalg.norm(gap)) / scale
     if diff > 1e-13:
         raise QeuclidError(
             f"evaluation paths disagree on word {word} of {spec_id}: "
             f"sparse composition vs dense product differ by {diff:.3e}"
+        )
+
+
+def _require_probe_agreement(
+    spec_id: str,
+    word: tuple[str, ...],
+    sparse_mat: sp.csr_matrix,
+    letters: dict[str, OperatorMatrix],
+    probe: np.ndarray,
+) -> None:
+    """Apply the letters to a probe vector one at a time, rightmost first, and
+    require 1e-13 agreement with the composed word times the same vector.
+
+    The norms are taken after dividing by the largest magnitude on either
+    side, so finite vectors never overflow them.  A non-finite value on
+    either side reads NaN and is left to the residual.
+    """
+    with np.errstate(all="ignore"):
+        y = probe
+        for name in reversed(word):
+            y = letters[name].entries @ y
+        z = sparse_mat @ probe
+        big = np.maximum(np.abs(y).max(initial=0.0), np.abs(z).max(initial=0.0))
+        diff = float(
+            np.linalg.norm((y - z) / big) / max(1.0 / big, np.linalg.norm(y / big))
+        )
+    if diff > 1e-13:
+        raise QeuclidError(
+            f"evaluation paths disagree on word {word} of {spec_id}: "
+            f"sparse composition vs letter-by-letter probe differ by {diff:.3e}"
         )
 
 
@@ -394,13 +455,15 @@ def check_relations(
     """Interior relative residual of each relation over the window.
 
     Each distinct letter is materialized once and every word is composed
-    once from those matrices; on windows of at most DENSE_ORACLE_LIMIT
-    states that same word matrix is also checked against the dense product.
+    once from those matrices.  That word matrix is checked against the
+    letters applied one at a time to a seeded probe vector and, on windows
+    of at most DENSE_ORACLE_LIMIT states, against the dense product.
     """
     n = check_capacity(w, capacity)
     use_dense = n <= DENSE_ORACLE_LIMIT
     letters: dict[str, OperatorMatrix] = {}
     dense_cache: dict[str, np.ndarray] = {}
+    probe = np.random.default_rng(0).standard_normal(n)
     reports = []
     for spec in specs:
         sums: list[sp.csr_matrix] = []
@@ -410,6 +473,7 @@ def check_relations(
             leak = 0.0
             for t in terms:
                 mat, lk = word_matrix(t.word, w, p, letters, capacity)
+                _require_probe_agreement(spec.id, t.word, mat, letters, probe)
                 if use_dense:
                     _require_dense_agreement(spec.id, t.word, mat, letters, dense_cache)
                 c = complex(t.coeff(p))
@@ -417,7 +481,7 @@ def check_relations(
                 leak += abs(c) ** 2 * lk
             sums.append(total.tocsr())
             leaks.append(leak)
-        interior = interior_positions(spec.words(), w)
+        interior = _interior_mask(spec.words(), w)
         residual = _balanced_residual(sums[0], sums[1], interior)
         reports.append(
             ResidualReport(
@@ -425,7 +489,7 @@ def check_relations(
                 window=w,
                 q=p.q,
                 max_interior_residual=residual,
-                boundary_rows_excluded=n - len(interior),
+                boundary_rows_excluded=n - int(interior.sum()),
                 leakage_norm=math.sqrt(leaks[0] + leaks[1]),
                 tolerance=tol if asserted else math.inf,
                 asserted=asserted,
@@ -639,7 +703,8 @@ def check_recursions(
     phi_res = _balanced_max(phi_lhs, phi_rhs)
     zero_res = abs(float(phi_solution(0.0, p)) - (-p.q / (1.0 + p.qpow(2))))
     sign_pts = phi_solution(x * p.qpow(-1), p)
-    sign_res = max(0.0, float(np.max(sign_pts)))
+    # np.max, unlike the builtin max, propagates a NaN.
+    sign_res = float(np.max(sign_pts, initial=0.0))
     j_res = j_recursion_residual(p, beta=0.0)
     mk = lambda cid, res, t: ResidualReport(
         id=cid,

@@ -87,6 +87,20 @@ class TestVerifyCommand:
         assert math.isnan(check["residual"])
         assert check["pass"] is False
 
+    def test_nan_residual_reaches_the_stdout_verdict(self, tmp_path, capsys):
+        # At q = 40 on M = 24 the commutant words overflow and a residual
+        # reads NaN; the printed worst residual must say so.
+        code = main(
+            ["verify", "--q", "40", "--window=24:24,0,0", "--output-dir", str(tmp_path)]
+        )
+        assert code == EXIT_CHECK_FAILURE
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [l for l in lines if l.startswith("commutant ")]
+        assert line.split()[1:5] == ["FAIL", "worst", "asserted", "residual"]
+        assert line.split()[5] == "nan"
+        doc = json.loads((tmp_path / "commutant.json").read_text())
+        assert any(math.isnan(c["residual"]) for c in doc["checks"])
+
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -5,10 +5,13 @@ relation, a wrong adjoint sign, and the wrong ladder phase must all FAIL,
 otherwise the residual machinery is vacuous.
 """
 
+import cmath
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import norm as sparse_norm
 
 from oracle import oracle_action
 from qeuclid import cli, lattice, operators, smooth, verify
@@ -218,6 +221,20 @@ class TestWordMatrices:
         words = [word for spec in specs for word in spec.words()]
         assert interior_positions(words, w) == want
 
+    @pytest.mark.parametrize("spec", X_RELATIONS + COMMUTANT, ids=lambda s: s.id)
+    def test_masked_residual_matches_column_slices(self, spec):
+        # Reference: the residual of the interior columns sliced out of both
+        # sides, as sparse matrices.
+        sides = []
+        for terms in (spec.lhs, spec.rhs):
+            total = sum(complex(t.coeff(P2)) * word_matrix(t.word, W, P2)[0] for t in terms)
+            sides.append(total.tocsr())
+        cols = interior_positions(spec.words(), W)
+        L, R = (side[:, cols] for side in sides)
+        want = sparse_norm(L - R) / max(1.0, sparse_norm(L), sparse_norm(R))
+        mask = verify._interior_mask(spec.words(), W)
+        assert verify._balanced_residual(*sides, mask) == want
+
     def test_raise_exchange_needs_no_exclusions(self):
         reports = {r.id: r for r in check_relations(X_RELATIONS, W, P2, TOL)}
         assert reports["x_raise_exchange"].boundary_rows_excluded == 0
@@ -344,6 +361,100 @@ class TestSinglePass:
         assert calls == terms
 
 
+#: Windows of 162 and 486 states (dense path on) and 17,298 states (off).
+W_162 = TruncationWindow(0, 0, -8, 8)
+W_486 = TruncationWindow(0, 2, -8, 8)
+W_17298 = TruncationWindow(-4, 4, -30, 30)
+P_COMPLEX = DeformationParams(q=2.0, theta_phase=cmath.exp(0.7j))
+MUTATIONS = ["reversed", "dropped_letter", "perturbed_entry", "imaginary_entry"]
+
+
+def _mutated(kind):
+    """A word_matrix that returns a wrongly composed word.
+
+    The true word is composed first, so the letter table still holds every
+    letter of the word.
+    """
+
+    def wrong(word, w, p, letters, capacity=None):
+        mat, leak = word_matrix(word, w, p, letters, capacity)
+        if kind == "reversed":
+            mat = word_matrix(word[::-1], w, p, letters, capacity)[0]
+        elif kind == "dropped_letter":
+            mat = word_matrix(word[1:] or word, w, p, letters, capacity)[0]
+        else:
+            mat = mat.copy()
+            # Frobenius norm, scaled so that words beyond 1e154 do not
+            # overflow its squares.
+            big = np.abs(mat.data).max()
+            step = 1e-10 * big * np.linalg.norm(mat.data / big)
+            mat.data[0] += step if kind == "perturbed_entry" else 1j * step
+        return mat, leak
+
+    return wrong
+
+
+class TestSecondPathsCatchMutations:
+    """Each second path on its own must reject a wrongly composed word."""
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @pytest.mark.parametrize("w", [W_162, W_486], ids=["162", "486"])
+    @pytest.mark.parametrize(
+        "specs, p", [(X_RELATIONS, P2), (K_RELATIONS, P_COMPLEX)], ids=["real", "complex"]
+    )
+    def test_dense_path_raises(self, monkeypatch, specs, p, w, kind):
+        assert w.size <= verify.DENSE_ORACLE_LIMIT
+        monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
+        monkeypatch.setattr(verify, "_require_probe_agreement", lambda *args: None)
+        with pytest.raises(QeuclidError, match="dense product"):
+            check_relations(specs, w, p, TOL)
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @pytest.mark.parametrize(
+        "w", [W_162, W_486, W_17298], ids=["162", "486", "17298"]
+    )
+    @pytest.mark.parametrize(
+        "specs, p", [(X_RELATIONS, P2), (K_RELATIONS, P_COMPLEX)], ids=["real", "complex"]
+    )
+    def test_probe_raises(self, monkeypatch, specs, p, w, kind):
+        monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
+        monkeypatch.setattr(verify, "_require_dense_agreement", lambda *args: None)
+        with pytest.raises(QeuclidError, match="probe"):
+            check_relations(specs, w, p, TOL)
+
+    @pytest.mark.parametrize("p", [P2, P_COMPLEX], ids=["phase-1", "phase0.7"])
+    def test_dense_letters_are_real_unless_the_phase_is_complex(self, monkeypatch, p):
+        caches = []
+        real = verify._require_dense_agreement
+
+        def spy(spec_id, word, mat, letters, dense_cache):
+            caches.append(dense_cache)
+            return real(spec_id, word, mat, letters, dense_cache)
+
+        monkeypatch.setattr(verify, "_require_dense_agreement", spy)
+        check_relations(K_RELATIONS, W_162, p, TOL)
+        dtypes = {name: a.dtype for name, a in caches[-1].items()}
+        complex_letters = set() if p is P2 else {"Kplus", "Kminus"}
+        assert dtypes == {
+            name: np.dtype(np.complex128 if name in complex_letters else np.float64)
+            for name in ("K3", "Kplus", "Kminus")
+        }
+
+    def test_probe_scales_before_taking_norms(self, monkeypatch):
+        # At q = 3 on mt >= -60 both words send the probe to about 1e170,
+        # whose square overflows: unscaled, the comparison would read
+        # inf/inf = NaN and let a perturbed word through.
+        one = lambda p: 1.0
+        spec = RelationSpec(
+            "t_order", (Term(one, ("t3", "tplus")),), (Term(one, ("tplus", "t3")),)
+        )
+        w, p = TruncationWindow(0, 0, -60, 60), DeformationParams(q=3.0)
+        check_relations([spec], w, p, TOL, asserted=False)
+        monkeypatch.setattr(verify, "word_matrix", _mutated("perturbed_entry"))
+        with pytest.raises(QeuclidError, match="probe"):
+            check_relations([spec], w, p, TOL, asserted=False)
+
+
 class TestLetterMatrices:
     @pytest.mark.parametrize("w", [W, W_SPARSE], ids=["dense", "sparse"])
     def test_each_letter_is_materialized_once(self, monkeypatch, w):
@@ -405,6 +516,15 @@ class TestNonFiniteResiduals:
         assert math.isnan(check.max_interior_residual)
         assert not check.passed
         assert not report.passed
+
+    def test_nan_sign_residual_fails_recursions(self):
+        # At q = 1e155 the squares of q overflow, so phi reads NaN on the
+        # core interval; the NaN must fail the sign check, not read 0.
+        with np.errstate(all="ignore"):
+            reports = {r.id: r for r in check_recursions(DeformationParams(q=1e155))}
+        check = reports["phi_nonpositive_on_core"]
+        assert math.isnan(check.max_interior_residual)
+        assert not check.passed
 
 
 class TestCallerCapacity:
