@@ -58,6 +58,7 @@ from .operators import (
     operator_action,
     resolve_name,
     save_matrix,
+    spectrum_arrays,
     spectrum_diagonal,
 )
 from .smooth import (
@@ -143,6 +144,7 @@ __all__ = [
     "apply",
     "materialize",
     "adjoint_matrix",
+    "spectrum_arrays",
     "spectrum_diagonal",
     "save_matrix",
     # smooth

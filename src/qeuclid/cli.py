@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ from .core import (
     UnknownOperatorError,
 )
 from .lattice import load_state, save_state
-from .operators import apply, materialize, save_matrix, spectrum_diagonal
+from .operators import apply, materialize, save_matrix, spectrum_arrays
 from .smooth import (
     convergence_csv,
     limit_convergence,
@@ -369,39 +370,33 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_PASS if all_pass else EXIT_CHECK_FAILURE
 
 
-def _format_eigenvalue(value) -> str:
-    if isinstance(value, complex):
-        return repr(value)
-    return repr(float(value))
-
-
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     p = cfg.params()
-    pairs = spectrum_diagonal(args.operator, cfg.window, p, capacity=args.capacity)
+    ix, vals = spectrum_arrays(args.operator, cfg.window, p, capacity=args.capacity)
+    # A real eigenvalue prints as a float, any other as a complex.
+    eig = vals.real.tolist()
+    for k in np.flatnonzero(vals.imag != 0.0).tolist():
+        eig[k] = complex(vals[k])
+    columns = (*(a.tolist() for a in ix), eig)
     if cfg.format == "json":
         rows = [
             {
-                "M": idx.M,
-                "sigma": idx.sigma,
-                "mt": idx.mt,
-                "m": idx.m,
-                "eigenvalue": value if not isinstance(value, complex) else
-                [value.real, value.imag],
+                "M": M,
+                "sigma": sigma,
+                "mt": mt,
+                "m": m,
+                "eigenvalue": [e.real, e.imag] if isinstance(e, complex) else e,
             }
-            for idx, value in pairs
+            for M, sigma, mt, m, e in zip(*columns)
         ]
         text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
     else:
-        lines = ["M,sigma,mt,m,eigenvalue"]
-        for idx, value in pairs:
-            lines.append(
-                f"{idx.M},{idx.sigma},{idx.mt},{idx.m},{_format_eigenvalue(value)}"
-            )
-        text = "\n".join(lines) + "\n"
+        rows = map("{},{},{},{},{!r}".format, *columns)
+        text = "\n".join(("M,sigma,mt,m,eigenvalue", *rows)) + "\n"
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         args.output.write_text(text, encoding="utf-8")
-        print(f"wrote {len(pairs)} eigenvalues to {args.output}")
+        print(f"wrote {len(eig)} eigenvalues to {args.output}")
     else:
         sys.stdout.write(text)
     return EXIT_PASS
@@ -487,10 +482,15 @@ def cmd_matrix(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 # --- entry point -----------------------------------------------------------------
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of a process and then reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -37,6 +37,7 @@ __all__ = [
     "BasisIndex",
     "stack_indices",
     "unstack_indices",
+    "invalid_indices",
     "TruncationWindow",
     "canonical_key",
     "lattice_coordinates",
@@ -203,7 +204,10 @@ class BasisIndex(NamedTuple):
 
 def stack_indices(indices: Iterable[BasisIndex]) -> BasisIndex:
     """Basis indices as one BasisIndex of equal-length int64 arrays."""
-    table = np.fromiter(itertools.chain.from_iterable(indices), dtype=np.int64)
+    try:
+        table = np.fromiter(itertools.chain.from_iterable(indices), dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a basis index has a label beyond 2^59 in magnitude") from None
     return BasisIndex(*np.ascontiguousarray(table.reshape(-1, 4).T))
 
 
@@ -223,6 +227,19 @@ def validate_index(idx: BasisIndex) -> BasisIndex:
     if max(abs(idx.M), -idx.mt, abs(idx.m)) > LABEL_LIMIT:
         raise ValueError(f"basis index {tuple(idx)} has a label beyond 2^59 in magnitude")
     return idx
+
+
+def invalid_indices(ix: BasisIndex) -> np.ndarray:
+    """Positions of the entries of an array BasisIndex that
+    :func:`validate_index` rejects."""
+    lim = LABEL_LIMIT
+    ok = (
+        ix.is_valid()
+        & (-lim <= ix.M) & (ix.M <= lim)
+        & (-lim <= ix.mt)
+        & (-lim <= ix.m) & (ix.m <= lim)
+    )
+    return np.flatnonzero(~ok)
 
 
 def canonical_key(idx: BasisIndex):

@@ -1,14 +1,18 @@
 """Sparse states over the lattice basis and the Jackson inner product.
 
 A :class:`LatticeState` is a finitely supported complex amplitude map over
-valid basis indices; the inner product weights each index with
+valid basis indices, stored as int64 label arrays in canonical order and one
+complex128 amplitude array; the inner product weights each index with
 ``jackson_weight`` and is conjugate-linear in its first argument.  States
 and truncation windows serialize to plain text so CLI runs can be chained.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .core import (
     BasisIndex,
@@ -16,8 +20,10 @@ from .core import (
     DEFAULT_WINDOW_CAPACITY,
     DeformationParams,
     TruncationWindow,
-    canonical_key,
-    jackson_weight,
+    invalid_indices,
+    qpow_array,
+    stack_indices,
+    unstack_indices,
     validate_index,
 )
 
@@ -31,15 +37,49 @@ __all__ = [
 ]
 
 
+def _sort(ix: BasisIndex) -> tuple[np.ndarray, BasisIndex, np.ndarray]:
+    """Stable argsort into canonical order (sigma=+1 block first, then M, mt,
+    m), the sorted labels, and the mask of those unequal to their predecessor."""
+    order = np.lexsort((ix.m, ix.mt, ix.M, ix.sigma < 0))
+    ix = BasisIndex(*(a[order] for a in ix))
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any([a[1:] != a[:-1] for a in ix], axis=0)
+    return order, ix, new
+
+
+def _canonical(index: BasisIndex, amplitudes, floor: float) -> tuple[BasisIndex, np.ndarray]:
+    """Validated labels in canonical order and their amplitudes: those of a
+    repeated label summed in input order, magnitudes <= floor dropped."""
+    ix = BasisIndex(*(np.asarray(a, dtype=np.int64) for a in index))
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.ndim != 1 or any(a.shape != amps.shape for a in ix):
+        raise ValueError("labels and amplitudes must be 1-d arrays of one length")
+    for k in invalid_indices(ix)[:1]:
+        validate_index(BasisIndex(*(int(a[k]) for a in ix)))
+    order, ix, new = _sort(ix)
+    amps = amps[order]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=len(amps))
+    acc = amps[starts]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, sizes.max(initial=1)):  # the k-th repeat of every label
+            sel = np.flatnonzero(sizes > k)
+            acc[sel] += amps[starts[sel] + k]
+    keep = np.hypot(acc.real, acc.imag) > floor
+    return BasisIndex(*(a[starts[keep]] for a in ix)), acc[keep]
+
+
 class LatticeState:
     """Finitely supported amplitude map ``{BasisIndex: complex}``.
 
-    Amplitudes with magnitude <= ``floor`` are pruned at construction
-    (default 0.0: exact zeros only), so boundary zeros produced by the
-    operator rules never linger as explicit entries.
+    ``index`` holds the supporting labels as int64 arrays in canonical order
+    and ``values`` their complex128 amplitudes.  Both constructors validate
+    the labels, sum the amplitudes of a repeated label in input order and
+    prune amplitudes with magnitude <= ``floor`` (default 0.0: exact zeros
+    only), so boundary zeros produced by the operator rules never linger.
     """
 
-    __slots__ = ("amplitudes",)
+    __slots__ = ("index", "values", "_amplitudes")
 
     def __init__(
         self,
@@ -47,14 +87,26 @@ class LatticeState:
         floor: float = 0.0,
     ):
         items = amplitudes.items() if isinstance(amplitudes, Mapping) else amplitudes
-        acc: dict[BasisIndex, complex] = {}
-        for idx, amp in items:
-            idx = validate_index(idx)
-            amp = complex(amp)
-            if idx in acc:
-                amp += acc[idx]
-            acc[idx] = amp
-        self.amplitudes = {i: a for i, a in acc.items() if abs(a) > floor}
+        pairs = list(items)
+        amps = [complex(amp) for _, amp in pairs]
+        self.index, self.values = _canonical(stack_indices(i for i, _ in pairs), amps, floor)
+        self._amplitudes = None
+
+    @classmethod
+    def from_arrays(
+        cls, index: BasisIndex, amplitudes: np.ndarray, floor: float = 0.0
+    ) -> "LatticeState":
+        """State from equal-length label arrays and amplitudes in any order."""
+        state = cls()
+        state.index, state.values = _canonical(index, amplitudes, floor)
+        return state
+
+    @property
+    def amplitudes(self) -> dict[BasisIndex, complex]:
+        """The amplitudes as a dict in canonical order, built on first use."""
+        if self._amplitudes is None:
+            self._amplitudes = dict(zip(self.support(), self.values.tolist()))
+        return self._amplitudes
 
     @classmethod
     def basis_state(cls, idx: BasisIndex) -> "LatticeState":
@@ -63,10 +115,10 @@ class LatticeState:
 
     def support(self) -> list[BasisIndex]:
         """Supporting indices in canonical order."""
-        return sorted(self.amplitudes, key=canonical_key)
+        return list(unstack_indices(self.index))
 
     def __len__(self) -> int:
-        return len(self.amplitudes)
+        return len(self.values)
 
     def __getitem__(self, idx: BasisIndex) -> complex:
         return self.amplitudes.get(validate_index(idx), 0.0 + 0.0j)
@@ -74,22 +126,25 @@ class LatticeState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticeState):
             return NotImplemented
-        return self.amplitudes == other.amplitudes
+        return len(self) == len(other) and all(
+            np.array_equal(a, b)
+            for a, b in zip((*self.index, self.values), (*other.index, other.values))
+        )
 
     def __add__(self, other: "LatticeState") -> "LatticeState":
-        acc = dict(self.amplitudes)
-        for idx, amp in other.amplitudes.items():
-            acc[idx] = acc.get(idx, 0.0) + amp
-        return LatticeState(acc)
+        return LatticeState.from_arrays(
+            BasisIndex(*map(np.concatenate, zip(self.index, other.index))),
+            np.concatenate((self.values, other.values)),
+        )
 
     def __sub__(self, other: "LatticeState") -> "LatticeState":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "LatticeState":
-        return LatticeState({i: complex(scalar) * a for i, a in self.amplitudes.items()})
+        return LatticeState.from_arrays(self.index, complex(scalar) * self.values)
 
     def __repr__(self) -> str:
-        return f"LatticeState({len(self.amplitudes)} amplitudes)"
+        return f"LatticeState({len(self)} amplitudes)"
 
     def norm(self, p: DeformationParams) -> float:
         return abs(inner_product(self, self, p)) ** 0.5
@@ -114,14 +169,23 @@ def build_window(
 def inner_product(a: LatticeState, b: LatticeState, p: DeformationParams) -> complex:
     """Jackson-weighted inner product, conjugate-linear in the first argument.
 
-    <a, b> = sum over idx of q^(4M) q^(2 mt) conj(a[idx]) b[idx], summed in
-    canonical index order so results are bit-stable.
+    <a, b> = sum over idx of q^(4M) q^(2 mt) conj(a[idx]) b[idx], added to
+    0 term by term in canonical index order, so results are bit-stable.
     """
-    common = sorted(set(a.amplitudes) & set(b.amplitudes), key=canonical_key)
-    out = 0.0 + 0.0j
-    for idx in common:
-        out += jackson_weight(idx, p) * a.amplitudes[idx].conjugate() * b.amplitudes[idx]
-    return out
+    # Both supports are sorted and distinct, so after a stable sort of the two
+    # together a shared label is an adjacent pair, a's entry first.
+    order, _, new = _sort(BasisIndex(*map(np.concatenate, zip(a.index, b.index))))
+    first = np.flatnonzero(~new) - 1
+    ia, ib = order[first], order[first + 1] - len(a)
+    w = qpow_array(p.q, 4 * a.index.M[ia]) * qpow_array(p.q, 2 * a.index.mt[ia])
+    ar, ai, br, bi = a.values[ia].real, a.values[ia].imag, b.values[ib].real, b.values[ib].imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        # complex(w, 0.0) * conj(a) * b in real arithmetic, rounded as Python's
+        # complex multiply rounds it (numpy's may fuse terms).
+        wr, wi = w * ar - 0.0 * -ai, w * -ai + 0.0 * ar
+        re, im = wr * br - wi * bi, wr * bi + wi * br
+        # cumsum adds in order from 0.0; np.sum would add pairwise.
+        return complex(*(np.cumsum(np.append(0.0, x))[-1] for x in (re, im)))
 
 
 _STATE_HEADER = "# qeuclid state: M sigma mt m re im"
@@ -129,28 +193,42 @@ _STATE_HEADER = "# qeuclid state: M sigma mt m re im"
 
 def save_state(path: str, state: LatticeState) -> None:
     """Write a state as text lines ``M sigma mt m re im`` in canonical order."""
-    lines = [_STATE_HEADER]
-    for idx in state.support():
-        amp = state.amplitudes[idx]
-        lines.append(
-            f"{idx.M} {idx.sigma:+d} {idx.mt} {idx.m} {amp.real!r} {amp.imag!r}"
-        )
+    columns = (*state.index, state.values.real, state.values.imag)
+    rows = map("{} {:+d} {} {} {!r} {!r}".format, *(c.tolist() for c in columns))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join((_STATE_HEADER, *rows)) + "\n")
 
 
 def load_state(path: str) -> LatticeState:
-    """Read a state written by :func:`save_state` ('#' lines are comments)."""
-    entries: list[tuple[BasisIndex, complex]] = []
+    """Read a state written by :func:`save_state` ('#' lines are comments).
+
+    Rows may come in any order; a repeated index sums its amplitudes.  A
+    malformed row, an invalid index, a label beyond 2^59 or a non-finite
+    amplitude raises ValueError naming ``path:line``.
+    """
+    labels, parts, lines = array("q"), array("d"), []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            row = raw.split()
+            if not row or row[0].startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{ln}: expected 'M sigma mt m re im', got {line!r}")
-            M, sigma, mt, m = (int(x) for x in parts[:4])
-            re, im = float(parts[4]), float(parts[5])
-            entries.append((BasisIndex(M, sigma, mt, m), complex(re, im)))
-    return LatticeState(entries)
+            try:
+                if len(row) != 6:
+                    raise ValueError(f"expected 'M sigma mt m re im', got {raw.strip()!r}")
+                labels.extend(map(int, row[:4]))
+                parts.extend(map(float, row[4:]))
+            except OverflowError:  # beyond int64, so beyond 2^59 too
+                raise ValueError(f"{path}:{ln}: a label is beyond 2^59 in magnitude") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+            lines.append(ln)
+    ix = BasisIndex(*np.array(labels, dtype=np.int64).reshape(-1, 4).T.copy())
+    amps = np.array(parts, dtype=np.float64).view(np.complex128)
+    bad = np.union1d(invalid_indices(ix), np.flatnonzero(~np.isfinite(amps)))
+    for k in bad[:1]:  # name the first bad row
+        try:
+            validate_index(BasisIndex(*(int(a[k]) for a in ix)))
+            raise ValueError(f"amplitude {amps[k]} is not finite")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lines[k]}: {exc}") from None
+    return LatticeState.from_arrays(ix, amps)

@@ -6,7 +6,7 @@ for the real coefficient over the source points' label arrays (M, sigma, mt,
 m) and their powers of q, and optionally the ladder phase, multiplied in
 last.  The scalar action (:func:`operator_action`), the state action
 (:func:`apply`), the windowed matrix (:func:`materialize`) and the
-eigenvalue list (:func:`spectrum_diagonal`) all evaluate that one table on
+eigenvalues (:func:`spectrum_arrays`) all evaluate that one table on
 arrays of points, so they cannot disagree.  A branch coefficient is only
 evaluated on points whose target is a valid index.
 
@@ -55,7 +55,7 @@ from .core import (
     unstack_indices,
     validate_index,
 )
-from .lattice import LatticeState, build_window, check_capacity
+from .lattice import LatticeState, check_capacity
 
 __all__ = [
     "Branch",
@@ -69,6 +69,7 @@ __all__ = [
     "apply",
     "materialize",
     "adjoint_matrix",
+    "spectrum_arrays",
     "spectrum_diagonal",
     "save_matrix",
 ]
@@ -284,17 +285,14 @@ def operator_action(
 def apply(name: str, state: LatticeState, p: DeformationParams) -> LatticeState:
     """Linear extension of :func:`operator_action` to a sparse state.
 
-    The whole support is evaluated at once; the LatticeState constructor sums
-    the amplitudes that two branches carry to one target.
+    The whole support is evaluated at once; the LatticeState builder sums
+    the amplitudes that two branches carry to one target, in branch order.
     """
-    src = stack_indices(state.amplitudes)
-    amps = np.fromiter(state.amplitudes.values(), np.complex128, len(state))
+    parts = list(images(name, state.index, p))
+    tgt = BasisIndex(*map(np.concatenate, zip(*(t for _, t, _ in parts))))
     # Adding 0.0 turns a -0.0 part into +0.0, as a sum started at 0 would.
-    return LatticeState(
-        pair
-        for pos, tgt, c in images(name, src, p)
-        for pair in zip(unstack_indices(tgt), (amps[pos] * c + 0.0).tolist())
-    )
+    amps = np.concatenate([state.values[pos] * c for pos, _, c in parts]) + 0.0
+    return LatticeState.from_arrays(tgt, amps)
 
 
 @dataclass
@@ -368,19 +366,32 @@ def adjoint_matrix(A: OperatorMatrix, p: DeformationParams) -> OperatorMatrix:
     return OperatorMatrix(A.window, entries.tocsr(), frozenset(), np.zeros(len(wgt)))
 
 
-def spectrum_diagonal(
+def spectrum_arrays(
     name: str, w: TruncationWindow, p: DeformationParams, capacity: int | None = None
-) -> list[tuple[BasisIndex, float]]:
-    """Eigenvalue list of a diagonal catalogue operator over a window.
+) -> tuple[BasisIndex, np.ndarray]:
+    """A diagonal catalogue operator's eigenvalues over a window, as the
+    window's index arrays (canonical order) and one complex value array.
 
     Raises :class:`NotDiagonalError` for operators with nonzero shifts.
     """
     op = get_operator(name)
     if not op.is_diagonal:
         raise NotDiagonalError(f"operator {name!r} is not diagonal; no eigenvalue list")
-    order = build_window(w, capacity)
-    vals = op.branches[0].values(w.index_arrays(), p).tolist()
-    return [(idx, v.real if v.imag == 0.0 else v) for idx, v in zip(order, vals)]
+    check_capacity(w, capacity)
+    ix = w.index_arrays()
+    return ix, op.branches[0].values(ix, p)
+
+
+def spectrum_diagonal(
+    name: str, w: TruncationWindow, p: DeformationParams, capacity: int | None = None
+) -> list[tuple[BasisIndex, float]]:
+    """Eigenvalue list of a diagonal catalogue operator over a window: a
+    float where the value is real, else a complex (see :func:`spectrum_arrays`)."""
+    ix, vals = spectrum_arrays(name, w, p, capacity)
+    return [
+        (idx, v.real if v.imag == 0.0 else v)
+        for idx, v in zip(unstack_indices(ix), vals.tolist())
+    ]
 
 
 def save_matrix(path: str, A: OperatorMatrix, header: str = "") -> None:

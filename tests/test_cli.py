@@ -125,6 +125,28 @@ class TestGoldenReports:
             assert (tmp_path / "out" / f"{name}.json").read_bytes() == want, name
 
 
+POINTWISE = GOLDEN / "pointwise"
+
+
+class TestPointwiseGoldens:
+    # commands.json lists the apply, spectrum and limit commands with their
+    # exit codes; the output files beside it were written by the code that
+    # still kept states as dicts.  state.txt is a seeded state on 0:0,-8,8
+    # with shuffled rows, a repeated index, a label given three times, a
+    # -0.0 real part and an exact zero.
+    COMMANDS = json.loads((POINTWISE / "commands.json").read_text())
+
+    @pytest.mark.parametrize("cmd", COMMANDS, ids=[c["output"] for c in COMMANDS])
+    def test_outputs_match_golden_bytes(self, cmd, tmp_path, capsys):
+        out = tmp_path / cmd["output"]
+        argv = [
+            a.replace("{input}", str(POINTWISE / "state.txt")).replace("{output}", str(out))
+            for a in cmd["args"]
+        ]
+        assert main(argv) == cmd["rc"]
+        assert out.read_bytes() == (POINTWISE / cmd["output"]).read_bytes()
+
+
 class TestSpectrumCommand:
     def test_coordinate_spectrum_csv(self, capsys):
         code = main(["spectrum", "X3", "--q", "2.0", "--window", "0:0,0,0"])
@@ -262,6 +284,38 @@ class TestApplyCommand:
         )
         assert code == EXIT_USAGE
         assert "expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amp", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_is_a_usage_error(self, amp, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text(f"0 +1 0 0 1.0 0.0\n0 +1 0 0 {amp} 0.0\n")
+        dst = tmp_path / "o.txt"
+        code = main(["apply", "X3", "--input", str(src), "--output", str(dst)])
+        assert code == EXIT_USAGE
+        assert f"{src}:2: amplitude" in capsys.readouterr().err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0 +1 0 0 1.0", "expected 'M sigma mt m re im'"),
+            ("0 +1 0.5 0 1.0 0.0", "invalid literal for int"),
+            ("0 +1 0 0 x 0.0", "could not convert string to float: 'x'"),
+            ("0 +1 1 0 1.0 0.0", "invalid basis index"),
+            ("0 +1 0 1152921504606846977 1.0 0.0", "beyond 2^59"),
+            ("0 +1 0 100000000000000000000 1.0 0.0", "beyond 2^59"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, row, message, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text(f"# header\n0 -1 -1 0 1.0 0.0\n\n{row}\n0 +1 0 0 1.0 0.0\n")
+        code = main(
+            ["apply", "X3", "--input", str(src), "--output", str(tmp_path / "o.txt")]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{src}:4: " in err
+        assert message in err
 
     def test_unknown_operator_is_misuse(self, tmp_path):
         src = tmp_path / "in.txt"

@@ -1,7 +1,10 @@
 """Tests for sparse lattice states, the Jackson inner product, and state files."""
 
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qeuclid.core import (
@@ -18,6 +21,11 @@ from qeuclid.lattice import (
     inner_product,
     load_state,
     save_state,
+)
+from state_reference import (
+    bits,
+    reference_amplitudes,
+    reference_inner_product,
 )
 
 
@@ -89,6 +97,108 @@ class TestLatticeState:
             assert s[idx] == amp or (abs(amp) == 0.0 and s[idx] == 0.0)
 
 
+#: A small pool of indices, so that random entries repeat an index often.
+POOL = [
+    BasisIndex(0, 1, 0, 0),
+    BasisIndex(0, -1, -2, 1),
+    BasisIndex(-1, 1, -3, 2),
+    BasisIndex(1, 1, -1, -1),
+    BasisIndex(1, -1, 0, 0),
+    BasisIndex(-2, -1, -4, -4),
+]
+
+#: Signed zeros, values that cancel, and ordinary floats.
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, 1e300]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+_entries = st.lists(
+    st.tuples(st.sampled_from(POOL), st.builds(complex, _parts, _parts)), max_size=24
+)
+
+
+#: Up to 54 shared indices with amplitudes of one scale, so that the order
+#: of the additions shows in the last bits; numpy's pairwise summation adds
+#: fewer than 8 terms in order anyway.
+_wide_entries = st.lists(
+    st.tuples(
+        st.sampled_from(list(TruncationWindow(-1, 1, -2, 2).iter_indices())),
+        st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+
+def _state_bits(s: LatticeState) -> list:
+    return [(tuple(idx), bits(amp)) for idx, amp in zip(s.support(), s.values.tolist())]
+
+
+def _reference_bits(ref: dict) -> list:
+    return [(idx, bits(amp)) for idx, amp in ref.items()]
+
+
+class TestStateConstruction:
+    def test_three_repeats_sum_in_input_order(self):
+        amps = [0.1, 0.2, 0.3j, -0.3, 1e-17]
+        s = LatticeState([(IDX, a) for a in amps])
+        assert s[IDX] == (((0.1 + 0.2) + 0.3j) - 0.3) + 1e-17
+        assert _state_bits(s) == _reference_bits(reference_amplitudes((IDX, a) for a in amps))
+
+    def test_cancelling_sum_is_pruned(self):
+        s = LatticeState([(IDX, 1.5j), (IDX2, 2.0), (IDX, -1.0j), (IDX, -0.5j)])
+        assert s.support() == [IDX2]
+
+    @given(entries=_entries, floor=st.sampled_from([0.0, 0.5, 1.0, 1e3]))
+    @settings(max_examples=300, deadline=None)
+    def test_array_and_dict_constructors_match_the_scalar_loop(self, entries, floor):
+        want = _reference_bits(reference_amplitudes(entries, floor))
+        ix = BasisIndex(*(np.array([idx[k] for idx, _ in entries], dtype=np.int64)
+                          for k in range(4)))
+        amps = np.array([a for _, a in entries], dtype=np.complex128)
+        from_arrays = LatticeState.from_arrays(ix, amps, floor)
+        assert _state_bits(from_arrays) == want
+        assert _state_bits(LatticeState(entries, floor)) == want
+        assert from_arrays == LatticeState(entries, floor)
+        assert from_arrays.amplitudes == reference_amplitudes(entries, floor)
+
+    @given(entries=_entries, scalar=st.complex_numbers(max_magnitude=1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_multiple_matches_python_products(self, entries, scalar):
+        # numpy's complex multiply may round differently from Python's; the
+        # two differ by at most a few ulp of |scalar| * |amplitude|.
+        s = LatticeState(entries)
+        want = reference_amplitudes((i, scalar * a) for i, a in s.amplitudes.items())
+        got = (scalar * s).amplitudes
+        for idx in got.keys() | want.keys():
+            tol = 4 * np.finfo(float).eps * abs(scalar) * abs(s[idx])
+            assert abs(got.get(idx, 0.0) - want.get(idx, 0.0)) <= tol
+
+    @given(entries=_entries)
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_file_round_trip_keeps_every_bit(self, entries, tmp_path):
+        s = LatticeState(entries)
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_state(str(first), s)
+        loaded = load_state(str(first))
+        save_state(str(second), loaded)
+        assert _state_bits(loaded) == _state_bits(s)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_negative_zero_survives_the_file_round_trip(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text("0 +1 0 0 -0.0 1.0\n0 -1 -2 1 2.0 -0.0\n")
+        save_state(str(tmp_path / "out.txt"), load_state(str(path)))
+        assert (tmp_path / "out.txt").read_text().splitlines()[1:] == [
+            "0 +1 0 0 -0.0 1.0",
+            "0 -1 -2 1 2.0 -0.0",
+        ]
+
+
 class TestBuildWindow:
     def test_returns_canonical_basis(self):
         w = TruncationWindow(0, 1, -2, 2)
@@ -127,6 +237,25 @@ class TestInnerProduct:
         assert inner_product(a, b, p) == pytest.approx(
             inner_product(b, a, p).conjugate()
         )
+
+    @given(
+        a=_wide_entries,
+        b=_wide_entries,
+        q=st.sampled_from([1.1, 1.5, 2.0, 7.0]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_scalar_loop_bit_for_bit(self, a, b, q):
+        p = DeformationParams(q=q)
+        want = reference_inner_product(reference_amplitudes(a), reference_amplitudes(b), p)
+        assert bits(inner_product(LatticeState(a), LatticeState(b), p)) == bits(want)
+
+    def test_infinite_amplitudes_match_the_scalar_loop(self):
+        p = DeformationParams(q=1.5)
+        a = {IDX: complex(math.inf, 1.0), IDX2: 2.0 + 0j}
+        b = {IDX: 1.0 + 0j, IDX2: complex(1.0, -math.inf)}
+        for x, y in ((a, b), (b, a), (a, a)):
+            want = reference_inner_product(x, y, p)
+            assert bits(inner_product(LatticeState(x), LatticeState(y), p)) == bits(want)
 
     def test_norm_positive(self):
         p = DeformationParams(q=2.0)
