@@ -207,21 +207,26 @@ def load_state(path: str) -> LatticeState:
     amplitude raises ValueError naming ``path:line``.
     """
     labels, parts, lines = array("q"), array("d"), []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            row = raw.split()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # Rows are decoded one at a time so that bytes which are not UTF-8 are
+    # reported with their line; bytes.splitlines() breaks lines where text
+    # mode does (\n, \r\n and \r).
+    for ln, raw in enumerate(data.splitlines(), start=1):
+        try:
+            text = raw.decode("utf-8")
+            row = text.split()
             if not row or row[0].startswith("#"):
                 continue
-            try:
-                if len(row) != 6:
-                    raise ValueError(f"expected 'M sigma mt m re im', got {raw.strip()!r}")
-                labels.extend(map(int, row[:4]))
-                parts.extend(map(float, row[4:]))
-            except OverflowError:  # beyond int64, so beyond 2^59 too
-                raise ValueError(f"{path}:{ln}: a label is beyond 2^59 in magnitude") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
-            lines.append(ln)
+            if len(row) != 6:
+                raise ValueError(f"expected 'M sigma mt m re im', got {text.strip()!r}")
+            labels.extend(map(int, row[:4]))
+            parts.extend(map(float, row[4:]))
+        except OverflowError:  # beyond int64, so beyond 2^59 too
+            raise ValueError(f"{path}:{ln}: a label is beyond 2^59 in magnitude") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+        lines.append(ln)
     ix = BasisIndex(*np.array(labels, dtype=np.int64).reshape(-1, 4).T.copy())
     amps = np.array(parts, dtype=np.float64).view(np.complex128)
     bad = np.union1d(invalid_indices(ix), np.flatnonzero(~np.isfinite(amps)))

@@ -12,6 +12,15 @@ by coefficient functions.  Functions of the mode-twisted coordinate
 xihat = xi * q^{2i d/dphi} standing left of a mode shift are evaluated at
 the post-shift mode.
 
+Both families are data: ``DEFORMED_RULES`` and ``CLASSICAL_RULES`` map each
+name to a tuple of :class:`SmoothBranch` entries, read by one applier.  A
+branch holds its mode shift, the power of q at which it reads the source
+argument, the exponent of its square-root factor sqrt(1 - q^n xi^2) if it
+has one, and value and d/dxi expressions over one :class:`SmoothPoint`
+(r, xi, the source mode m, the parameters, and the source value and
+derivative at the scaled argument).  Branches that land on one target mode
+are summed.
+
 Every rule application records the xi-subinterval on which the result is
 evaluable (square-root factors must stay nonnegative, scaled arguments must
 stay inside (0, 1)); evaluating outside raises :class:`DomainError` naming
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,6 +54,7 @@ __all__ = [
     "XiConstraint",
     "ModeFunction",
     "SmoothFunction",
+    "SmoothBranch",
     "smooth_names",
     "classical_names",
     "smooth_apply",
@@ -164,62 +175,9 @@ class SmoothFunction:
         return self.modes[m](r, xi)
 
 
-# --- mode-function combinators ---------------------------------------------
-
-def _mf_scale_argument(c: ModeFunction, s: float, arg_label: str) -> ModeFunction:
-    """New mode function x -> c(s*x); constraints rescale accordingly."""
-
-    def value(r, x, _v=c.value, _s=s):
-        return _v(r, _s * x)
-
-    dxi = None
-    if c.dxi is not None:
-
-        def dxi(r, x, _d=c.dxi, _s=s):
-            return _s * _d(r, _s * x)
-
-    cons = [
-        XiConstraint(k.lo / s, k.hi / s, f"{k.source} at argument {arg_label}", k.strict)
-        for k in c.constraints
-    ]
-    cons.append(_BASE)
-    return ModeFunction(value, dxi, cons)
-
-
-def _mf_multiply(
-    c: ModeFunction,
-    g: Evaluator,
-    dg: Evaluator | None = None,
-    extra: Iterable[XiConstraint] = (),
-) -> ModeFunction:
-    """Multiply by a coefficient function g(r, x); dg enables derivative output."""
-
-    def value(r, x, _g=g, _v=c.value):
-        return _g(r, x) * _v(r, x)
-
-    dxi = None
-    if c.dxi is not None and dg is not None:
-
-        def dxi(r, x, _g=g, _dg=dg, _v=c.value, _d=c.dxi):
-            return _dg(r, x) * _v(r, x) + _g(r, x) * _d(r, x)
-
-    return ModeFunction(value, dxi, tuple(c.constraints) + tuple(extra))
-
-
-def _mf_const(c: ModeFunction, k: complex) -> ModeFunction:
-    def value(r, x, _v=c.value, _k=k):
-        return _k * _v(r, x)
-
-    dxi = None
-    if c.dxi is not None:
-
-        def dxi(r, x, _d=c.dxi, _k=k):
-            return _k * _d(r, x)
-
-    return ModeFunction(value, dxi, c.constraints)
-
-
 def _mf_add(a: ModeFunction, b: ModeFunction) -> ModeFunction:
+    """Sum of two mode functions that land on one target mode."""
+
     def value(r, x, _a=a.value, _b=b.value):
         return _a(r, x) + _b(r, x)
 
@@ -232,264 +190,207 @@ def _mf_add(a: ModeFunction, b: ModeFunction) -> ModeFunction:
     return ModeFunction(value, dxi, tuple(a.constraints) + tuple(b.constraints))
 
 
-# --- deformed rules ---------------------------------------------------------
-#
-# Each rule maps (mode index, mode function, params) to a list of
-# (target mode, transformed mode function).
-
-def _sqrt_factor(scale: float, label: str) -> tuple[Evaluator, XiConstraint]:
-    """Factor sqrt(1 - scale*x^2) with its nonnegativity constraint x <= bound."""
-
-    def g(r, x, _s=scale):
-        return _sqrt_nonneg(1.0 - _s * x * x)
-
-    bound = math.inf if scale <= 0.0 else 1.0 / math.sqrt(scale)
-    return g, XiConstraint(0.0, bound, label)
-
-
-def _rule_identity(m, c, p):
-    return [(m, c)]
-
-
-def _rule_r(m, c, p):
-    return [(m, _mf_multiply(c, lambda r, x: r, lambda r, x: np.zeros_like(x)))]
-
-
-def _rule_R2(m, c, p):
-    return [(m, _mf_multiply(c, lambda r, x: r * r, lambda r, x: np.zeros_like(x)))]
-
-
-def _rule_xi(m, c, p):
-    return [(m, _mf_multiply(c, lambda r, x: x, lambda r, x: np.ones_like(x)))]
-
-
-def _rule_xi_inv(m, c, p):
-    return [(m, _mf_multiply(c, lambda r, x: 1.0 / x, lambda r, x: -1.0 / (x * x)))]
-
-
-def _rule_xihat(m, c, p):
-    s = p.qpow(-2 * m)
-
-    def g(r, x, _s=s):
-        return _s * x
-
-    def dg(r, x, _s=s):
-        return _s * np.ones_like(x)
-
-    return [(m, _mf_multiply(c, g, dg))]
-
-
-def _rule_X3(m, c, p):
-    return [(m, _mf_multiply(c, lambda r, x: r * x, lambda r, x: r * np.ones_like(x)))]
-
-
-def _rule_t3(m, c, p):
-    lam = p.lam
-
-    def g(r, x, _l=lam):
-        return (1.0 + 1.0 / (x * x)) / _l
-
-    def dg(r, x, _l=lam):
-        return -2.0 / (x * x * x) / _l
-
-    return [(m, _mf_multiply(c, g, dg))]
-
-
-def _rule_K3(m, c, p):
-    s = p.qpow(-4 * m)
-    lam = p.lam
-
-    def g(r, x, _s=s, _l=lam):
-        return (1.0 + _s * x * x) / _l
-
-    def dg(r, x, _s=s, _l=lam):
-        return 2.0 * _s * x / _l
-
-    return [(m, _mf_multiply(c, g, dg))]
-
-
-def _rule_tau_k(m, c, p):
-    s = p.qpow(-4 * m)
-
-    def g(r, x, _s=s):
-        return -_s * x * x
-
-    def dg(r, x, _s=s):
-        return -2.0 * _s * x
-
-    return [(m, _mf_multiply(c, g, dg))]
-
-
-def _rule_tau_t(m, c, p):
-    def g(r, x):
-        return -1.0 / (x * x)
-
-    def dg(r, x):
-        return 2.0 / (x * x * x)
-
-    return [(m, _mf_multiply(c, g, dg))]
-
-
-def _rule_tau_orb(m, c, p):
-    return [(m, _mf_const(c, p.qpow(-4 * m)))]
-
-
-def _rule_Torb3(m, c, p):
-    return [(m, _mf_const(c, (1.0 - p.qpow(-4 * m)) / p.lam))]
-
-
-def _rule_Lambda_xi(m, c, p):
-    return [(m, _mf_const(_mf_scale_argument(c, p.qpow(2), "q^2*xi"), p.q))]
-
-
-def _rule_Lambda_xi_inv(m, c, p):
-    return [(m, _mf_const(_mf_scale_argument(c, p.qpow(-2), "q^-2*xi"), p.qpow(-1)))]
-
-
-def _rule_Z_xi(m, c, p):
-    if c.dxi is None:
-        raise QeuclidError(
-            "Z_xi needs the analytic xi-derivative of every mode function"
-        )
-
-    def value(r, x, _v=c.value, _d=c.dxi):
-        return x * _d(r, x) + 0.5 * _v(r, x)
-
-    return [(m, ModeFunction(value, None, c.constraints))]
-
-
-def _rule_exp_iphi(m, c, p):
-    return [(m + 1, c)]
-
-
-def _rule_exp_minus_iphi(m, c, p):
-    return [(m - 1, c)]
-
-
-def _rule_Xplus(m, c, p):
-    g, cons = _sqrt_factor(p.qpow(-2), "sqrt(1 - q^-2*xi^2)")
-    shifted = _mf_scale_argument(c, p.qpow(-2), "q^-2*xi")
-    k = -p.qpow(-1) / math.sqrt(1.0 + p.qpow(-2))
-
-    def value(r, x, _g=g, _v=shifted.value, _k=k):
-        return _k * r * _g(r, x) * _v(r, x)
-
-    return [(m + 1, ModeFunction(value, None, tuple(shifted.constraints) + (cons,)))]
-
-
-def _rule_Xminus(m, c, p):
-    g, cons = _sqrt_factor(p.qpow(2), "sqrt(1 - q^2*xi^2)")
-    shifted = _mf_scale_argument(c, p.qpow(2), "q^2*xi")
-    k = p.q / math.sqrt(1.0 + p.qpow(2))
-
-    def value(r, x, _g=g, _v=shifted.value, _k=k):
-        return _k * r * _g(r, x) * _v(r, x)
-
-    return [(m - 1, ModeFunction(value, None, tuple(shifted.constraints) + (cons,)))]
-
-
-def _rule_tplus(m, c, p):
-    g, cons = _sqrt_factor(p.qpow(-2), "sqrt(1 - q^-2*xi^2)")
-    shifted = _mf_scale_argument(c, p.qpow(-2), "q^-2*xi")
-    k = 1.0 / (p.lam * p.q)
-
-    def value(r, x, _g=g, _v=shifted.value, _k=k):
-        return _k * _g(r, x) * _v(r, x) / x
-
-    return [(m + 1, ModeFunction(value, None, tuple(shifted.constraints) + (cons,)))]
-
-
-def _rule_tminus(m, c, p):
-    g, cons = _sqrt_factor(p.qpow(2), "sqrt(1 - q^2*xi^2)")
-    shifted = _mf_scale_argument(c, p.qpow(2), "q^2*xi")
-    k = p.q / p.lam
-
-    def value(r, x, _g=g, _v=shifted.value, _k=k):
-        return _k * _g(r, x) * _v(r, x) / x
-
-    return [(m - 1, ModeFunction(value, None, tuple(shifted.constraints) + (cons,)))]
-
-
-def _kplus_part(m: int, c: ModeFunction, p: DeformationParams) -> ModeFunction:
-    """sqrt(1 - q^2*xihat^2) at post-shift mode m+1, times theta/(q^2-1)."""
-    scale = p.qpow(2 - 4 * (m + 1))
-    g, cons = _sqrt_factor(scale, f"sqrt(1 - q^{2 - 4 * (m + 1)}*xi^2)")
-    k = p.theta_phase / (p.qpow(2) - 1.0)
-
-    def value(r, x, _g=g, _v=c.value, _k=k):
-        return _k * _g(r, x) * _v(r, x)
-
-    return ModeFunction(value, None, tuple(c.constraints) + (cons,))
-
-
-def _kminus_part(
-    m: int, c: ModeFunction, p: DeformationParams, conjugate_phase: bool
+# --- the rule tables ---------------------------------------------------------
+
+class SmoothPoint:
+    """One evaluation of a branch at the points (r, x), source mode m.
+
+    ``v`` and ``dv`` are the source mode's value and xi-derivative at the
+    branch's scaled argument s*x (``dv`` carries the chain-rule factor s);
+    ``root`` is the branch's factor sqrt(1 - q^n x^2) and ``sin`` the
+    classical sin(theta) = sqrt(1 - x^2).  ``p`` is None for classical rules.
+    """
+
+    def __init__(self, r, x, m: int, p: DeformationParams | None,
+                 src: ModeFunction, scale: float | None, root_scale: float | None):
+        self.r, self.x, self.m, self.p = r, x, m, p
+        self._src, self._scale, self._root_scale = src, scale, root_scale
+        self.v = src.value(r, x if scale is None else scale * x)
+
+    @cached_property
+    def dv(self) -> np.ndarray:
+        if self._scale is None:
+            return self._src.dxi(self.r, self.x)
+        return self._scale * self._src.dxi(self.r, self._scale * self.x)
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        return _sqrt_nonneg(1.0 - self._root_scale * self.x * self.x)
+
+    @cached_property
+    def sin(self) -> np.ndarray:
+        return _sqrt_nonneg(1.0 - self.x * self.x)
+
+
+Expr = Callable[[SmoothPoint], np.ndarray]
+
+
+@dataclass(frozen=True)
+class SmoothBranch:
+    """One target mode shift of a smooth rule, as data.
+
+    The source mode is read at q^arg * xi; a nonzero ``arg`` rescales the
+    source constraints and re-imposes xi inside (0, 1).  ``root(m)`` gives
+    the exponent n of the factor sqrt(1 - q^n xi^2) that ``SmoothPoint.root``
+    evaluates, and records its constraint xi <= q^(-n/2).  ``value`` and
+    ``dxi`` are expressions over one :class:`SmoothPoint`; the output has a
+    derivative when ``dxi`` is given and the source mode has one.  A rule
+    whose value reads ``dv`` sets ``needs_dv`` to the error raised for a
+    source mode without a derivative.
+    """
+
+    dm: int
+    value: Expr
+    dxi: Expr | None = None
+    arg: int = 0
+    root: Callable[[int], int] | None = None
+    needs_dv: str | None = None
+
+
+def _branch_mode(
+    br: SmoothBranch, m: int, c: ModeFunction, p: DeformationParams | None
 ) -> ModeFunction:
-    """sqrt(1 - q^-2*xihat^2) at post-shift mode m-1, times q^2/(q^2-1) and phase."""
-    scale = p.qpow(-2 - 4 * (m - 1))
-    g, cons = _sqrt_factor(scale, f"sqrt(1 - q^{-2 - 4 * (m - 1)}*xi^2)")
-    phase = p.theta_phase.conjugate() if conjugate_phase else p.theta_phase
-    k = phase * p.qpow(2) / (p.qpow(2) - 1.0)
+    """The mode function that branch ``br`` makes of source mode (m, c)."""
+    if br.needs_dv and c.dxi is None:
+        raise QeuclidError(br.needs_dv)
+    scale = root_scale = None
+    cons = list(c.constraints)
+    if br.arg:
+        scale = p.qpow(br.arg)
+        cons = [
+            XiConstraint(k.lo / scale, k.hi / scale,
+                         f"{k.source} at argument q^{br.arg}*xi", k.strict)
+            for k in c.constraints
+        ]
+        cons.append(_BASE)
+    if br.root is not None:
+        n = br.root(m)
+        root_scale = p.qpow(n)
+        bound = math.inf if root_scale <= 0.0 else 1.0 / math.sqrt(root_scale)
+        cons.append(XiConstraint(0.0, bound, f"sqrt(1 - q^{n}*xi^2)"))
 
-    def value(r, x, _g=g, _v=c.value, _k=k):
-        return _k * _g(r, x) * _v(r, x)
+    def value(r, x):
+        return br.value(SmoothPoint(r, x, m, p, c, scale, root_scale))
 
-    return ModeFunction(value, None, tuple(c.constraints) + (cons,))
+    dxi = None
+    if br.dxi is not None and c.dxi is not None:
 
+        def dxi(r, x):
+            return br.dxi(SmoothPoint(r, x, m, p, c, scale, root_scale))
 
-def _rule_Kplus(m, c, p):
-    return [(m + 1, _kplus_part(m, c, p))]
-
-
-def _rule_Kminus(m, c, p):
-    return [(m - 1, _mf_const(_kminus_part(m, c, p, conjugate_phase=True), -1.0))]
-
-
-def _rule_Torbplus(m, c, p):
-    ladder = _mf_multiply(
-        _kplus_part(m, c, p), lambda r, x: 1.0 / x, lambda r, x: -1.0 / (x * x)
-    )
-    (_, hopping), = _rule_tplus(m, c, p)
-    return [(m + 1, _mf_add(hopping, ladder))]
-
-
-def _rule_Torbminus(m, c, p):
-    ladder = _mf_multiply(
-        _kminus_part(m, c, p, conjugate_phase=False),
-        lambda r, x: 1.0 / x,
-        lambda r, x: -1.0 / (x * x),
-    )
-    (_, hopping), = _rule_tminus(m, c, p)
-    return [(m - 1, _mf_add(hopping, ladder))]
+    return ModeFunction(value, dxi, cons)
 
 
-DEFORMED_RULES: dict[str, Callable] = {
-    "identity": _rule_identity,
-    "r": _rule_r,
-    "R2": _rule_R2,
-    "xi": _rule_xi,
-    "xi_inv": _rule_xi_inv,
-    "xihat": _rule_xihat,
-    "X3": _rule_X3,
-    "t3": _rule_t3,
-    "K3": _rule_K3,
-    "tau_k": _rule_tau_k,
-    "tau_t": _rule_tau_t,
-    "tau_orb": _rule_tau_orb,
-    "Torb3": _rule_Torb3,
-    "Lambda_xi": _rule_Lambda_xi,
-    "Lambda_xi_inv": _rule_Lambda_xi_inv,
-    "Z_xi": _rule_Z_xi,
-    "exp_iphi": _rule_exp_iphi,
-    "exp_minus_iphi": _rule_exp_minus_iphi,
-    "Xplus": _rule_Xplus,
-    "Xminus": _rule_Xminus,
-    "tplus": _rule_tplus,
-    "tminus": _rule_tminus,
-    "Kplus": _rule_Kplus,
-    "Kminus": _rule_Kminus,
-    "Torbplus": _rule_Torbplus,
-    "Torbminus": _rule_Torbminus,
+def _apply(
+    branches: tuple[SmoothBranch, ...], f: SmoothFunction, p: DeformationParams | None
+) -> SmoothFunction:
+    """Apply a rule mode by mode; branches landing on one mode are summed."""
+    out: dict[int, ModeFunction] = {}
+    for m in f.mode_indices():
+        for br in branches:
+            tgt, mf = m + br.dm, _branch_mode(br, m, f.modes[m], p)
+            out[tgt] = _mf_add(out[tgt], mf) if tgt in out else mf
+    return SmoothFunction(out)
+
+
+# Each expression fixes its floating-point operation order, so the output
+# bits do not depend on how a rule is composed or evaluated.
+
+def _mul(g: Expr, dg: Expr) -> tuple[SmoothBranch]:
+    """Diagonal multiplication by g(r, xi): value g*v, derivative dg*v + g*dv."""
+    return (SmoothBranch(
+        0, lambda s: g(s) * s.v, lambda s: dg(s) * s.v + g(s) * s.dv
+    ),)
+
+
+def _const(k: Expr, arg: int = 0) -> tuple[SmoothBranch]:
+    """Constant k (over m and p) times the source mode read at q^arg * xi."""
+    return (SmoothBranch(0, lambda s: k(s) * s.v, lambda s: k(s) * s.dv, arg),)
+
+
+def _shift(dm: int) -> tuple[SmoothBranch]:
+    """The source mode itself, moved to mode m + dm."""
+    return (SmoothBranch(dm, lambda s: s.v, lambda s: s.dv),)
+
+
+_TPLUS = SmoothBranch(
+    +1, lambda s: 1.0 / (s.p.lam * s.p.q) * s.root * s.v / s.x,
+    arg=-2, root=lambda m: -2,
+)
+_TMINUS = SmoothBranch(
+    -1, lambda s: s.p.q / s.p.lam * s.root * s.v / s.x,
+    arg=2, root=lambda m: 2,
+)
+
+DEFORMED_RULES: dict[str, tuple[SmoothBranch, ...]] = {
+    "identity": _shift(0),
+    "r": _mul(lambda s: s.r, lambda s: np.zeros_like(s.x)),
+    "R2": _mul(lambda s: s.r * s.r, lambda s: np.zeros_like(s.x)),
+    "xi": _mul(lambda s: s.x, lambda s: np.ones_like(s.x)),
+    "xi_inv": _mul(lambda s: 1.0 / s.x, lambda s: -1.0 / (s.x * s.x)),
+    "xihat": _mul(
+        lambda s: s.p.qpow(-2 * s.m) * s.x,
+        lambda s: s.p.qpow(-2 * s.m) * np.ones_like(s.x),
+    ),
+    "X3": _mul(lambda s: s.r * s.x, lambda s: s.r * np.ones_like(s.x)),
+    "t3": _mul(
+        lambda s: (1.0 + 1.0 / (s.x * s.x)) / s.p.lam,
+        lambda s: -2.0 / (s.x * s.x * s.x) / s.p.lam,
+    ),
+    "K3": _mul(
+        lambda s: (1.0 + s.p.qpow(-4 * s.m) * s.x * s.x) / s.p.lam,
+        lambda s: 2.0 * s.p.qpow(-4 * s.m) * s.x / s.p.lam,
+    ),
+    "tau_k": _mul(
+        lambda s: -s.p.qpow(-4 * s.m) * s.x * s.x,
+        lambda s: -2.0 * s.p.qpow(-4 * s.m) * s.x,
+    ),
+    "tau_t": _mul(lambda s: -1.0 / (s.x * s.x), lambda s: 2.0 / (s.x * s.x * s.x)),
+    "tau_orb": _const(lambda s: s.p.qpow(-4 * s.m)),
+    "Torb3": _const(lambda s: (1.0 - s.p.qpow(-4 * s.m)) / s.p.lam),
+    "Lambda_xi": _const(lambda s: s.p.q, arg=2),
+    "Lambda_xi_inv": _const(lambda s: s.p.qpow(-1), arg=-2),
+    "Z_xi": (SmoothBranch(
+        0, lambda s: s.x * s.dv + 0.5 * s.v,
+        needs_dv="Z_xi needs the analytic xi-derivative of every mode function",
+    ),),
+    "exp_iphi": _shift(+1),
+    "exp_minus_iphi": _shift(-1),
+    "Xplus": (SmoothBranch(
+        +1, lambda s: -s.p.qpow(-1) / math.sqrt(1.0 + s.p.qpow(-2)) * s.r * s.root * s.v,
+        arg=-2, root=lambda m: -2,
+    ),),
+    "Xminus": (SmoothBranch(
+        -1, lambda s: s.p.q / math.sqrt(1.0 + s.p.qpow(2)) * s.r * s.root * s.v,
+        arg=2, root=lambda m: 2,
+    ),),
+    "tplus": (_TPLUS,),
+    "tminus": (_TMINUS,),
+    # K+- carry sqrt(1 - q^(+-2) xihat^2) at the post-shift mode m +- 1.
+    "Kplus": (SmoothBranch(
+        +1, lambda s: s.p.theta_phase / (s.p.qpow(2) - 1.0) * s.root * s.v,
+        root=lambda m: 2 - 4 * (m + 1),
+    ),),
+    "Kminus": (SmoothBranch(
+        -1, lambda s: -1.0 * (
+            s.p.theta_phase.conjugate() * s.p.qpow(2) / (s.p.qpow(2) - 1.0) * s.root * s.v
+        ),
+        root=lambda m: -2 - 4 * (m - 1),
+    ),),
+    # The orbital ladder branches are 1/xi times the K+- factors; Torb-
+    # keeps theta unconjugated.
+    "Torbplus": (_TPLUS, SmoothBranch(
+        +1, lambda s: 1.0 / s.x * (
+            s.p.theta_phase / (s.p.qpow(2) - 1.0) * s.root * s.v
+        ),
+        root=lambda m: 2 - 4 * (m + 1),
+    )),
+    "Torbminus": (_TMINUS, SmoothBranch(
+        -1, lambda s: 1.0 / s.x * (
+            s.p.theta_phase * s.p.qpow(2) / (s.p.qpow(2) - 1.0) * s.root * s.v
+        ),
+        root=lambda m: -2 - 4 * (m - 1),
+    )),
 }
 
 
@@ -500,66 +401,31 @@ def smooth_names() -> tuple[str, ...]:
 def smooth_apply(name: str, f: SmoothFunction, p: DeformationParams) -> SmoothFunction:
     """Apply a deformed operator to a smooth function, mode by mode."""
     cname = ALIASES.get(name, name)
-    rule = DEFORMED_RULES.get(cname)
-    if rule is None:
+    if cname not in DEFORMED_RULES:
         known = ", ".join(smooth_names())
         raise UnknownOperatorError(f"unknown smooth operator {name!r}; have: {known}")
-    out: dict[int, ModeFunction] = {}
-    for m in f.mode_indices():
-        for tgt, mf in rule(m, f.modes[m], p):
-            out[tgt] = _mf_add(out[tgt], mf) if tgt in out else mf
-    return SmoothFunction(out)
+    return _apply(DEFORMED_RULES[cname], f, p)
 
 
-# --- classical (q = 1) rules -------------------------------------------------
-#
-# d/dtheta = -sqrt(1 - xi^2) d/dxi for xi = cos(theta);
-# i d/dphi contributes -m on mode m.
+# Classical (q = 1) rules: d/dtheta = -sqrt(1 - xi^2) d/dxi for
+# xi = cos(theta), and i d/dphi contributes -m on mode m.  The ladders are
+# e^{+-i phi} { +-d/dtheta + cot(theta) i d/dphi }.
 
-def _ladder_classical(m: int, c: ModeFunction, sign: int) -> ModeFunction:
-    """e^{+-i phi} { +-d/dtheta + cot(theta) i d/dphi } acting on mode m."""
-    if c.dxi is None:
-        raise QeuclidError(
-            "classical ladder operators need the analytic xi-derivative"
-        )
+_LADDER_NEEDS_DV = "classical ladder operators need the analytic xi-derivative"
 
-    def value(r, x, _v=c.value, _d=c.dxi, _m=m, _s=sign):
-        root = _sqrt_nonneg(1.0 - x * x)
-        return -_s * root * _d(r, x) - _m * x / root * _v(r, x)
-
-    return ModeFunction(value, None, c.constraints)
-
-
-def _cl_L3(m, c):
-    return [(m, _mf_const(c, 2.0 * m))]
-
-
-def _cl_Lplus(m, c):
-    return [(m + 1, _ladder_classical(m, c, +1))]
-
-
-def _cl_Lminus(m, c):
-    return [(m - 1, _ladder_classical(m, c, -1))]
-
-
-def _cl_X3(m, c):
-    return [(m, _mf_multiply(c, lambda r, x: r * x, lambda r, x: r * np.ones_like(x)))]
-
-
-def _cl_Xpm(m, c, sign):
-    def value(r, x, _v=c.value, _s=sign):
-        return -_s * r * _sqrt_nonneg(1.0 - x * x) * _v(r, x) / math.sqrt(2.0)
-
-    return [(m + sign, ModeFunction(value, None, c.constraints))]
-
-
-CLASSICAL_RULES: dict[str, Callable] = {
-    "L3": lambda m, c: _cl_L3(m, c),
-    "Lplus": lambda m, c: _cl_Lplus(m, c),
-    "Lminus": lambda m, c: _cl_Lminus(m, c),
-    "X3_cl": lambda m, c: _cl_X3(m, c),
-    "Xplus_cl": lambda m, c: _cl_Xpm(m, c, +1),
-    "Xminus_cl": lambda m, c: _cl_Xpm(m, c, -1),
+CLASSICAL_RULES: dict[str, tuple[SmoothBranch, ...]] = {
+    "L3": (SmoothBranch(0, lambda s: 2.0 * s.m * s.v, lambda s: 2.0 * s.m * s.dv),),
+    "Lplus": (SmoothBranch(
+        +1, lambda s: -s.sin * s.dv - s.m * s.x / s.sin * s.v,
+        needs_dv=_LADDER_NEEDS_DV,
+    ),),
+    "Lminus": (SmoothBranch(
+        -1, lambda s: s.sin * s.dv - s.m * s.x / s.sin * s.v,
+        needs_dv=_LADDER_NEEDS_DV,
+    ),),
+    "X3_cl": DEFORMED_RULES["X3"],
+    "Xplus_cl": (SmoothBranch(+1, lambda s: -s.r * s.sin * s.v / math.sqrt(2.0)),),
+    "Xminus_cl": (SmoothBranch(-1, lambda s: s.r * s.sin * s.v / math.sqrt(2.0)),),
 }
 
 _CLASSICAL_ALIASES = {
@@ -577,15 +443,10 @@ def classical_names() -> tuple[str, ...]:
 def classical_apply(name: str, f: SmoothFunction) -> SmoothFunction:
     """Apply a classical (q = 1) operator; mode derivatives must be supplied."""
     cname = _CLASSICAL_ALIASES.get(name, name)
-    rule = CLASSICAL_RULES.get(cname)
-    if rule is None:
+    if cname not in CLASSICAL_RULES:
         known = ", ".join(classical_names())
         raise UnknownOperatorError(f"unknown classical operator {name!r}; have: {known}")
-    out: dict[int, ModeFunction] = {}
-    for m in f.mode_indices():
-        for tgt, mf in rule(m, f.modes[m]):
-            out[tgt] = _mf_add(out[tgt], mf) if tgt in out else mf
-    return SmoothFunction(out)
+    return _apply(CLASSICAL_RULES[cname], f, None)
 
 
 # --- test corpus -------------------------------------------------------------
@@ -641,12 +502,24 @@ class ConvergenceResult:
 
 
 def _max_mode_error(
-    fq: SmoothFunction, fcl: SmoothFunction, r_mesh: np.ndarray, xi_mesh: np.ndarray
+    fq: SmoothFunction,
+    fcl: SmoothFunction,
+    r_mesh: np.ndarray,
+    xi_mesh: np.ndarray,
+    cl_values: dict[int, np.ndarray],
 ) -> float:
+    """Largest |fq - fcl| over all modes; ``cl_values`` caches fcl on the mesh.
+
+    Each classical mode is evaluated on first use, right after the deformed
+    mode, so a mesh outside either domain raises the same DomainError as an
+    uncached evaluation would.
+    """
     err = 0.0
     for m in sorted(set(fq.mode_indices()) | set(fcl.mode_indices())):
         a = fq.modes[m](r_mesh, xi_mesh) if m in fq else 0.0
-        b = fcl.modes[m](r_mesh, xi_mesh) if m in fcl else 0.0
+        if m in fcl and m not in cl_values:
+            cl_values[m] = fcl.modes[m](r_mesh, xi_mesh)
+        b = cl_values.get(m, 0.0)
         err = max(err, float(np.max(np.abs(np.asarray(a) - np.asarray(b)))))
     return err
 
@@ -673,12 +546,13 @@ def limit_convergence(
     r = np.asarray(list(r_grid), dtype=float)
     r_mesh, xi_mesh = np.meshgrid(r, xi, indexing="ij")
     fcl = classical_apply(classical_name, f)
+    cl_values: dict[int, np.ndarray] = {}
     rows: list[tuple[float, float, float]] = []
     prev: tuple[float, float] | None = None
     for h in h_values:
         p = DeformationParams(q=math.exp(h), r0=1.0, theta_phase=theta_phase)
         fq = smooth_apply(deformed_name, f, p)
-        err = _max_mode_error(fq, fcl, r_mesh, xi_mesh)
+        err = _max_mode_error(fq, fcl, r_mesh, xi_mesh, cl_values)
         if prev is None or err == 0.0 or prev[1] == 0.0 or prev[0] == h:
             pair_slope = math.nan
         else:

@@ -368,14 +368,25 @@ def _frob(a) -> float:
 
 
 def _balanced_residual(L: sp.csr_matrix, R: sp.csr_matrix, mask: np.ndarray) -> float:
-    """Frobenius norm of (L-R) on the masked columns over max(1, |L|, |R|)."""
+    """Frobenius norm of (L-R) on the masked columns over max(1, |L|, |R|).
+
+    When every entry is finite, all three are scaled by 2^-e with 2^e just
+    above the largest entry (e >= 0), so the squares in the norms cannot
+    overflow, and the floor 1 becomes 2^-e.  Multiplying by a power of two
+    is exact (``np.ldexp`` has no complex loop), so the quotient keeps its
+    bits wherever the unscaled norms were finite.
+    """
     if not mask.any():
         return 0.0
-    norms = []
+    parts = []
     for A in (L - R, L, R):
         A.sum_duplicates()
-        norms.append(float(np.linalg.norm(A.data[mask[A.indices]])))
-    return norms[0] / max(1.0, norms[1], norms[2])
+        parts.append(A.data[mask[A.indices]])
+    big = max((float(np.max(np.abs(d))) for d in parts if d.size), default=0.0)
+    e = max(math.frexp(big)[1], 0) if math.isfinite(big) else 0
+    scale = math.ldexp(1.0, -e)
+    norms = [float(np.linalg.norm(d * scale if e else d)) for d in parts]
+    return norms[0] / max(scale, norms[1], norms[2])
 
 
 def _require_dense_agreement(

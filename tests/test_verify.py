@@ -8,6 +8,7 @@ otherwise the residual machinery is vacuous.
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -525,6 +526,24 @@ class TestNonFiniteResiduals:
         check = reports["phi_nonpositive_on_core"]
         assert math.isnan(check.max_interior_residual)
         assert not check.passed
+
+
+    def test_large_finite_words_keep_finite_residuals(self):
+        # At q = 3 on mt >= -60 the ladder template words hold finite entries
+        # above 1e154, whose squares overflow an unscaled Frobenius norm.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports = check_relations(
+                T_TEMPLATE + TORB_TEMPLATE,
+                TruncationWindow(0, 0, -60, 60),
+                DeformationParams(q=3.0),
+                TOL,
+                asserted=False,
+            )
+        residuals = {r.id: r.max_interior_residual for r in reports}
+        for family in ("t", "torb"):
+            for kind in ("raise", "lower"):
+                assert math.isfinite(residuals[f"{family}_template_{kind}"])
 
 
 class TestCallerCapacity:
