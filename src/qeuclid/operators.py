@@ -362,7 +362,10 @@ def adjoint_matrix(A: OperatorMatrix, p: DeformationParams) -> OperatorMatrix:
     ix = A.window.index_arrays()
     wgt = qpow_array(p.q, 4 * ix.M) * qpow_array(p.q, 2 * ix.mt)
     AH = A.entries.conjugate().transpose().tocsr()
-    entries = sp.diags(1.0 / wgt) @ AH @ sp.diags(wgt)
+    # A weight that underflows to 0 or overflows inverts to inf or 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / wgt
+    entries = sp.diags(inv) @ AH @ sp.diags(wgt)
     return OperatorMatrix(A.window, entries.tocsr(), frozenset(), np.zeros(len(wgt)))
 
 

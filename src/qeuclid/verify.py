@@ -3,8 +3,12 @@
 Each suite turns one family of operator identities into numbers: relation
 words are evaluated over a truncation window, restricted to the columns on
 which truncation is invisible, and reduced to a single relative Frobenius
-residual per identity.  Reports serialize to byte-stable JSON so CI can diff
-them.
+residual per identity.  Every matrix check takes that residual in one
+balanced form (``_balanced_residual``), in which finite entries never read
+NaN.  ``run_all_suites`` checks the capacity once and builds one
+:class:`LetterTable` for the run, which materializes each distinct
+(operator, phase) once and is handed to every check.  Reports serialize to
+byte-stable JSON so CI can diff them.
 
 Truncation policy
 -----------------
@@ -18,11 +22,11 @@ and the number of excluded columns is reported.
 
 Two evaluation paths
 --------------------
-A check materializes each distinct letter once and composes every word as
-a chain of sparse products of those matrices (sparse path).  Two second
-paths recompute each word from the same letters; a disagreement beyond
-1e-13 raises, since it can only mean an implementation defect in the
-composition (order, association, a lost letter or entry):
+Every word is composed as a chain of sparse products of the table's letter
+matrices (sparse path).  Two second paths recompute each word from the same
+letters; a disagreement beyond 1e-13 raises, since it can only mean an
+implementation defect in the composition (order, association, a lost
+letter or entry):
 
 * On windows of any size, the letters are applied one at a time to one
   seeded real Gaussian probe vector, and the result must match the composed
@@ -31,20 +35,19 @@ composition (order, association, a lost letter or entry):
   dense arrays, and every entry of the product must match the composed
   word.  A matrix whose stored entries are all real is densified as a
   float64 array, so real phases multiply real arrays; a complex phase keeps
-  complex arithmetic.
+  complex arithmetic.  The table keeps each dense letter for the run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import norm as sparse_norm
 
 from .core import (
     BasisIndex,
@@ -74,6 +77,7 @@ __all__ = [
     "TORB_TEMPLATE",
     "ADJOINT_PAIRS",
     "window_label",
+    "LetterTable",
     "word_matrix",
     "interior_positions",
     "check_relations",
@@ -127,9 +131,9 @@ class ResidualReport:
     window: TruncationWindow
     q: float
     max_interior_residual: float
-    boundary_rows_excluded: int
-    leakage_norm: float
     tolerance: float
+    boundary_rows_excluded: int = 0
+    leakage_norm: float = 0.0
     asserted: bool = True
 
     @property
@@ -290,27 +294,48 @@ ADJOINT_PAIRS: tuple[tuple[str, Coeff, str], ...] = (
 )
 
 
+# --- letter table -------------------------------------------------------------
+
+class LetterTable:
+    """The catalogue operators of one verify run over one window.
+
+    ``letters[name]`` is the operator at the run's phase and
+    ``letters.at(name, phase)`` the same operator at another ladder phase;
+    each distinct (name, phase) is materialized once, on first read.  The
+    table also holds the run's seeded probe vector and its dense letters
+    (``dense``, by name at the run's phase).  Checks only read entries.
+    """
+
+    def __init__(
+        self, w: TruncationWindow, p: DeformationParams, capacity: int | None = None
+    ) -> None:
+        self.w, self.p = w, p
+        self.n = check_capacity(w, capacity)
+        self.probe = np.random.default_rng(0).standard_normal(self.n)
+        self.dense: dict[str, np.ndarray] = {}
+        self._made: dict[tuple[str, complex], OperatorMatrix] = {}
+
+    def __getitem__(self, name: str) -> OperatorMatrix:
+        return self.at(name, self.p.theta_phase)
+
+    def at(self, name: str, phase: complex) -> OperatorMatrix:
+        key = (name, complex(phase))
+        if key not in self._made:
+            p = replace(self.p, theta_phase=phase)
+            # The window passed the caller's capacity above; n is a cap it meets.
+            self._made[key] = materialize(name, self.w, p, self.n)
+        return self._made[key]
+
+
 # --- word evaluation ----------------------------------------------------------
 
-def word_matrix(
-    word: Sequence[str],
-    w: TruncationWindow,
-    p: DeformationParams,
-    letters: dict[str, OperatorMatrix] | None = None,
-    capacity: int | None = None,
-) -> tuple[sp.csr_matrix, float]:
+def word_matrix(word: Sequence[str], letters: LetterTable) -> tuple[sp.csr_matrix, float]:
     """Windowed matrix of an operator word plus the squared leakage it drops.
 
     The word is the product of its letters' materialized matrices, applied
     rightmost first; the leakage sums the squared magnitude of every
     amplitude a step carries to a valid index outside the window.
-    ``letters`` caches materialized letters of this (w, p) by name.
     """
-    if letters is None:
-        letters = {}
-    for name in word:
-        if name not in letters:
-            letters[name] = materialize(name, w, p, capacity)
     *rest, first = [letters[name] for name in word]
     prod, leak = first.entries, float(first.leakage.sum())
     for letter in reversed(rest):
@@ -363,10 +388,6 @@ def interior_positions(words: Iterable[Sequence[str]], w: TruncationWindow) -> l
     return np.flatnonzero(_interior_mask(words, w)).tolist()
 
 
-def _frob(a) -> float:
-    return float(sparse_norm(a)) if sp.issparse(a) else float(np.linalg.norm(a))
-
-
 def _balanced_residual(L: sp.csr_matrix, R: sp.csr_matrix, mask: np.ndarray) -> float:
     """Frobenius norm of (L-R) on the masked columns over max(1, |L|, |R|).
 
@@ -374,7 +395,8 @@ def _balanced_residual(L: sp.csr_matrix, R: sp.csr_matrix, mask: np.ndarray) -> 
     above the largest entry (e >= 0), so the squares in the norms cannot
     overflow, and the floor 1 becomes 2^-e.  Multiplying by a power of two
     is exact (``np.ldexp`` has no complex loop), so the quotient keeps its
-    bits wherever the unscaled norms were finite.
+    bits wherever the unscaled norms were finite.  A non-finite entry
+    leaves the norms unscaled, and the quotient reads inf or NaN.
     """
     if not mask.any():
         return 0.0
@@ -385,7 +407,9 @@ def _balanced_residual(L: sp.csr_matrix, R: sp.csr_matrix, mask: np.ndarray) -> 
     big = max((float(np.max(np.abs(d))) for d in parts if d.size), default=0.0)
     e = max(math.frexp(big)[1], 0) if math.isfinite(big) else 0
     scale = math.ldexp(1.0, -e)
-    norms = [float(np.linalg.norm(d * scale if e else d)) for d in parts]
+    # Unscaled, the squares of finite entries beside a non-finite one overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [float(np.linalg.norm(d * scale if e else d)) for d in parts]
     return norms[0] / max(scale, norms[1], norms[2])
 
 
@@ -393,8 +417,7 @@ def _require_dense_agreement(
     spec_id: str,
     word: tuple[str, ...],
     sparse_mat: sp.csr_matrix,
-    letters: dict[str, OperatorMatrix],
-    dense_cache: dict[str, np.ndarray],
+    letters: LetterTable,
 ) -> None:
     """Recompute a word as a dense matrix product and require 1e-13 agreement.
 
@@ -403,21 +426,23 @@ def _require_dense_agreement(
     arrays and an imaginary part that only the word holds is still compared.
     The word's entries are subtracted from the product in place rather than
     from a dense copy of the word: at 486 states two fewer arrays per word
-    halve the cost.
+    halve the cost.  A product whose norm overflows, or that holds a
+    non-finite value, is left to the probe and the residual.
     """
     for name in word:
-        if name not in dense_cache:
+        if name not in letters.dense:
             letter = letters[name].entries
             real = not letter.data.imag.any()
-            dense_cache[name] = (letter.real if real else letter).toarray()
-    mats = [dense_cache[name] for name in word]
-    gap = reduce(np.matmul, mats) if len(mats) > 1 else mats[0].copy()
-    scale = max(1.0, float(np.linalg.norm(gap)))
+            letters.dense[name] = (letter.real if real else letter).toarray()
+    mats = [letters.dense[name] for name in word]
     coo = sparse_mat.tocoo()
     entries = coo.data if coo.data.imag.any() else coo.data.real
-    gap = gap.astype(np.result_type(gap, entries), copy=False)
-    np.subtract.at(gap, (coo.row, coo.col), entries)
-    diff = float(np.linalg.norm(gap)) / scale
+    with np.errstate(all="ignore"):
+        gap = reduce(np.matmul, mats) if len(mats) > 1 else mats[0].copy()
+        scale = max(1.0, float(np.linalg.norm(gap)))
+        gap = gap.astype(np.result_type(gap, entries), copy=False)
+        np.subtract.at(gap, (coo.row, coo.col), entries)
+        diff = float(np.linalg.norm(gap)) / scale
     if diff > 1e-13:
         raise QeuclidError(
             f"evaluation paths disagree on word {word} of {spec_id}: "
@@ -429,21 +454,21 @@ def _require_probe_agreement(
     spec_id: str,
     word: tuple[str, ...],
     sparse_mat: sp.csr_matrix,
-    letters: dict[str, OperatorMatrix],
-    probe: np.ndarray,
+    letters: LetterTable,
 ) -> None:
-    """Apply the letters to a probe vector one at a time, rightmost first, and
-    require 1e-13 agreement with the composed word times the same vector.
+    """Apply the letters to the table's probe vector one at a time, rightmost
+    first, and require 1e-13 agreement with the composed word times the same
+    vector.
 
     The norms are taken after dividing by the largest magnitude on either
     side, so finite vectors never overflow them.  A non-finite value on
     either side reads NaN and is left to the residual.
     """
     with np.errstate(all="ignore"):
-        y = probe
+        y = letters.probe
         for name in reversed(word):
             y = letters[name].entries @ y
-        z = sparse_mat @ probe
+        z = sparse_mat @ letters.probe
         big = np.maximum(np.abs(y).max(initial=0.0), np.abs(z).max(initial=0.0))
         diff = float(
             np.linalg.norm((y - z) / big) / max(1.0 / big, np.linalg.norm(y / big))
@@ -457,24 +482,19 @@ def _require_probe_agreement(
 
 def check_relations(
     specs: Sequence[RelationSpec],
-    w: TruncationWindow,
-    p: DeformationParams,
+    letters: LetterTable,
     tol: float,
-    capacity: int | None = None,
     asserted: bool = True,
 ) -> list[ResidualReport]:
-    """Interior relative residual of each relation over the window.
+    """Interior relative residual of each relation over the table's window.
 
-    Each distinct letter is materialized once and every word is composed
-    once from those matrices.  That word matrix is checked against the
-    letters applied one at a time to a seeded probe vector and, on windows
-    of at most DENSE_ORACLE_LIMIT states, against the dense product.
+    Every word is composed once from the table's letters.  That word matrix
+    is checked against the letters applied one at a time to the table's
+    probe vector and, on windows of at most DENSE_ORACLE_LIMIT states,
+    against the dense product.
     """
-    n = check_capacity(w, capacity)
+    w, p, n = letters.w, letters.p, letters.n
     use_dense = n <= DENSE_ORACLE_LIMIT
-    letters: dict[str, OperatorMatrix] = {}
-    dense_cache: dict[str, np.ndarray] = {}
-    probe = np.random.default_rng(0).standard_normal(n)
     reports = []
     for spec in specs:
         sums: list[sp.csr_matrix] = []
@@ -483,12 +503,14 @@ def check_relations(
             total = sp.csr_matrix((n, n), dtype=np.complex128)
             leak = 0.0
             for t in terms:
-                mat, lk = word_matrix(t.word, w, p, letters, capacity)
-                _require_probe_agreement(spec.id, t.word, mat, letters, probe)
+                mat, lk = word_matrix(t.word, letters)
+                _require_probe_agreement(spec.id, t.word, mat, letters)
                 if use_dense:
-                    _require_dense_agreement(spec.id, t.word, mat, letters, dense_cache)
+                    _require_dense_agreement(spec.id, t.word, mat, letters)
                 c = complex(t.coeff(p))
-                total = total + c * mat
+                # An overflowing word reads inf or NaN and fails the residual.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    total = total + c * mat
                 leak += abs(c) ** 2 * lk
             sums.append(total.tocsr())
             leaks.append(leak)
@@ -511,46 +533,34 @@ def check_relations(
 
 def check_adjointness(
     pairs: Sequence[tuple[str, Coeff, str]],
-    w: TruncationWindow,
-    p: DeformationParams,
+    letters: LetterTable,
     tol: float,
-    capacity: int | None = None,
 ) -> list[ResidualReport]:
     """Verify adjoint(A) = c * B entrywise over the window for each pair.
 
     Windowed entries of single catalogue operators are exact, so the
     comparison holds on every entry and nothing is excluded.
     """
+    p = letters.p
+    every_column = np.ones(letters.n, dtype=bool)
     reports = []
     for a_name, coeff, b_name in pairs:
-        A = materialize(a_name, w, p, capacity)
-        B = materialize(b_name, w, p, capacity)
-        adj = adjoint_matrix(A, p)
-        c = complex(coeff(p))
-        target = c * B.entries
-        residual = _frob(adj.entries - target) / max(
-            1.0, _frob(adj.entries), _frob(target)
-        )
+        adj = adjoint_matrix(letters[a_name], p).entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            target = complex(coeff(p)) * letters[b_name].entries
         reports.append(
             ResidualReport(
                 id=f"adjoint_{a_name}_vs_{b_name}",
-                window=w,
+                window=letters.w,
                 q=p.q,
-                max_interior_residual=residual,
-                boundary_rows_excluded=0,
-                leakage_norm=0.0,
+                max_interior_residual=_balanced_residual(adj, target, every_column),
                 tolerance=tol,
             )
         )
     return reports
 
 
-def check_homomorphism(
-    w: TruncationWindow,
-    p: DeformationParams,
-    tol: float,
-    capacity: int | None = None,
-) -> list[ResidualReport]:
+def check_homomorphism(letters: LetterTable, tol: float) -> list[ResidualReport]:
     """Hopping operators assembled from the coordinate ladder vs the catalogue.
 
     Assembles tplus = -(1/(lam*q^3)) * sqrt(1+q^2) * Xplus (X3)^-1,
@@ -560,28 +570,27 @@ def check_homomorphism(
     The ladder-template relations for the hopping and orbital families are
     appended report-only.
     """
-    check_capacity(w, capacity)
+    w, p = letters.w, letters.p
     x3 = get_operator("X3").branches[0].values(w.index_arrays(), p)
+    lam = p.lam
+    root = math.sqrt(1.0 + p.qpow(2))
     # Where X3 underflows to 0 its inverse reads inf and the residual NaN.
     with np.errstate(all="ignore"):
         x3_inv = sp.diags(1.0 / x3, format="csr", dtype=np.complex128)
-    q, lam = p.q, p.lam
-    root = math.sqrt(1.0 + p.qpow(2))
-    assembled = {
-        "tplus": (-root / (lam * p.qpow(3)))
-        * (materialize("Xplus", w, p, capacity).entries @ x3_inv),
-        "tminus": (p.qpow(2) * root / lam)
-        * (materialize("Xminus", w, p, capacity).entries @ x3_inv),
-        "t3": (
-            sp.identity(x3_inv.shape[0], dtype=np.complex128, format="csr")
-            + materialize("R2", w, p, capacity).entries @ x3_inv @ x3_inv
-        )
-        / lam,
-    }
-    residuals = []
-    for name, mat in assembled.items():
-        direct = materialize(name, w, p, capacity).entries
-        residuals.append(_frob(mat - direct) / max(1.0, _frob(mat), _frob(direct)))
+        assembled = {
+            "tplus": (-root / (lam * p.qpow(3))) * (letters["Xplus"].entries @ x3_inv),
+            "tminus": (p.qpow(2) * root / lam) * (letters["Xminus"].entries @ x3_inv),
+            "t3": (
+                sp.identity(letters.n, dtype=np.complex128, format="csr")
+                + letters["R2"].entries @ x3_inv @ x3_inv
+            )
+            / lam,
+        }
+    every_column = np.ones(letters.n, dtype=bool)
+    residuals = [
+        _balanced_residual(mat, letters[name].entries, every_column)
+        for name, mat in assembled.items()
+    ]
     # np.max, unlike the builtin max, propagates a NaN residual.
     worst = float(np.max(residuals))
     reports = [
@@ -590,68 +599,43 @@ def check_homomorphism(
             window=w,
             q=p.q,
             max_interior_residual=worst,
-            boundary_rows_excluded=0,
-            leakage_norm=0.0,
             tolerance=tol,
         )
     ]
-    reports.extend(
-        check_relations(
-            T_TEMPLATE + TORB_TEMPLATE, w, p, tol, capacity, asserted=False
-        )
-    )
+    reports.extend(check_relations(T_TEMPLATE + TORB_TEMPLATE, letters, tol, asserted=False))
     return reports
 
 
-def check_tensor_torb(
-    w: TruncationWindow,
-    p: DeformationParams,
-    tol: float,
-    capacity: int | None = None,
-) -> list[ResidualReport]:
+def check_tensor_torb(letters: LetterTable, tol: float) -> list[ResidualReport]:
     """Orbital operators assembled as hopping + |xi|^-1 * mode ladder.
 
     The assembly Torb3 = t3 + tau_t*K3, Torb+ = t+ + |xi|^-1*K+,
-    Torb- = t- - |xi|^-1*K- uses the caller's phase; the direct catalogue
-    operators are fixed at the determined phase -1 (the only one with a
+    Torb- = t- - |xi|^-1*K- uses the run's phase; the direct catalogue
+    operators are read at the determined phase -1 (the only one with a
     classical limit), so running with phase +1 makes the ladder checks fail,
     as they must.  The positive-sector comparison is asserted; the mirror
     sector, where the direct rules carry a signed 1/xi, is reported only.
     """
-    p_det = DeformationParams(q=p.q, r0=p.r0, theta_phase=-1.0 + 0.0j)
-    abs_inv = materialize("abs_xi_inv", w, p, capacity).entries
+    abs_inv = letters["abs_xi_inv"].entries
     assembled = {
-        "Torb3": materialize("t3", w, p, capacity).entries
-        + materialize("tau_t", w, p, capacity).entries
-        @ materialize("K3", w, p, capacity).entries,
-        "Torbplus": materialize("tplus", w, p, capacity).entries
-        + abs_inv @ materialize("Kplus", w, p, capacity).entries,
-        "Torbminus": materialize("tminus", w, p, capacity).entries
-        - abs_inv @ materialize("Kminus", w, p, capacity).entries,
+        "Torb3": letters["t3"].entries + letters["tau_t"].entries @ letters["K3"].entries,
+        "Torbplus": letters["tplus"].entries + abs_inv @ letters["Kplus"].entries,
+        "Torbminus": letters["tminus"].entries - abs_inv @ letters["Kminus"].entries,
     }
-    sigma = w.index_arrays().sigma
-    plus_cols = np.flatnonzero(sigma > 0)
-    minus_cols = np.flatnonzero(sigma < 0)
+    sigma = letters.w.index_arrays().sigma
     reports = []
     for name, mat in assembled.items():
-        direct = materialize(name, w, p_det, capacity).entries
-        diff = (mat - direct).tocsr()
-        for label, cols, asserted in (
-            ("sector_plus", plus_cols, True),
-            ("sector_minus", minus_cols, False),
+        direct = letters.at(name, -1.0).entries
+        for label, sector, asserted in (
+            ("sector_plus", sigma > 0, True),
+            ("sector_minus", sigma < 0, False),
         ):
-            sub = diff[:, cols]
-            a = mat.tocsr()[:, cols]
-            b = direct[:, cols]
-            residual = _frob(sub) / max(1.0, _frob(a), _frob(b))
             reports.append(
                 ResidualReport(
                     id=f"tensor_{name}_{label}",
-                    window=w,
-                    q=p.q,
-                    max_interior_residual=residual,
-                    boundary_rows_excluded=0,
-                    leakage_norm=0.0,
+                    window=letters.w,
+                    q=letters.p.q,
+                    max_interior_residual=_balanced_residual(mat, direct, sector),
                     tolerance=tol if asserted else math.inf,
                     asserted=asserted,
                 )
@@ -722,8 +706,6 @@ def check_recursions(
         window=w,
         q=p.q,
         max_interior_residual=res,
-        boundary_rows_excluded=0,
-        leakage_norm=0.0,
         tolerance=t,
     )
     return [
@@ -734,18 +716,14 @@ def check_recursions(
     ]
 
 
-def check_lowest_weight(
-    w: TruncationWindow,
-    p: DeformationParams,
-    capacity: int | None = None,
-) -> list[ResidualReport]:
+def check_lowest_weight(letters: LetterTable) -> list[ResidualReport]:
     """The mode-lowering ladder must kill every m = mt state exactly.
 
     The residual is the total magnitude the rule emits from those states:
     it must be identically zero (the rule produces no targets at all), not
     merely small.
     """
-    check_capacity(w, capacity)
+    w, p = letters.w, letters.p
     ix = w.index_arrays()
     bottom = ix.mk == 0
     lowest = BasisIndex(*(a[bottom] for a in ix))
@@ -760,8 +738,6 @@ def check_lowest_weight(
             window=w,
             q=p.q,
             max_interior_residual=worst,
-            boundary_rows_excluded=0,
-            leakage_norm=0.0,
             tolerance=0.0,
         )
     ]
@@ -769,36 +745,30 @@ def check_lowest_weight(
 
 # --- suite driver ---------------------------------------------------------------
 
-#: Suite name -> check of (window, params, tol, capacity), in run order.
+#: Suite name -> check of (letter table, tol), in run order.
 #: Each entry looks its check function up in this module at call time, so a
 #: wrapper installed on the module attribute sees every call.
-_SUITES: dict[str, Callable[..., list[ResidualReport]]] = {
-    "x_relations": lambda w, p, tol, cap: check_relations(X_RELATIONS, w, p, tol, cap),
-    "k_relations": lambda w, p, tol, cap: check_relations(K_RELATIONS, w, p, tol, cap),
-    "adjointness": lambda w, p, tol, cap: check_adjointness(ADJOINT_PAIRS, w, p, tol, cap),
-    "casimir": lambda w, p, tol, cap: check_relations(CASIMIR, w, p, tol, cap),
-    "commutant": lambda w, p, tol, cap: check_relations(COMMUTANT, w, p, tol, cap),
-    "homomorphism": lambda w, p, tol, cap: check_homomorphism(w, p, tol, cap),
-    "tensor": lambda w, p, tol, cap: check_tensor_torb(w, p, tol, cap),
-    "recursions": lambda w, p, tol, cap: check_recursions(p, w),
-    "lowest_weight": lambda w, p, tol, cap: check_lowest_weight(w, p, cap),
+_SUITES: dict[str, Callable[[LetterTable, float], list[ResidualReport]]] = {
+    "x_relations": lambda letters, tol: check_relations(X_RELATIONS, letters, tol),
+    "k_relations": lambda letters, tol: check_relations(K_RELATIONS, letters, tol),
+    "adjointness": lambda letters, tol: check_adjointness(ADJOINT_PAIRS, letters, tol),
+    "casimir": lambda letters, tol: check_relations(CASIMIR, letters, tol),
+    "commutant": lambda letters, tol: check_relations(COMMUTANT, letters, tol),
+    "homomorphism": lambda letters, tol: check_homomorphism(letters, tol),
+    "tensor": lambda letters, tol: check_tensor_torb(letters, tol),
+    "recursions": lambda letters, tol: check_recursions(letters.p, letters.w),
+    "lowest_weight": lambda letters, tol: check_lowest_weight(letters),
 }
 
 SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
 
 
-def run_suite(
-    name: str,
-    w: TruncationWindow,
-    p: DeformationParams,
-    tol: float,
-    capacity: int | None = None,
-) -> SuiteReport:
+def run_suite(name: str, letters: LetterTable, tol: float) -> SuiteReport:
     check = _SUITES.get(name)
     if check is None:
         raise QeuclidError(f"unknown suite {name!r}; have: {', '.join(SUITE_NAMES)}")
     return SuiteReport(
-        suite=name, config=config_dict(w, p, tol), checks=check(w, p, tol, capacity)
+        suite=name, config=config_dict(letters.w, letters.p, tol), checks=check(letters, tol)
     )
 
 
@@ -808,5 +778,7 @@ def run_all_suites(
     tol: float,
     capacity: int | None = None,
 ) -> dict[str, SuiteReport]:
-    """Run every suite, one after another, in SUITE_NAMES order."""
-    return {name: run_suite(name, w, p, tol, capacity) for name in SUITE_NAMES}
+    """Run every suite, one after another, in SUITE_NAMES order, on one
+    letter table built for the run."""
+    letters = LetterTable(w, p, capacity)
+    return {name: run_suite(name, letters, tol) for name in SUITE_NAMES}

@@ -26,6 +26,7 @@ from qeuclid.smooth import limit_convergence, limit_grid, probe_function
 from qeuclid.verify import (
     COMMUTANT,
     K_RELATIONS,
+    LetterTable,
     RelationSpec,
     Term,
     X_RELATIONS,
@@ -53,7 +54,7 @@ def test_criterion_01_coordinate_algebra_relations():
     worst = 0.0
     for q in Q_SWEEP:
         p = DeformationParams(q=q)
-        for report in check_relations(X_RELATIONS, WINDOW, p, TOL):
+        for report in check_relations(X_RELATIONS, LetterTable(WINDOW, p), TOL):
             worst = max(worst, report.max_interior_residual)
     elapsed = time.perf_counter() - t0
     ok = worst <= TOL and elapsed <= 10.0
@@ -67,7 +68,7 @@ def test_criterion_02_mode_ladder_algebra_relations():
     worst = 0.0
     for q in Q_SWEEP:
         p = DeformationParams(q=q)
-        for report in check_relations(K_RELATIONS, WINDOW, p, TOL):
+        for report in check_relations(K_RELATIONS, LetterTable(WINDOW, p), TOL):
             worst = max(worst, report.max_interior_residual)
     elapsed = time.perf_counter() - t0
     ok = worst <= TOL and elapsed <= 10.0
@@ -165,11 +166,11 @@ def test_criterion_06_lowest_weight_annihilation_is_exact():
 def test_criterion_07_assembled_operators_match_catalogue():
     worst = 0.0
     for q in Q_SWEEP:
-        p = DeformationParams(q=q)
-        for report in check_homomorphism(WINDOW, p, TOL):
+        letters = LetterTable(WINDOW, DeformationParams(q=q))
+        for report in check_homomorphism(letters, TOL):
             if report.asserted:
                 worst = max(worst, report.max_interior_residual)
-        for report in check_tensor_torb(WINDOW, p, TOL):
+        for report in check_tensor_torb(letters, TOL):
             if report.asserted:
                 worst = max(worst, report.max_interior_residual)
     ok = worst <= TOL
@@ -230,14 +231,15 @@ def test_criterion_10_negative_controls_fail():
         lhs=(Term(lambda p: 1.0, ("X3", "Xplus")),),
         rhs=(Term(lambda p: p.q, ("Xplus", "X3")),),
     )
-    (bad_rel,) = check_relations([wrong_relation], WINDOW, p, TOL)
+    letters = LetterTable(WINDOW, p)
+    (bad_rel,) = check_relations([wrong_relation], letters, TOL)
     (bad_adj,) = check_adjointness(
-        [("Kplus", lambda p: p.qpow(-2), "Kminus")], WINDOW, p, TOL
+        [("Kplus", lambda p: p.qpow(-2), "Kminus")], letters, TOL
     )
     p_plus = DeformationParams(q=2.0, theta_phase=1.0 + 0.0j)
     bad_phase = [
         c
-        for c in check_tensor_torb(WINDOW, p_plus, TOL)
+        for c in check_tensor_torb(LetterTable(WINDOW, p_plus), TOL)
         if c.asserted and c.id != "tensor_Torb3_sector_plus"
     ]
     all_fail = (
@@ -258,7 +260,7 @@ def test_criterion_11_twisted_coordinate_commutes():
     count = 0
     for q in Q_SWEEP:
         p = DeformationParams(q=q)
-        for report in check_relations(COMMUTANT, WINDOW, p, TOL):
+        for report in check_relations(COMMUTANT, LetterTable(WINDOW, p), TOL):
             worst = max(worst, report.max_interior_residual)
             count += 1
     ok = worst <= TOL

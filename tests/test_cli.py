@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import qeuclid
 from qeuclid.cli import (
     EXIT_CAPACITY,
     EXIT_CHECK_FAILURE,
@@ -76,10 +81,13 @@ class TestVerifyCommand:
 
     def test_overflowing_q_ends_in_a_verdict(self, tmp_path, capsys):
         # At q = 40 the X3 spectrum underflows to 0 and R2 overflows: the
-        # run must end in failing NaN residuals, not in a traceback.
-        code = main(
-            ["verify", "--q", "40", "--window=-60:60,-3,2", "--output-dir", str(tmp_path)]
-        )
+        # run must end in failing NaN residuals, not in a traceback, and
+        # print no library warning about the values it expects.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(
+                ["verify", "--q", "40", "--window=-60:60,-3,2", "--output-dir", str(tmp_path)]
+            )
         assert code == EXIT_CHECK_FAILURE
         assert "FAILURES detected" in capsys.readouterr().out
         doc = json.loads((tmp_path / "homomorphism.json").read_text())
@@ -89,10 +97,13 @@ class TestVerifyCommand:
 
     def test_nan_residual_reaches_the_stdout_verdict(self, tmp_path, capsys):
         # At q = 40 on M = 24 the commutant words overflow and a residual
-        # reads NaN; the printed worst residual must say so.
-        code = main(
-            ["verify", "--q", "40", "--window=24:24,0,0", "--output-dir", str(tmp_path)]
-        )
+        # reads NaN; the printed worst residual must say so, with no library
+        # warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(
+                ["verify", "--q", "40", "--window=24:24,0,0", "--output-dir", str(tmp_path)]
+            )
         assert code == EXIT_CHECK_FAILURE
         lines = capsys.readouterr().out.splitlines()
         (line,) = [l for l in lines if l.startswith("commutant ")]
@@ -101,23 +112,50 @@ class TestVerifyCommand:
         doc = json.loads((tmp_path / "commutant.json").read_text())
         assert any(math.isnan(c["residual"]) for c in doc["checks"])
 
+    def test_cli_import_leaves_sparse_linalg_out(self):
+        # scipy.sparse.linalg costs import time and memory in every command;
+        # no command needs it.
+        code = "import sys, qeuclid.cli; print('scipy.sparse.linalg' in sys.modules)"
+        src = str(Path(qeuclid.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False\n"
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestGoldenReports:
-    """Reports and stdout must match checked-in bytes, not only themselves."""
+    """Reports and stdout must match checked-in bytes, not only themselves.
+
+    q3.0-sparse (2,890 states, the dense second path off) and
+    q1.1-phase0.7 (a complex phase, while the direct operators of the
+    tensor suite stay at phase -1) were written by the code that still
+    materialized every letter once per check.
+    """
 
     @pytest.mark.parametrize(
         "golden, extra, rc",
         [
-            ("q1.5", [], EXIT_PASS),
-            ("q1.5-phase+1", ["--theta-phase", "+1"], EXIT_CHECK_FAILURE),
+            ("q1.5", ["--q", "1.5", "--window=0:2,-8,8"], EXIT_PASS),
+            (
+                "q1.5-phase+1",
+                ["--q", "1.5", "--window=0:2,-8,8", "--theta-phase", "+1"],
+                EXIT_CHECK_FAILURE,
+            ),
+            ("q3.0-sparse", ["--q", "3.0", "--window=-2:2,-16,16"], EXIT_PASS),
+            (
+                "q1.1-phase0.7",
+                ["--q", "1.1", "--theta-phase", "0.7", "--window=0:2,-8,8"],
+                EXIT_CHECK_FAILURE,
+            ),
         ],
     )
     def test_reports_match_golden_bytes(self, golden, extra, rc, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        code = main(["verify", "--q", "1.5", "--window=0:2,-8,8", *extra, "--output-dir", "out"])
+        code = main(["verify", *extra, "--output-dir", "out"])
         assert code == rc
         assert capsys.readouterr().out == (GOLDEN / golden / "stdout.txt").read_text()
         for name in SUITE_NAMES:

@@ -23,6 +23,7 @@ from qeuclid.verify import (
     ADJOINT_PAIRS,
     COMMUTANT,
     K_RELATIONS,
+    LetterTable,
     RelationSpec,
     SUITE_NAMES,
     TORB_TEMPLATE,
@@ -30,6 +31,7 @@ from qeuclid.verify import (
     Term,
     X_RELATIONS,
     check_adjointness,
+    check_homomorphism,
     check_recursions,
     check_relations,
     check_tensor_torb,
@@ -106,19 +108,19 @@ class TestNegativeControls:
             lhs=(Term(lambda p: 1.0, ("X3", "Xplus")),),
             rhs=(Term(lambda p: p.q, ("Xplus", "X3")),),
         )
-        (report,) = check_relations([wrong], W, P2, TOL)
+        (report,) = check_relations([wrong], LetterTable(W, P2), TOL)
         assert report.max_interior_residual >= 0.1
         assert not report.passed
 
     def test_wrong_adjoint_sign_fails(self):
         wrong_pair = ("Kplus", lambda p: p.qpow(-2), "Kminus")
-        (report,) = check_adjointness([wrong_pair], W, P2, TOL)
+        (report,) = check_adjointness([wrong_pair], LetterTable(W, P2), TOL)
         assert report.max_interior_residual > 0.1
         assert not report.passed
 
     def test_wrong_ladder_phase_fails_tensor_assembly(self):
         p_plus = DeformationParams(q=2.0, theta_phase=1.0 + 0.0j)
-        checks = check_tensor_torb(W, p_plus, TOL)
+        checks = check_tensor_torb(LetterTable(W, p_plus), TOL)
         by_id = {c.id: c for c in checks}
         assert not by_id["tensor_Torbplus_sector_plus"].passed
         assert not by_id["tensor_Torbminus_sector_plus"].passed
@@ -127,16 +129,16 @@ class TestNegativeControls:
 
     def test_wrong_phase_fails_the_whole_suite(self):
         p_plus = DeformationParams(q=2.0, theta_phase=1.0 + 0.0j)
-        report = run_suite("tensor", W, p_plus, TOL)
+        report = run_suite("tensor", LetterTable(W, p_plus), TOL)
         assert not report.passed
 
 
 class TestWordMatrices:
     def test_leakage_counts_window_escapes(self):
-        letters = {}
-        _, leak = word_matrix(("Xminus",), W, P2, letters)
+        letters = LetterTable(W, P2)
+        _, leak = word_matrix(("Xminus",), letters)
         assert leak > 0.0  # the bottom polar row exits the window
-        _, leak_diag = word_matrix(("X3",), W, P2, letters)
+        _, leak_diag = word_matrix(("X3",), letters)
         assert leak_diag == 0.0
 
     @pytest.mark.parametrize("w", [W, W_SPARSE], ids=["98", "578"])
@@ -166,7 +168,7 @@ class TestWordMatrices:
                         else:
                             expected += abs(amp * c) ** 2
                 cur = nxt
-        _, leak = word_matrix(word, w, P2)
+        _, leak = word_matrix(word, LetterTable(w, P2))
         assert leak == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_overflowed_leakage_meets_no_zero(self):
@@ -175,12 +177,12 @@ class TestWordMatrices:
         # and X+ reaches the top row with inf weight, where X- leaks
         # nothing: no amplitude is dropped, and no 0 * inf may read NaN.
         w = TruncationWindow(24, 24, -1, 0)
-        _, leak = word_matrix(("Xminus", "Xplus"), w, DeformationParams(q=40.0))
+        _, leak = word_matrix(("Xminus", "Xplus"), LetterTable(w, DeformationParams(q=40.0)))
         assert leak == 0.0
 
     def test_interior_positions_match_reported_exclusions(self):
         order = build_window(W)
-        reports = {r.id: r for r in check_relations(X_RELATIONS, W, P2, TOL)}
+        reports = {r.id: r for r in check_relations(X_RELATIONS, LetterTable(W, P2), TOL)}
         lower = reports["x_lower_exchange"]
         words = [t.word for spec in X_RELATIONS if spec.id == "x_lower_exchange"
                  for t in spec.lhs + spec.rhs]
@@ -222,22 +224,43 @@ class TestWordMatrices:
         words = [word for spec in specs for word in spec.words()]
         assert interior_positions(words, w) == want
 
-    @pytest.mark.parametrize("spec", X_RELATIONS + COMMUTANT, ids=lambda s: s.id)
-    def test_masked_residual_matches_column_slices(self, spec):
-        # Reference: the residual of the interior columns sliced out of both
-        # sides, as sparse matrices.
-        sides = []
-        for terms in (spec.lhs, spec.rhs):
-            total = sum(complex(t.coeff(P2)) * word_matrix(t.word, W, P2)[0] for t in terms)
-            sides.append(total.tocsr())
-        cols = interior_positions(spec.words(), W)
+    @pytest.mark.parametrize(
+        "case",
+        [spec.id for spec in X_RELATIONS + COMMUTANT] + ["sector_plus", "sector_minus"],
+    )
+    def test_masked_residual_matches_column_slices(self, case):
+        # Reference: the residual of the masked columns sliced out of both
+        # sides, as sparse matrices.  The relations mask their interior
+        # columns; the tensor sectors mask one sign of sigma, here on Torb+
+        # assembled at the phase e^{0.7i}, so that both sectors differ.
+        if case.startswith("sector_"):
+            letters = LetterTable(W, DeformationParams(q=2.0, theta_phase=cmath.exp(0.7j)))
+            assembled = (
+                letters["tplus"].entries
+                + letters["abs_xi_inv"].entries @ letters["Kplus"].entries
+            )
+            sides = [assembled.tocsr(), letters.at("Torbplus", -1.0).entries]
+            sigma = W.index_arrays().sigma
+            mask = sigma > 0 if case == "sector_plus" else sigma < 0
+        else:
+            (spec,) = [s for s in X_RELATIONS + COMMUTANT if s.id == case]
+            letters = LetterTable(W, P2)
+            sides = []
+            for terms in (spec.lhs, spec.rhs):
+                total = sum(
+                    complex(t.coeff(P2)) * word_matrix(t.word, letters)[0] for t in terms
+                )
+                sides.append(total.tocsr())
+            mask = verify._interior_mask(spec.words(), W)
+            assert np.flatnonzero(mask).tolist() == interior_positions(spec.words(), W)
+        cols = np.flatnonzero(mask)
         L, R = (side[:, cols] for side in sides)
         want = sparse_norm(L - R) / max(1.0, sparse_norm(L), sparse_norm(R))
-        mask = verify._interior_mask(spec.words(), W)
+        assert want > 0.0 or not case.startswith("sector_")
         assert verify._balanced_residual(*sides, mask) == want
 
     def test_raise_exchange_needs_no_exclusions(self):
-        reports = {r.id: r for r in check_relations(X_RELATIONS, W, P2, TOL)}
+        reports = {r.id: r for r in check_relations(X_RELATIONS, LetterTable(W, P2), TOL)}
         assert reports["x_raise_exchange"].boundary_rows_excluded == 0
 
     def test_relation_catalogue_ids(self):
@@ -289,7 +312,7 @@ class TestRecursions:
 
 class TestReports:
     def test_check_json_key_set(self):
-        report = run_suite("x_relations", W, P2, TOL)
+        report = run_suite("x_relations", LetterTable(W, P2), TOL)
         for check in report.checks:
             d = check.to_json_dict()
             assert set(d) == {
@@ -307,8 +330,8 @@ class TestReports:
         assert window_label(TruncationWindow(-1, 1, -8, 8)) == "-1:1,-8,8"
 
     def test_suite_json_is_byte_stable(self):
-        a = run_suite("casimir", W, P2, TOL).to_json()
-        b = run_suite("casimir", W, P2, TOL).to_json()
+        a = run_suite("casimir", LetterTable(W, P2), TOL).to_json()
+        b = run_suite("casimir", LetterTable(W, P2), TOL).to_json()
         assert a == b
         doc = json.loads(a)
         assert set(doc) == {"suite", "config", "checks", "pass"}
@@ -318,7 +341,7 @@ class TestReports:
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(QeuclidError, match="unknown suite"):
-            run_suite("bogus", W, P2, TOL)
+            run_suite("bogus", LetterTable(W, P2), TOL)
 
 
 class TestSuiteDriver:
@@ -332,7 +355,7 @@ class TestSuiteDriver:
             return real(specs, *args, **kwargs)
 
         monkeypatch.setattr(verify, "check_relations", spy)
-        run_suite("casimir", W, P2, TOL)
+        run_suite("casimir", LetterTable(W, P2), TOL)
         assert seen == [verify.CASIMIR]
 
     @pytest.mark.parametrize("q", [1.1, 1.5, 3.0])
@@ -356,7 +379,7 @@ class TestSinglePass:
 
         monkeypatch.setattr(verify, "word_matrix", counting)
         assert len(build_window(W)) <= verify.DENSE_ORACLE_LIMIT
-        check_relations(X_RELATIONS, W, P2, TOL)
+        check_relations(X_RELATIONS, LetterTable(W, P2), TOL)
         terms = [t.word for spec in X_RELATIONS for t in spec.lhs + spec.rhs]
         assert len(terms) == 7
         assert calls == terms
@@ -377,12 +400,12 @@ def _mutated(kind):
     letter of the word.
     """
 
-    def wrong(word, w, p, letters, capacity=None):
-        mat, leak = word_matrix(word, w, p, letters, capacity)
+    def wrong(word, letters):
+        mat, leak = word_matrix(word, letters)
         if kind == "reversed":
-            mat = word_matrix(word[::-1], w, p, letters, capacity)[0]
+            mat = word_matrix(word[::-1], letters)[0]
         elif kind == "dropped_letter":
-            mat = word_matrix(word[1:] or word, w, p, letters, capacity)[0]
+            mat = word_matrix(word[1:] or word, letters)[0]
         else:
             mat = mat.copy()
             # Frobenius norm, scaled so that words beyond 1e154 do not
@@ -408,7 +431,7 @@ class TestSecondPathsCatchMutations:
         monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
         monkeypatch.setattr(verify, "_require_probe_agreement", lambda *args: None)
         with pytest.raises(QeuclidError, match="dense product"):
-            check_relations(specs, w, p, TOL)
+            check_relations(specs, LetterTable(w, p), TOL)
 
     @pytest.mark.parametrize("kind", MUTATIONS)
     @pytest.mark.parametrize(
@@ -421,19 +444,19 @@ class TestSecondPathsCatchMutations:
         monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
         monkeypatch.setattr(verify, "_require_dense_agreement", lambda *args: None)
         with pytest.raises(QeuclidError, match="probe"):
-            check_relations(specs, w, p, TOL)
+            check_relations(specs, LetterTable(w, p), TOL)
 
     @pytest.mark.parametrize("p", [P2, P_COMPLEX], ids=["phase-1", "phase0.7"])
     def test_dense_letters_are_real_unless_the_phase_is_complex(self, monkeypatch, p):
         caches = []
         real = verify._require_dense_agreement
 
-        def spy(spec_id, word, mat, letters, dense_cache):
-            caches.append(dense_cache)
-            return real(spec_id, word, mat, letters, dense_cache)
+        def spy(spec_id, word, mat, letters):
+            caches.append(letters.dense)
+            return real(spec_id, word, mat, letters)
 
         monkeypatch.setattr(verify, "_require_dense_agreement", spy)
-        check_relations(K_RELATIONS, W_162, p, TOL)
+        check_relations(K_RELATIONS, LetterTable(W_162, p), TOL)
         dtypes = {name: a.dtype for name, a in caches[-1].items()}
         complex_letters = set() if p is P2 else {"Kplus", "Kminus"}
         assert dtypes == {
@@ -449,11 +472,11 @@ class TestSecondPathsCatchMutations:
         spec = RelationSpec(
             "t_order", (Term(one, ("t3", "tplus")),), (Term(one, ("tplus", "t3")),)
         )
-        w, p = TruncationWindow(0, 0, -60, 60), DeformationParams(q=3.0)
-        check_relations([spec], w, p, TOL, asserted=False)
+        letters = LetterTable(TruncationWindow(0, 0, -60, 60), DeformationParams(q=3.0))
+        check_relations([spec], letters, TOL, asserted=False)
         monkeypatch.setattr(verify, "word_matrix", _mutated("perturbed_entry"))
         with pytest.raises(QeuclidError, match="probe"):
-            check_relations([spec], w, p, TOL, asserted=False)
+            check_relations([spec], letters, TOL, asserted=False)
 
 
 class TestLetterMatrices:
@@ -476,10 +499,40 @@ class TestLetterMatrices:
         for mod in (operators, verify):
             monkeypatch.setattr(mod, "materialize", materialize_spy)
             monkeypatch.setattr(mod, "operator_action", action_spy, raising=False)
-        check_relations(X_RELATIONS, w, P2, TOL)
+        check_relations(X_RELATIONS, LetterTable(w, P2), TOL)
         assert sorted(made) == ["X3", "Xminus", "Xplus"]
         assert walked == []
         assert W.size <= verify.DENSE_ORACLE_LIMIT < W_SPARSE.size
+
+    @pytest.mark.parametrize(
+        "phase, count",
+        [(-1.0, 18), (1.0, 21), (cmath.exp(0.7j), 21)],
+        ids=["phase-1", "phase+1", "phase0.7"],
+    )
+    def test_one_table_per_run(self, monkeypatch, phase, count):
+        # run_all_suites materializes each distinct (name, phase) once; away
+        # from phase -1 the tensor suite adds its three direct Torb operators
+        # at -1.  No suite changes an entry of the shared table.
+        made = []
+        materialize = operators.materialize
+
+        def materialize_spy(name, w, p, capacity=None):
+            made.append((name, p, materialize(name, w, p, capacity)))
+            return made[-1][2]
+
+        for mod in (operators, verify):
+            monkeypatch.setattr(mod, "materialize", materialize_spy)
+        p = DeformationParams(q=1.5, theta_phase=phase)
+        assert all(r.passed for r in run_all_suites(W, p, TOL).values()) == (phase == -1.0)
+        keys = [(name, q.theta_phase) for name, q, _ in made]
+        assert len(keys) == len(set(keys)) == count
+        assert {key for key in keys if key[1] != p.theta_phase} == (
+            set() if phase == -1.0 else {(n, -1.0) for n in ("Torb3", "Torbplus", "Torbminus")}
+        )
+        for name, q, entry in made:
+            fresh = materialize(name, W, q).entries
+            for field in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(entry.entries, field), getattr(fresh, field))
 
 
 class TestNoScalarWalk:
@@ -509,9 +562,8 @@ class TestNonFiniteResiduals:
     def test_nan_residual_fails_homomorphism(self):
         # At q = 40 and M = 24, R2 overflows to inf, so the assembled t3 is
         # NaN; the NaN must reach the report rather than vanish in a max().
-        report = run_suite(
-            "homomorphism", TruncationWindow(24, 24, 0, 0), DeformationParams(q=40.0), TOL
-        )
+        letters = LetterTable(TruncationWindow(24, 24, 0, 0), DeformationParams(q=40.0))
+        report = run_suite("homomorphism", letters, TOL)
         check = report.checks[0]
         assert check.id == "hopping_from_coordinate_ladder"
         assert math.isnan(check.max_interior_residual)
@@ -535,8 +587,7 @@ class TestNonFiniteResiduals:
             warnings.simplefilter("error", RuntimeWarning)
             reports = check_relations(
                 T_TEMPLATE + TORB_TEMPLATE,
-                TruncationWindow(0, 0, -60, 60),
-                DeformationParams(q=3.0),
+                LetterTable(TruncationWindow(0, 0, -60, 60), DeformationParams(q=3.0)),
                 TOL,
                 asserted=False,
             )
@@ -545,11 +596,37 @@ class TestNonFiniteResiduals:
             for kind in ("raise", "lower"):
                 assert math.isfinite(residuals[f"{family}_template_{kind}"])
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            "adjoint_t3_vs_t3",
+            "hopping_from_coordinate_ladder",
+            "tensor_Torb3_sector_plus",
+            "tensor_Torb3_sector_minus",
+        ],
+    )
+    def test_overflowing_squares_of_finite_entries_keep_finite_residuals(self, check):
+        # At q = 40 on M = 4, mt >= -30 these matrices hold finite entries
+        # whose squares overflow an unscaled Frobenius norm to inf, and the
+        # quotient inf/inf read NaN.  Every matrix check scales its norms.
+        letters = LetterTable(TruncationWindow(4, 4, -30, 0), DeformationParams(q=40.0))
+        assert letters.n == 62
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports = {
+                r.id: r
+                for r in check_adjointness(ADJOINT_PAIRS, letters, TOL)
+                + check_homomorphism(letters, TOL)
+                + check_tensor_torb(letters, TOL)
+            }
+        assert math.isfinite(reports[check].max_interior_residual)
+        assert reports[check].passed
+
 
 class TestCallerCapacity:
     def test_adjointness_honours_caller_capacity(self, monkeypatch):
         monkeypatch.setattr(lattice, "DEFAULT_WINDOW_CAPACITY", 100)
         w = TruncationWindow(0, 0, -8, 8)
         assert w.size > 100
-        report = run_suite("adjointness", w, P2, TOL, capacity=1000)
+        report = run_suite("adjointness", LetterTable(w, P2, capacity=1000), TOL)
         assert report.passed
