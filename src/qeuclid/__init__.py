@@ -63,6 +63,7 @@ from .operators import (
 )
 from .smooth import (
     ConvergenceResult,
+    LimitGrid,
     ModeFunction,
     SmoothFunction,
     XiConstraint,
@@ -70,6 +71,7 @@ from .smooth import (
     classical_names,
     common_xi_interval,
     convergence_csv,
+    deformed_images,
     limit_convergence,
     limit_grid,
     probe_function,
@@ -160,7 +162,9 @@ __all__ = [
     "limit_convergence",
     "convergence_csv",
     "write_convergence_csv",
+    "deformed_images",
     "common_xi_interval",
+    "LimitGrid",
     "limit_grid",
     # verify
     "Term",

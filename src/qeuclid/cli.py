@@ -299,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="angular modes of the probe function (default -3:3)",
     )
     p_limit.add_argument(
-        "--samples", type=_capacity_arg, default=25, help="radial sample count"
+        "--samples",
+        type=_capacity_arg,
+        default=25,
+        help="number of xi grid points (default 25); r is fixed at 0.5, 1.0, 1.5",
     )
     p_limit.add_argument(
         "--output", type=Path, default=None, help="write the table here (default stdout)"
@@ -405,12 +408,8 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_limit(cfg: RunConfig, args: argparse.Namespace) -> int:
     theta = cfg.theta_phase()
     f = probe_function(args.modes)
-    xi = limit_grid(
-        args.deformed, f, args.h, n=args.samples, theta_phase=theta
-    )
-    result = limit_convergence(
-        args.deformed, args.classical, f, args.h, xi, theta_phase=theta
-    )
+    grid = limit_grid(args.deformed, f, args.h, n=args.samples, theta_phase=theta)
+    result = limit_convergence(grid, args.classical)
     if cfg.format == "json":
         doc = {
             "deformed": result.deformed,

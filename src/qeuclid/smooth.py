@@ -64,7 +64,9 @@ __all__ = [
     "limit_convergence",
     "convergence_csv",
     "write_convergence_csv",
+    "deformed_images",
     "common_xi_interval",
+    "LimitGrid",
     "limit_grid",
 ]
 
@@ -525,33 +527,24 @@ def _max_mode_error(
 
 
 def limit_convergence(
-    deformed_name: str,
+    grid: LimitGrid,
     classical_name: str,
-    f: SmoothFunction,
-    h_values: Sequence[float],
-    xi_grid: Sequence[float],
     r_grid: Sequence[float] = (0.5, 1.0, 1.5),
-    theta_phase: complex = -1.0,
 ) -> ConvergenceResult:
     """Max-error table of D_{q=e^h} f versus the classical operator on a grid.
 
-    No rescaling is applied: the deformed operators as written converge
-    directly.  Domain errors from evaluating outside a rule's recorded
-    xi-interval propagate to the caller.
+    ``grid`` (from :func:`limit_grid`) holds the deformed images and the xi
+    samples.  No rescaling is applied: the deformed operators as written
+    converge directly.  Domain errors from evaluating outside a rule's
+    recorded xi-interval propagate to the caller.
     """
-    h_values = [float(h) for h in h_values]
-    if any(h <= 0.0 for h in h_values):
-        raise ValueError("h values must be positive")
-    xi = np.asarray(list(xi_grid), dtype=float)
     r = np.asarray(list(r_grid), dtype=float)
-    r_mesh, xi_mesh = np.meshgrid(r, xi, indexing="ij")
-    fcl = classical_apply(classical_name, f)
+    r_mesh, xi_mesh = np.meshgrid(r, grid.xi, indexing="ij")
+    fcl = classical_apply(classical_name, grid.f)
     cl_values: dict[int, np.ndarray] = {}
     rows: list[tuple[float, float, float]] = []
     prev: tuple[float, float] | None = None
-    for h in h_values:
-        p = DeformationParams(q=math.exp(h), r0=1.0, theta_phase=theta_phase)
-        fq = smooth_apply(deformed_name, f, p)
+    for h, fq in zip(grid.h_values, grid.images):
         err = _max_mode_error(fq, fcl, r_mesh, xi_mesh, cl_values)
         if prev is None or err == 0.0 or prev[1] == 0.0 or prev[0] == h:
             pair_slope = math.nan
@@ -569,9 +562,9 @@ def limit_convergence(
         slope = float(np.polyfit(hs, es, 1)[0])
     monotone = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
     return ConvergenceResult(
-        deformed=deformed_name,
+        deformed=grid.deformed,
         classical=classical_name,
-        theta_phase=complex(theta_phase),
+        theta_phase=complex(grid.theta_phase),
         rows=rows,
         slope=slope,
         monotone_decreasing=monotone,
@@ -592,21 +585,45 @@ def write_convergence_csv(path: str, result: ConvergenceResult) -> None:
         fh.write(convergence_csv(result))
 
 
-def common_xi_interval(
+def deformed_images(
     deformed_name: str,
     f: SmoothFunction,
     h_values: Sequence[float],
     theta_phase: complex = -1.0,
-) -> tuple[float, float]:
-    """Intersection of recorded output xi-domains over all modes and h values."""
+) -> list[SmoothFunction]:
+    """D_{q=e^h} f for each h in order, one rule application per h."""
+    if any(float(h) <= 0.0 for h in h_values):
+        raise ValueError("h values must be positive")
+    return [
+        smooth_apply(
+            deformed_name,
+            f,
+            DeformationParams(q=math.exp(float(h)), r0=1.0, theta_phase=theta_phase),
+        )
+        for h in h_values
+    ]
+
+
+def common_xi_interval(images: Sequence[SmoothFunction]) -> tuple[float, float]:
+    """Intersection of recorded output xi-domains over all modes and images."""
     lo, hi = 0.0, 1.0
-    for h in h_values:
-        p = DeformationParams(q=math.exp(float(h)), r0=1.0, theta_phase=theta_phase)
-        fq = smooth_apply(deformed_name, f, p)
+    for fq in images:
         for m in fq.mode_indices():
             mlo, mhi = fq.modes[m].xi_domain
             lo, hi = max(lo, mlo), min(hi, mhi)
     return (lo, hi)
+
+
+@dataclass(frozen=True, eq=False)
+class LimitGrid:
+    """The deformed images D_{q=e^h} f, one per h, and the xi samples."""
+
+    deformed: str
+    f: SmoothFunction
+    theta_phase: complex
+    h_values: tuple[float, ...]
+    images: tuple[SmoothFunction, ...]
+    xi: np.ndarray
 
 
 def limit_grid(
@@ -618,14 +635,16 @@ def limit_grid(
     hi: float = 0.9,
     margin: float = 0.75,
     theta_phase: complex = -1.0,
-) -> np.ndarray:
-    """Sample grid inside [lo, hi] shrunk to the feasible common xi-interval.
+) -> LimitGrid:
+    """Apply the deformed rule per h and sample xi inside their common domain.
 
-    When a square-root domain bound cuts below ``hi``, the top is pulled in
-    by ``margin`` so the grid stays clear of the degenerate edge where the
-    deformed/classical comparison loses its cancellation structure.
+    The samples lie inside [lo, hi] shrunk to the feasible common
+    xi-interval.  When a square-root domain bound cuts below ``hi``, the top
+    is pulled in by ``margin`` so the grid stays clear of the degenerate edge
+    where the deformed/classical comparison loses its cancellation structure.
     """
-    dlo, dhi = common_xi_interval(deformed_name, f, h_values, theta_phase)
+    images = deformed_images(deformed_name, f, h_values, theta_phase)
+    dlo, dhi = common_xi_interval(images)
     top = hi if dhi >= hi else margin * dhi
     bottom = max(lo, dlo)
     if not (bottom < top):
@@ -634,4 +653,11 @@ def limit_grid(
             f"{deformed_name} over h = {list(h_values)}",
             factor=deformed_name,
         )
-    return np.linspace(bottom, top, n)
+    return LimitGrid(
+        deformed=deformed_name,
+        f=f,
+        theta_phase=theta_phase,
+        h_values=tuple(float(h) for h in h_values),
+        images=tuple(images),
+        xi=np.linspace(bottom, top, n),
+    )

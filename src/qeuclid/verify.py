@@ -31,11 +31,15 @@ letter or entry):
 * On windows of any size, the letters are applied one at a time to one
   seeded real Gaussian probe vector, and the result must match the composed
   word times the same vector (Freivalds' randomized product check).
-* On windows of at most 2^9 states, the letters are also multiplied as
-  dense arrays, and every entry of the product must match the composed
-  word.  A matrix whose stored entries are all real is densified as a
-  float64 array, so real phases multiply real arrays; a complex phase keeps
-  complex arithmetic.  The table keeps each dense letter for the run.
+* On windows of at most 2^9 states, every entry of the word is also
+  recomputed from the letters' stored entries, and must match the composed
+  word on every key that either side stores.  Each step of the product
+  forms every term A[i,k]*X[k,j] by repeating A's entries over the stored
+  entries of row k of X, then sorts the terms by (i, j) and sums each run
+  (expand, sort, compress; Dalton, Olson and Bell, ACM TOMS 2015).  scipy
+  composes the sparse path with Gustavson's row accumulator, so the two
+  paths share no product algorithm.  The cost is linear in the number of
+  terms; no n x n array is made.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -94,7 +97,7 @@ __all__ = [
     "run_all_suites",
 ]
 
-#: Window size up to which the dense second evaluation path is enforced.
+#: Window size up to which the entrywise second evaluation path is enforced.
 DENSE_ORACLE_LIMIT = 2**9
 
 #: Fixed tolerance of the two recursion identities and the closed-form checks.
@@ -302,8 +305,8 @@ class LetterTable:
     ``letters[name]`` is the operator at the run's phase and
     ``letters.at(name, phase)`` the same operator at another ladder phase;
     each distinct (name, phase) is materialized once, on first read.  The
-    table also holds the run's seeded probe vector and its dense letters
-    (``dense``, by name at the run's phase).  Checks only read entries.
+    table also holds the run's seeded probe vector.  Checks only read
+    entries.
     """
 
     def __init__(
@@ -312,7 +315,6 @@ class LetterTable:
         self.w, self.p = w, p
         self.n = check_capacity(w, capacity)
         self.probe = np.random.default_rng(0).standard_normal(self.n)
-        self.dense: dict[str, np.ndarray] = {}
         self._made: dict[tuple[str, complex], OperatorMatrix] = {}
 
     def __getitem__(self, name: str) -> OperatorMatrix:
@@ -388,65 +390,120 @@ def interior_positions(words: Iterable[Sequence[str]], w: TruncationWindow) -> l
     return np.flatnonzero(_interior_mask(words, w)).tolist()
 
 
-def _balanced_residual(L: sp.csr_matrix, R: sp.csr_matrix, mask: np.ndarray) -> float:
-    """Frobenius norm of (L-R) on the masked columns over max(1, |L|, |R|).
+def _relative_norm(gap: np.ndarray, *refs: np.ndarray) -> float:
+    """Frobenius norm of ``gap`` over max(1, the norm of each of ``refs``).
 
-    When every entry is finite, all three are scaled by 2^-e with 2^e just
+    When every entry is finite, all vectors are scaled by 2^-e with 2^e just
     above the largest entry (e >= 0), so the squares in the norms cannot
     overflow, and the floor 1 becomes 2^-e.  Multiplying by a power of two
     is exact (``np.ldexp`` has no complex loop), so the quotient keeps its
     bits wherever the unscaled norms were finite.  A non-finite entry
     leaves the norms unscaled, and the quotient reads inf or NaN.
     """
-    if not mask.any():
-        return 0.0
-    parts = []
-    for A in (L - R, L, R):
-        A.sum_duplicates()
-        parts.append(A.data[mask[A.indices]])
+    parts = (gap, *refs)
     big = max((float(np.max(np.abs(d))) for d in parts if d.size), default=0.0)
     e = max(math.frexp(big)[1], 0) if math.isfinite(big) else 0
     scale = math.ldexp(1.0, -e)
     # Unscaled, the squares of finite entries beside a non-finite one overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [float(np.linalg.norm(d * scale if e else d)) for d in parts]
-    return norms[0] / max(scale, norms[1], norms[2])
+    return norms[0] / max(scale, *norms[1:])
 
 
-def _require_dense_agreement(
+def _balanced_residual(L: sp.csr_matrix, R: sp.csr_matrix, mask: np.ndarray) -> float:
+    """Frobenius norm of (L-R) on the masked columns over max(1, |L|, |R|),
+    taken by ``_relative_norm``, in which finite entries never read NaN."""
+    if not mask.any():
+        return 0.0
+    parts = []
+    for A in (L - R, L, R):
+        A.sum_duplicates()
+        parts.append(A.data[mask[A.indices]])
+    return _relative_norm(*parts)
+
+
+def _entry_rows(m: sp.csr_matrix) -> np.ndarray:
+    """Row of every stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
+def _sum_by_key(keys: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sorted distinct keys and, for each value array, its sum per key."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    # Keys are >= 0, so a leading -1 marks the first key as a start.
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return (keys[starts], *(np.add.reduceat(v[order], starts) for v in values))
+
+
+def _product_terms(mats: Sequence[sp.csr_matrix]) -> tuple[np.ndarray, np.ndarray]:
+    """Every term A[i,k]*X[k,j] of the last step of a matrix product, keyed
+    by i*n + j and not yet summed.
+
+    The product mats[0] @ ... @ mats[-1] of square CSR matrices is built
+    rightmost first from stored entries alone: each letter's entries (i, k)
+    are repeated once per stored entry (k, j) of the product so far, found
+    through its row pointers, and the terms of every step but the last are
+    summed per key (expand, sort, compress).  No n x n array is made.
+    """
+    last = mats[-1]
+    n = last.shape[1]
+    ptr, col, val = last.indptr, last.indices, last.data
+    keys, terms = _entry_rows(last) * n + col, val
+    for step, a in enumerate(reversed(mats[:-1])):
+        if step:
+            keys, val = _sum_by_key(keys, terms)
+            ptr = np.searchsorted(keys, np.arange(n + 1) * n)
+            col = keys % n
+        lo = ptr[a.indices]
+        count = ptr[a.indices + 1] - lo
+        # Position in X of each term's (k, j): lo of its A entry plus its
+        # rank among that entry's terms.
+        first = np.cumsum(count) - count
+        pick = np.arange(int(count.sum())) + np.repeat(lo - first, count)
+        keys = np.repeat(_entry_rows(a) * n, count) + col[pick]
+        terms = np.repeat(a.data, count) * val[pick]
+    return keys, terms
+
+
+def _entrywise_gap(mats: Sequence[sp.csr_matrix], word_mat: sp.csr_matrix) -> float:
+    """Gap between the product of ``mats`` recomputed entry by entry and the
+    composed word, relative to max(1, |product|).
+
+    The product terms (``_product_terms``) and the word's negated stored
+    entries are summed per key on the union of both key sets, so a stored
+    entry on either side is compared.  ``_relative_norm`` scales the norms,
+    so a product whose norm would overflow is still compared.
+    """
+    own = _entry_rows(word_mat) * word_mat.shape[1] + word_mat.indices
+    # Terms may overflow; a non-finite gap is read by the caller.
+    with np.errstate(all="ignore"):
+        keys, terms = _product_terms(mats)
+        _, gap, product = _sum_by_key(
+            np.concatenate([keys, own]),
+            np.concatenate([terms, -word_mat.data]),
+            np.concatenate([terms, np.zeros(own.size, dtype=terms.dtype)]),
+        )
+    return _relative_norm(gap, product)
+
+
+def _require_entrywise_agreement(
     spec_id: str,
     word: tuple[str, ...],
     sparse_mat: sp.csr_matrix,
     letters: LetterTable,
 ) -> None:
-    """Recompute a word as a dense matrix product and require 1e-13 agreement.
+    """Recompute every entry of a word from its letters' stored entries and
+    require 1e-13 agreement with the composed word.
 
-    A matrix whose stored entries have no imaginary part is taken as real,
-    each letter and the word on its own, so real phases multiply float64
-    arrays and an imaginary part that only the word holds is still compared.
-    The word's entries are subtracted from the product in place rather than
-    from a dense copy of the word: at 486 states two fewer arrays per word
-    halve the cost.  A product whose norm overflows, or that holds a
-    non-finite value, is left to the probe and the residual.
+    A gap that reads NaN, from non-finite values on both sides, does not
+    raise; it is left to the probe and the residual.
     """
-    for name in word:
-        if name not in letters.dense:
-            letter = letters[name].entries
-            real = not letter.data.imag.any()
-            letters.dense[name] = (letter.real if real else letter).toarray()
-    mats = [letters.dense[name] for name in word]
-    coo = sparse_mat.tocoo()
-    entries = coo.data if coo.data.imag.any() else coo.data.real
-    with np.errstate(all="ignore"):
-        gap = reduce(np.matmul, mats) if len(mats) > 1 else mats[0].copy()
-        scale = max(1.0, float(np.linalg.norm(gap)))
-        gap = gap.astype(np.result_type(gap, entries), copy=False)
-        np.subtract.at(gap, (coo.row, coo.col), entries)
-        diff = float(np.linalg.norm(gap)) / scale
+    diff = _entrywise_gap([letters[name].entries for name in word], sparse_mat)
     if diff > 1e-13:
         raise QeuclidError(
             f"evaluation paths disagree on word {word} of {spec_id}: "
-            f"sparse composition vs dense product differ by {diff:.3e}"
+            f"sparse composition vs entrywise product differ by {diff:.3e}"
         )
 
 
@@ -491,10 +548,10 @@ def check_relations(
     Every word is composed once from the table's letters.  That word matrix
     is checked against the letters applied one at a time to the table's
     probe vector and, on windows of at most DENSE_ORACLE_LIMIT states,
-    against the dense product.
+    against the product recomputed entry by entry from the letters.
     """
     w, p, n = letters.w, letters.p, letters.n
-    use_dense = n <= DENSE_ORACLE_LIMIT
+    entrywise = n <= DENSE_ORACLE_LIMIT
     reports = []
     for spec in specs:
         sums: list[sp.csr_matrix] = []
@@ -505,8 +562,8 @@ def check_relations(
             for t in terms:
                 mat, lk = word_matrix(t.word, letters)
                 _require_probe_agreement(spec.id, t.word, mat, letters)
-                if use_dense:
-                    _require_dense_agreement(spec.id, t.word, mat, letters)
+                if entrywise:
+                    _require_entrywise_agreement(spec.id, t.word, mat, letters)
                 c = complex(t.coeff(p))
                 # An overflowing word reads inf or NaN and fails the residual.
                 with np.errstate(over="ignore", invalid="ignore"):

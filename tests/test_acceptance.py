@@ -204,13 +204,12 @@ def test_criterion_09_classical_limits_of_the_orbital_family():
         ("Torbplus", "Lplus"),
         ("Torbminus", "Lminus"),
     ):
-        grid = limit_grid(deformed, f, H_LIST)
-        res = limit_convergence(deformed, classical, f, H_LIST, grid)
+        res = limit_convergence(limit_grid(deformed, f, H_LIST), classical)
         slopes[deformed] = res.slope
     grows = {}
     for deformed, classical in (("Torbplus", "Lplus"), ("Torbminus", "Lminus")):
         grid = limit_grid(deformed, f, H_LIST, theta_phase=1.0)
-        res = limit_convergence(deformed, classical, f, H_LIST, grid, theta_phase=1.0)
+        res = limit_convergence(grid, classical)
         errs = [e for _, e, _ in res.rows]
         grows[deformed] = all(errs[i] < errs[i + 1] for i in range(len(errs) - 1))
     elapsed = time.perf_counter() - t0

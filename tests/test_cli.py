@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qeuclid
+from qeuclid import smooth
 from qeuclid.cli import (
     EXIT_CAPACITY,
     EXIT_CHECK_FAILURE,
@@ -291,6 +292,23 @@ class TestLimitCommand:
 
     def test_nonpositive_h_is_a_usage_error(self):
         assert main(["limit", "Torb3", "L3", "--h", "0.1,-0.1"]) == EXIT_USAGE
+
+    def test_rule_is_applied_once_per_h(self, monkeypatch, capsys):
+        # The xi grid and the error table read the same per-h applications.
+        calls = []
+        real = smooth.smooth_apply
+
+        def counting(name, f, p):
+            calls.append(p.q)
+            return real(name, f, p)
+
+        monkeypatch.setattr(smooth, "smooth_apply", counting)
+        assert main(["limit", "Torb3", "L3"]) == EXIT_PASS
+        assert calls == [math.exp(h) for h in (0.1, 0.05, 0.025, 0.0125)]
+
+    def test_samples_sets_the_xi_grid(self, capsys):
+        assert main(["limit", "--help"]) == EXIT_PASS
+        assert "number of xi grid points" in capsys.readouterr().out
 
 
 class TestApplyCommand:

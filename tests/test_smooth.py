@@ -30,6 +30,7 @@ from qeuclid.smooth import (
     classical_names,
     common_xi_interval,
     convergence_csv,
+    deformed_images,
     limit_convergence,
     limit_grid,
     probe_function,
@@ -262,8 +263,7 @@ class TestClassicalLimits:
     )
     def test_first_order_convergence(self, deformed, classical, low, high):
         f = probe_function(range(-3, 4))
-        grid = limit_grid(deformed, f, H_LIST)
-        res = limit_convergence(deformed, classical, f, H_LIST, grid)
+        res = limit_convergence(limit_grid(deformed, f, H_LIST), classical)
         assert res.monotone_decreasing
         assert res.slope is not None
         assert low <= res.slope <= high
@@ -272,24 +272,20 @@ class TestClassicalLimits:
         # The raising-coordinate error decays but saturates the square-root
         # edge of its domain, so only monotone convergence is pinned here.
         f = probe_function(range(-3, 4))
-        grid = limit_grid("Xplus", f, H_LIST)
-        res = limit_convergence("Xplus", "Xplus_cl", f, H_LIST, grid)
+        res = limit_convergence(limit_grid("Xplus", f, H_LIST), "Xplus_cl")
         assert res.monotone_decreasing
         assert res.rows[-1][1] < 0.25 * res.rows[0][1]
 
     def test_diagonal_coordinate_is_exact_at_every_h(self):
         f = probe_function(range(-3, 4))
-        grid = limit_grid("X3", f, H_LIST)
-        res = limit_convergence("X3", "X3_cl", f, H_LIST, grid)
+        res = limit_convergence(limit_grid("X3", f, H_LIST), "X3_cl")
         assert res.all_zero
         assert res.slope is None
 
     def test_wrong_phase_diverges(self):
         f = probe_function(range(-3, 4))
         grid = limit_grid("Torbplus", f, H_LIST, theta_phase=1.0)
-        res = limit_convergence(
-            "Torbplus", "Lplus", f, H_LIST, grid, theta_phase=1.0
-        )
+        res = limit_convergence(grid, "Lplus")
         errs = [e for _, e, _ in res.rows]
         assert all(errs[i] < errs[i + 1] for i in range(len(errs) - 1))
         assert not res.monotone_decreasing
@@ -298,17 +294,15 @@ class TestClassicalLimits:
     def test_rejects_nonpositive_h(self):
         f = probe_function([0])
         with pytest.raises(ValueError):
-            limit_convergence("X3", "X3_cl", f, [0.1, -0.05], [0.5])
+            limit_grid("X3", f, [0.1, -0.05])
 
     def test_csv_is_byte_stable(self, tmp_path):
         f = probe_function(range(-1, 2))
         grid = limit_grid("Torb3", f, [0.1, 0.05])
-        res = limit_convergence("Torb3", "L3", f, [0.1, 0.05], grid)
+        res = limit_convergence(grid, "L3")
         body = convergence_csv(res)
         assert body.splitlines()[0] == "h,error,slope"
-        assert body == convergence_csv(
-            limit_convergence("Torb3", "L3", f, [0.1, 0.05], grid)
-        )
+        assert body == convergence_csv(limit_convergence(grid, "L3"))
         path = tmp_path / "limit.csv"
         write_convergence_csv(str(path), res)
         assert path.read_text() == body
@@ -317,15 +311,15 @@ class TestClassicalLimits:
 class TestFeasibleGrid:
     def test_interval_shrinks_with_scaled_arguments(self):
         f = probe_function([0])
-        lo, hi = common_xi_interval("tminus", f, [0.1])
+        lo, hi = common_xi_interval(deformed_images("tminus", f, [0.1]))
         assert hi == pytest.approx(math.exp(-0.2), rel=1e-12)
 
     def test_grid_respects_bounds(self):
         f = probe_function(range(-2, 3))
         grid = limit_grid("Torbminus", f, H_LIST, n=31)
-        assert len(grid) == 31
-        assert grid[0] >= 0.1
-        assert grid[-1] <= 0.9
+        assert len(grid.xi) == 31
+        assert grid.xi[0] >= 0.1
+        assert grid.xi[-1] <= 0.9
 
     def test_infeasible_interval_raises(self):
         f = probe_function([0])

@@ -12,6 +12,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import norm as sparse_norm
 
 from oracle import oracle_action
@@ -47,7 +50,7 @@ from qeuclid.verify import (
 
 P2 = DeformationParams(q=2.0)
 W = TruncationWindow(0, 0, -6, 6)
-#: 578 states: above DENSE_ORACLE_LIMIT, so the dense second path is off.
+#: 578 states: above DENSE_ORACLE_LIMIT, so the entrywise second path is off.
 W_SPARSE = TruncationWindow(0, 0, -16, 16)
 TOL = 1e-12
 
@@ -369,7 +372,7 @@ class TestSuiteDriver:
 
 class TestSinglePass:
     def test_each_word_is_composed_once(self, monkeypatch):
-        # The dense second path reuses the composed word instead of
+        # The entrywise second path reuses the composed word instead of
         # composing it again.
         calls = []
 
@@ -385,7 +388,7 @@ class TestSinglePass:
         assert calls == terms
 
 
-#: Windows of 162 and 486 states (dense path on) and 17,298 states (off).
+#: Windows of 162 and 486 states (entrywise path on) and 17,298 states (off).
 W_162 = TruncationWindow(0, 0, -8, 8)
 W_486 = TruncationWindow(0, 2, -8, 8)
 W_17298 = TruncationWindow(-4, 4, -30, 30)
@@ -426,11 +429,11 @@ class TestSecondPathsCatchMutations:
     @pytest.mark.parametrize(
         "specs, p", [(X_RELATIONS, P2), (K_RELATIONS, P_COMPLEX)], ids=["real", "complex"]
     )
-    def test_dense_path_raises(self, monkeypatch, specs, p, w, kind):
+    def test_entrywise_path_raises(self, monkeypatch, specs, p, w, kind):
         assert w.size <= verify.DENSE_ORACLE_LIMIT
         monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
         monkeypatch.setattr(verify, "_require_probe_agreement", lambda *args: None)
-        with pytest.raises(QeuclidError, match="dense product"):
+        with pytest.raises(QeuclidError, match="entrywise product"):
             check_relations(specs, LetterTable(w, p), TOL)
 
     @pytest.mark.parametrize("kind", MUTATIONS)
@@ -442,27 +445,9 @@ class TestSecondPathsCatchMutations:
     )
     def test_probe_raises(self, monkeypatch, specs, p, w, kind):
         monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
-        monkeypatch.setattr(verify, "_require_dense_agreement", lambda *args: None)
+        monkeypatch.setattr(verify, "_require_entrywise_agreement", lambda *args: None)
         with pytest.raises(QeuclidError, match="probe"):
             check_relations(specs, LetterTable(w, p), TOL)
-
-    @pytest.mark.parametrize("p", [P2, P_COMPLEX], ids=["phase-1", "phase0.7"])
-    def test_dense_letters_are_real_unless_the_phase_is_complex(self, monkeypatch, p):
-        caches = []
-        real = verify._require_dense_agreement
-
-        def spy(spec_id, word, mat, letters):
-            caches.append(letters.dense)
-            return real(spec_id, word, mat, letters)
-
-        monkeypatch.setattr(verify, "_require_dense_agreement", spy)
-        check_relations(K_RELATIONS, LetterTable(W_162, p), TOL)
-        dtypes = {name: a.dtype for name, a in caches[-1].items()}
-        complex_letters = set() if p is P2 else {"Kplus", "Kminus"}
-        assert dtypes == {
-            name: np.dtype(np.complex128 if name in complex_letters else np.float64)
-            for name in ("K3", "Kplus", "Kminus")
-        }
 
     def test_probe_scales_before_taking_norms(self, monkeypatch):
         # At q = 3 on mt >= -60 both words send the probe to about 1e170,
@@ -477,6 +462,80 @@ class TestSecondPathsCatchMutations:
         monkeypatch.setattr(verify, "word_matrix", _mutated("perturbed_entry"))
         with pytest.raises(QeuclidError, match="probe"):
             check_relations([spec], letters, TOL, asserted=False)
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @pytest.mark.parametrize(
+        "message, other",
+        [("entrywise product", "_require_probe_agreement"),
+         ("probe", "_require_entrywise_agreement")],
+        ids=["entrywise", "probe"],
+    )
+    def test_overflowing_words_are_compared(self, monkeypatch, message, other, kind):
+        # At q = 3 on 0:0,-60,1 (244 states, entrywise path on) both words
+        # hold entries near 1e170, so the squares in an unscaled product
+        # norm overflow: the bound max(1, |product|) would read inf and let
+        # any word through.
+        one = lambda p: 1.0
+        spec = RelationSpec(
+            "t_order", (Term(one, ("t3", "tplus")),), (Term(one, ("tplus", "t3")),)
+        )
+        letters = LetterTable(TruncationWindow(0, 0, -60, 1), DeformationParams(q=3.0))
+        assert letters.n <= verify.DENSE_ORACLE_LIMIT
+        check_relations([spec], letters, TOL, asserted=False)
+        monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
+        monkeypatch.setattr(verify, other, lambda *args: None)
+        with pytest.raises(QeuclidError, match=message):
+            check_relations([spec], letters, TOL, asserted=False)
+
+
+def _sparse_letter(draw, n):
+    """A random n x n complex CSR letter, possibly with empty rows and
+    columns, or no stored entry at all."""
+    nnz = draw(st.integers(0, 2 * n))
+    ij = st.integers(0, n - 1)
+    part = st.floats(-1e3, 1e3, allow_nan=False)
+    rows = draw(st.lists(ij, min_size=nnz, max_size=nnz))
+    cols = draw(st.lists(ij, min_size=nnz, max_size=nnz))
+    vals = draw(st.lists(st.builds(complex, part, part), min_size=nnz, max_size=nnz))
+    return sp.csr_matrix(
+        (np.array(vals, dtype=np.complex128), (rows, cols)), shape=(n, n)
+    )
+
+
+@st.composite
+def _words(draw):
+    n = draw(st.integers(1, 9))
+    return [_sparse_letter(draw, n) for _ in range(draw(st.integers(1, 4)))]
+
+
+class TestEntrywiseProduct:
+    @given(mats=_words())
+    @settings(max_examples=300, deadline=None)
+    def test_join_matches_dense_product(self, mats):
+        n = mats[0].shape[0]
+        want = np.eye(n, dtype=np.complex128)
+        for m in mats:
+            want = want @ m.toarray()
+        keys, terms = verify._product_terms(mats)
+        got = np.zeros(n * n, dtype=np.complex128)
+        np.add.at(got, keys, terms)
+        scale = max(1.0, np.abs(want).max(initial=0.0))
+        np.testing.assert_allclose(got.reshape(n, n), want, rtol=0, atol=1e-12 * scale)
+
+    @given(mats=_words())
+    @settings(max_examples=100, deadline=None)
+    def test_gap_reads_every_stored_key(self, mats):
+        # The composed word passes; the same word with one entry added,
+        # where the product may store nothing, does not.
+        n = mats[0].shape[0]
+        word = mats[0]
+        for m in mats[1:]:
+            word = word @ m
+        word = sp.csr_matrix(word)
+        assert verify._entrywise_gap(mats, word) <= 1e-13
+        step = 1e-10 * max(1.0, sparse_norm(word))
+        extra = word + sp.csr_matrix(([step], ([n - 1], [0])), shape=(n, n))
+        assert verify._entrywise_gap(mats, extra.tocsr()) > 1e-13
 
 
 class TestLetterMatrices:
