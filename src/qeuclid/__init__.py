@@ -48,6 +48,7 @@ from .lattice import (
 )
 from .operators import (
     Branch,
+    Diagonals,
     LatticeOperator,
     OperatorMatrix,
     adjoint_matrix,
@@ -137,6 +138,7 @@ __all__ = [
     "load_state",
     # operators
     "Branch",
+    "Diagonals",
     "LatticeOperator",
     "OperatorMatrix",
     "catalogue_names",

@@ -474,7 +474,7 @@ def cmd_matrix(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(
         f"{args.operator} on window {window_label(cfg.window)}: "
         f"{n}x{n}, {mat.entries.nnz} entries, "
-        f"{len(mat.boundary_mask)} boundary columns, wrote {args.output}"
+        f"{int(mat.boundary.sum())} boundary columns, wrote {args.output}"
     )
     return EXIT_PASS
 

@@ -38,10 +38,10 @@ zero class of the factor space (bare Lambda_xi_inv, bare exp_minus_iphi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     ALIASES,
@@ -59,6 +59,7 @@ from .lattice import LatticeState, check_capacity
 
 __all__ = [
     "Branch",
+    "Diagonals",
     "LatticeOperator",
     "OperatorMatrix",
     "catalogue_names",
@@ -295,78 +296,153 @@ def apply(name: str, state: LatticeState, p: DeformationParams) -> LatticeState:
     return LatticeState.from_arrays(tgt, amps)
 
 
+def _shift(v: np.ndarray, s: int) -> np.ndarray:
+    """u[i] = v[i + s] where i + s indexes v, else 0."""
+    u = np.zeros_like(v)
+    lo = max(-s, 0)
+    hi = max(min(len(v), len(v) - s), lo)
+    u[lo:hi] = v[lo + s : hi + s]
+    return u
+
+
+@dataclass(frozen=True)
+class Diagonals:
+    """A square matrix stored as shifted diagonals (DIA storage; Saad,
+    *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 3.4).
+
+    ``values[d, c]`` is the entry in column c and row c + ``offsets[d]``,
+    the offsets ascending.  An exact 0 is an absent entry, as is every
+    position whose row falls outside the matrix.  Entry by entry, the
+    arithmetic is that of compressed sparse rows: a product sums the terms
+    of present entries only, from 0 and in ascending inner index, and a
+    scalar multiple keeps absent entries absent.  Overflow reads inf or
+    NaN without a warning.
+    """
+
+    offsets: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, diags: dict[int, np.ndarray], n: int) -> "Diagonals":
+        """The n x n matrix of offset -> column values, less empty diagonals."""
+        keep = sorted(o for o, v in diags.items() if np.any(v))
+        vals = np.array([diags[o] for o in keep], dtype=np.complex128)
+        return cls(np.array(keep, dtype=np.int64), vals.reshape(len(keep), n))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.values.shape[1],) * 2
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.values))
+
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the stored entries, row-major."""
+        # Within a row, a higher offset is a lower column.
+        (d, n), down = self.values.shape, self.offsets[::-1]
+        present = np.zeros((n, d), dtype=bool)
+        for j, (o, v) in enumerate(zip(down, self.values[::-1])):
+            present[:, j] = _shift(v != 0, -o)
+        rows, j = np.divmod(np.flatnonzero(present), d)
+        cols = rows - down[j]
+        return rows, cols, self.values.ravel()[(d - 1 - j) * n + cols]
+
+    def __matmul__(self, other: "Diagonals") -> "Diagonals":
+        sums: dict[int, np.ndarray] = {}
+        # The term of A's offset oa and B's ob in column c has inner index
+        # c + ob, so ascending ob adds each entry's terms in that order.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ob, b in zip(other.offsets.tolist(), other.values):
+                for oa, a in zip(self.offsets.tolist(), self.values):
+                    a = _shift(a, ob)
+                    # (ac - bd) + (ad + bc)i with every operation rounded on
+                    # its own; numpy's complex loops may fuse them.
+                    term = np.empty(len(b), dtype=np.complex128)
+                    term.real = a.real * b.real - a.imag * b.imag
+                    term.imag = a.real * b.imag + a.imag * b.real
+                    term[(a == 0) | (b == 0)] = 0
+                    sums[oa + ob] = sums.get(oa + ob, 0) + term
+        return Diagonals.of(sums, self.shape[0])
+
+    def _combine(self, other: "Diagonals", op: np.ufunc) -> "Diagonals":
+        mine = dict(zip(self.offsets.tolist(), self.values))
+        theirs = dict(zip(other.offsets.tolist(), other.values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = {o: op(mine.get(o, 0), theirs.get(o, 0)) for o in mine.keys() | theirs.keys()}
+        return Diagonals.of(sums, self.shape[0])
+
+    __add__ = partialmethod(_combine, op=np.add)
+    __sub__ = partialmethod(_combine, op=np.subtract)
+
+    def __rmul__(self, c: complex) -> "Diagonals":
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self.values * c
+        vals[self.values == 0] = 0
+        return Diagonals(self.offsets, vals)
+
+
 @dataclass
 class OperatorMatrix:
     """Windowed matrix of a catalogue operator in canonical basis order.
 
-    ``entries[j, i]`` is the coefficient of window index j in the action on
-    window index i.  ``boundary_mask`` lists the column positions whose image
-    carries nonzero amplitude to a valid index outside the window (that
-    amplitude is simply absent from the matrix); ``leakage[i]`` is the summed
-    squared magnitude of what column i carries there.
+    Row j, column i of ``entries`` is the coefficient of window index j in
+    the action on window index i.  ``boundary[i]`` marks a column i that
+    carries nonzero amplitude to a valid index outside the window (absent
+    from the matrix); ``leakage[i]`` sums its squared magnitudes there.
     """
 
     window: TruncationWindow
-    entries: sp.csr_matrix
-    boundary_mask: frozenset[int]
+    entries: Diagonals
+    boundary: np.ndarray
     leakage: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        return self.entries.toarray()
 
 
 def materialize(
-    name: str,
-    w: TruncationWindow,
-    p: DeformationParams,
-    capacity: int | None = None,
+    name: str, w: TruncationWindow, p: DeformationParams, capacity: int | None = None
 ) -> OperatorMatrix:
     """Matrix of an operator over a window (columns = canonical order).
 
     Canonical positions are linear in (M, mt, m - mt) within a sign block, so
-    an in-window target sits at its column plus its branch's fixed offset.
+    an in-window target sits on its branch's diagonal, at a fixed offset.
     """
     n = check_capacity(w, capacity)
     op = get_operator(name)
     nk = w.k_max + 1
-    offsets = np.array(
-        [(br.dM * (1 - w.mt_min) + br.dmt) * nk + br.dm - br.dmt for br in op.branches]
-    )
-    vals = np.zeros((n, len(op.branches)), dtype=np.complex128)
+    diags: dict[int, np.ndarray] = {}
     lost = np.zeros(n, dtype=bool)
     leakage = np.zeros(n)
-    for b, (pos, tgt, c) in enumerate(images(name, w.index_arrays(), p)):
+    for br, (pos, tgt, c) in zip(op.branches, images(name, w.index_arrays(), p)):
         inside = w.contains(tgt)
-        vals[pos[inside], b] = c[inside]
+        # Two branches may share an offset, but never an in-window target.
+        offset = (br.dM * (1 - w.mt_min) + br.dmt) * nk + br.dm - br.dmt
+        diags.setdefault(offset, np.zeros(n, dtype=np.complex128))[pos[inside]] = c[inside]
         out, c = pos[~inside], c[~inside]
         lost[out] = True
         # Like a Python float product, the square overflows to inf silently.
         with np.errstate(over="ignore"):
             leakage[out] += c.real * c.real + c.imag * c.imag
-    cols, branch = np.nonzero(vals)
-    entries = sp.csr_matrix(
-        (vals[cols, branch], (cols + offsets[branch], cols)), shape=(n, n)
-    )
-    return OperatorMatrix(w, entries, frozenset(np.flatnonzero(lost).tolist()), leakage)
+    return OperatorMatrix(w, Diagonals.of(diags, n), lost, leakage)
 
 
 def adjoint_matrix(A: OperatorMatrix, p: DeformationParams) -> OperatorMatrix:
     """Jackson adjoint W^-1 A^H W of a windowed matrix (W = diagonal weights).
 
-    W holds the Jackson weights q^(4M) * q^(2*mt) of the window's states.
-    The operation is involutive.  The basis comes from A's window without a
-    second capacity check: A already passed the caller's.  The boundary mask
-    and leakage are left empty (windowed entries of a single catalogue
-    operator are exact).
+    W holds the Jackson weights q^(4M) * q^(2*mt) of the window's states;
+    A^H moves offset o to -o.  The operation is involutive.  The basis comes
+    from A's window without a second capacity check: A already passed the
+    caller's.  No column is on the boundary and the leakage is zero
+    (windowed entries of a single catalogue operator are exact).
     """
     ix = A.window.index_arrays()
     wgt = qpow_array(p.q, 4 * ix.M) * qpow_array(p.q, 2 * ix.mt)
-    AH = A.entries.conjugate().transpose().tocsr()
     # A weight that underflows to 0 or overflows inverts to inf or 0.
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / wgt
-    entries = sp.diags(inv) @ AH @ sp.diags(wgt)
-    return OperatorMatrix(A.window, entries.tocsr(), frozenset(), np.zeros(len(wgt)))
+    a, n = A.entries, len(wgt)
+    flipped = {-o: _shift(np.conj(v), -o) for o, v in zip(a.offsets.tolist(), a.values)}
+    entries = Diagonals.of({0: inv}, n) @ Diagonals.of(flipped, n) @ Diagonals.of({0: wgt}, n)
+    return OperatorMatrix(A.window, entries, np.zeros(n, dtype=bool), np.zeros(n))
 
 
 def spectrum_arrays(
@@ -399,14 +475,8 @@ def spectrum_diagonal(
 
 def save_matrix(path: str, A: OperatorMatrix, header: str = "") -> None:
     """Write nonzero entries as text lines ``row col re im`` (row-major order)."""
-    coo = A.entries.tocoo()
-    triples = sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-    lines = []
-    if header:
-        for ln in header.splitlines():
-            lines.append(f"# {ln}")
-    lines.append("# row col re im")
-    for r, c, v in triples:
-        lines.append(f"{r} {c} {v.real!r} {v.imag!r}")
+    lines = [f"# {ln}" for ln in header.splitlines()] + ["# row col re im"]
+    rows, cols, vals = (a.tolist() for a in A.entries.triples())
+    lines += [f"{r} {c} {v.real!r} {v.imag!r}" for r, c, v in zip(rows, cols, vals)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -22,24 +22,21 @@ and the number of excluded columns is reported.
 
 Two evaluation paths
 --------------------
-Every word is composed as a chain of sparse products of the table's letter
-matrices (sparse path).  Two second paths recompute each word from the same
-letters; a disagreement beyond 1e-13 raises, since it can only mean an
-implementation defect in the composition (order, association, a lost
-letter or entry):
+Every word is composed by multiplying the shifted diagonals of the table's
+letters (:class:`operators.Diagonals`).  Two second paths recompute each
+word from the same letters without that product, so a disagreement beyond
+1e-13 can only mean a defect in the composition (order, association, a
+lost letter or entry), and raises:
 
 * On windows of any size, the letters are applied one at a time to one
   seeded real Gaussian probe vector, and the result must match the composed
   word times the same vector (Freivalds' randomized product check).
-* On windows of at most 2^9 states, every entry of the word is also
-  recomputed from the letters' stored entries, and must match the composed
-  word on every key that either side stores.  Each step of the product
-  forms every term A[i,k]*X[k,j] by repeating A's entries over the stored
-  entries of row k of X, then sorts the terms by (i, j) and sums each run
-  (expand, sort, compress; Dalton, Olson and Bell, ACM TOMS 2015).  scipy
-  composes the sparse path with Gustavson's row accumulator, so the two
-  paths share no product algorithm.  The cost is linear in the number of
-  terms; no n x n array is made.
+* On windows of at most 2^9 states, every entry of the word is recomputed
+  from the (row, col, value) triples of the letters' stored entries and
+  compared on every key that either side stores.  Each step forms every
+  term A[i,k]*X[k,j], sorts the terms by (i, j) and sums each run (expand,
+  sort, compress; Dalton, Olson and Bell, ACM TOMS 2015), in time linear
+  in the number of terms.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     BasisIndex,
@@ -60,7 +56,9 @@ from .core import (
 )
 from .lattice import check_capacity
 from .operators import (
+    Diagonals,
     OperatorMatrix,
+    _shift,
     adjoint_matrix,
     get_operator,
     images,
@@ -303,15 +301,12 @@ class LetterTable:
     """The catalogue operators of one verify run over one window.
 
     ``letters[name]`` is the operator at the run's phase and
-    ``letters.at(name, phase)`` the same operator at another ladder phase;
-    each distinct (name, phase) is materialized once, on first read.  The
-    table also holds the run's seeded probe vector.  Checks only read
-    entries.
+    ``letters.at(name, phase)`` at another ladder phase; each distinct
+    (name, phase) is materialized once, on first read, and only read after.
+    The table also holds the run's seeded probe vector.
     """
 
-    def __init__(
-        self, w: TruncationWindow, p: DeformationParams, capacity: int | None = None
-    ) -> None:
+    def __init__(self, w: TruncationWindow, p: DeformationParams, capacity: int | None = None):
         self.w, self.p = w, p
         self.n = check_capacity(w, capacity)
         self.probe = np.random.default_rng(0).standard_normal(self.n)
@@ -329,9 +324,18 @@ class LetterTable:
         return self._made[key]
 
 
+def _report(
+    letters: LetterTable, cid: str, residual: float, tol: float, asserted: bool = True, **extra
+) -> ResidualReport:
+    """One check's report; a report-only check has an infinite tolerance."""
+    tolerance = tol if asserted else math.inf
+    w, q = letters.w, letters.p.q
+    return ResidualReport(cid, w, q, residual, tolerance, asserted=asserted, **extra)
+
+
 # --- word evaluation ----------------------------------------------------------
 
-def word_matrix(word: Sequence[str], letters: LetterTable) -> tuple[sp.csr_matrix, float]:
+def word_matrix(word: Sequence[str], letters: LetterTable) -> tuple[Diagonals, float]:
     """Windowed matrix of an operator word plus the squared leakage it drops.
 
     The word is the product of its letters' materialized matrices, applied
@@ -345,7 +349,8 @@ def word_matrix(word: Sequence[str], letters: LetterTable) -> tuple[sp.csr_matri
         # row j of the product so far.  Squares may overflow to inf; only
         # rows that are reached and leak count, so no inf meets a 0 (NaN).
         with np.errstate(over="ignore"):
-            reach = np.asarray(abs(prod).power(2).sum(axis=1)).ravel()
+            squares = (_shift(np.square(np.abs(v)), -o) for o, v in zip(prod.offsets, prod.values))
+            reach = sum(squares, np.zeros(letters.n))
             hit = (reach != 0.0) & (letter.leakage != 0.0)
             leak += float(reach[hit] @ letter.leakage[hit])
         prod = letter.entries @ prod
@@ -355,23 +360,17 @@ def word_matrix(word: Sequence[str], letters: LetterTable) -> tuple[sp.csr_matri
 def _shift_prefixes(word: Sequence[str]) -> set[tuple[int, int, int]]:
     """All partial composite shifts of a word over every branch choice."""
     prefixes: set[tuple[int, int, int]] = set()
-    cur: set[tuple[int, int, int]] = {(0, 0, 0)}
+    cur = {(0, 0, 0)}
     for name in reversed(tuple(word)):
-        op = get_operator(name)
-        nxt: set[tuple[int, int, int]] = set()
-        for s in cur:
-            for br in op.branches:
-                nxt.add((s[0] + br.dM, s[1] + br.dmt, s[2] + br.dm))
-        prefixes |= nxt
-        cur = nxt
+        branches = get_operator(name).branches
+        cur = {(a + br.dM, b + br.dmt, c + br.dm) for a, b, c in cur for br in branches}
+        prefixes |= cur
     return prefixes
 
 
 def _interior_mask(words: Iterable[Sequence[str]], w: TruncationWindow) -> np.ndarray:
     """Boolean mask over canonical positions of the interior columns."""
-    shifts: set[tuple[int, int, int]] = set()
-    for word in words:
-        shifts |= _shift_prefixes(word)
+    shifts = set().union(*(_shift_prefixes(word) for word in words))
     ix = w.index_arrays()
     ok = np.ones(w.size, dtype=bool)
     for shift in shifts:
@@ -382,11 +381,7 @@ def _interior_mask(words: Iterable[Sequence[str]], w: TruncationWindow) -> np.nd
 
 def interior_positions(words: Iterable[Sequence[str]], w: TruncationWindow) -> list[int]:
     """Columns (canonical positions) that no prefix of any word can carry
-    outside the window.
-
-    Prefix images on invalid indices do not disqualify: the rules carry
-    exact zeros there, so truncation drops nothing.
-    """
+    outside the window to a valid index (invalid ones carry exact zeros)."""
     return np.flatnonzero(_interior_mask(words, w)).tolist()
 
 
@@ -410,21 +405,23 @@ def _relative_norm(gap: np.ndarray, *refs: np.ndarray) -> float:
     return norms[0] / max(scale, *norms[1:])
 
 
-def _balanced_residual(L: sp.csr_matrix, R: sp.csr_matrix, mask: np.ndarray) -> float:
+def _balanced_residual(L: Diagonals, R: Diagonals, mask: np.ndarray) -> float:
     """Frobenius norm of (L-R) on the masked columns over max(1, |L|, |R|),
-    taken by ``_relative_norm``, in which finite entries never read NaN."""
+    taken by ``_relative_norm``, in which finite entries never read NaN.
+
+    Each norm reads the stored entries of its masked columns in row-major
+    order, so its bits are those of the same entries in compressed rows.
+    """
     if not mask.any():
         return 0.0
     parts = []
     for A in (L - R, L, R):
-        A.sum_duplicates()
-        parts.append(A.data[mask[A.indices]])
+        _, cols, vals = A.triples()
+        parts.append(vals[mask[cols]])
     return _relative_norm(*parts)
 
 
-def _entry_rows(m: sp.csr_matrix) -> np.ndarray:
-    """Row of every stored entry of a CSR matrix, in storage order."""
-    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _sum_by_key(keys: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -436,112 +433,104 @@ def _sum_by_key(keys: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]
     return (keys[starts], *(np.add.reduceat(v[order], starts) for v in values))
 
 
-def _product_terms(mats: Sequence[sp.csr_matrix]) -> tuple[np.ndarray, np.ndarray]:
-    """Every term A[i,k]*X[k,j] of the last step of a matrix product, keyed
-    by i*n + j and not yet summed.
+def _product_terms(mats: Sequence[Triples], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every term A[i,k]*X[k,j] of the last step of the product
+    mats[0] @ ... @ mats[-1] of n x n matrices, keyed by i*n + j and not
+    yet summed.
 
-    The product mats[0] @ ... @ mats[-1] of square CSR matrices is built
-    rightmost first from stored entries alone: each letter's entries (i, k)
-    are repeated once per stored entry (k, j) of the product so far, found
-    through its row pointers, and the terms of every step but the last are
-    summed per key (expand, sort, compress).  No n x n array is made.
+    Each matrix is given by the (rows, cols, values) of its stored entries.
+    Rightmost first, the product so far is summed per key (sort, compress),
+    and each entry (i, k) of the next letter is repeated once per stored
+    entry (k, j) of it, found through its row pointers (expand).
     """
-    last = mats[-1]
-    n = last.shape[1]
-    ptr, col, val = last.indptr, last.indices, last.data
-    keys, terms = _entry_rows(last) * n + col, val
-    for step, a in enumerate(reversed(mats[:-1])):
-        if step:
-            keys, val = _sum_by_key(keys, terms)
-            ptr = np.searchsorted(keys, np.arange(n + 1) * n)
-            col = keys % n
-        lo = ptr[a.indices]
-        count = ptr[a.indices + 1] - lo
+    rows, cols, terms = mats[-1]
+    keys = rows * n + cols
+    for i, k, a in reversed(mats[:-1]):
+        keys, val = _sum_by_key(keys, terms)
+        ptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        lo = ptr[k]
+        count = ptr[k + 1] - lo
         # Position in X of each term's (k, j): lo of its A entry plus its
         # rank among that entry's terms.
         first = np.cumsum(count) - count
         pick = np.arange(int(count.sum())) + np.repeat(lo - first, count)
-        keys = np.repeat(_entry_rows(a) * n, count) + col[pick]
-        terms = np.repeat(a.data, count) * val[pick]
+        keys = np.repeat(i * n, count) + keys[pick] % n
+        terms = np.repeat(a, count) * val[pick]
     return keys, terms
 
 
-def _entrywise_gap(mats: Sequence[sp.csr_matrix], word_mat: sp.csr_matrix) -> float:
+def _entrywise_gap(mats: Sequence[Triples], word: Triples, n: int) -> float:
     """Gap between the product of ``mats`` recomputed entry by entry and the
     composed word, relative to max(1, |product|).
 
-    The product terms (``_product_terms``) and the word's negated stored
-    entries are summed per key on the union of both key sets, so a stored
-    entry on either side is compared.  ``_relative_norm`` scales the norms,
-    so a product whose norm would overflow is still compared.
+    The product terms and the word's negated stored entries are summed per
+    key on the union of both key sets, so a stored entry on either side is
+    compared; ``_relative_norm`` keeps an overflowing norm comparable.
     """
-    own = _entry_rows(word_mat) * word_mat.shape[1] + word_mat.indices
+    rows, cols, vals = word
     # Terms may overflow; a non-finite gap is read by the caller.
     with np.errstate(all="ignore"):
-        keys, terms = _product_terms(mats)
+        keys, terms = _product_terms(mats, n)
         _, gap, product = _sum_by_key(
-            np.concatenate([keys, own]),
-            np.concatenate([terms, -word_mat.data]),
-            np.concatenate([terms, np.zeros(own.size, dtype=terms.dtype)]),
+            np.concatenate([keys, rows * n + cols]),
+            np.concatenate([terms, -vals]),
+            np.concatenate([terms, np.zeros(vals.size, dtype=terms.dtype)]),
         )
     return _relative_norm(gap, product)
 
 
 def _require_entrywise_agreement(
-    spec_id: str,
-    word: tuple[str, ...],
-    sparse_mat: sp.csr_matrix,
-    letters: LetterTable,
+    spec_id: str, word: tuple[str, ...], mat: Diagonals, letters: LetterTable
 ) -> None:
     """Recompute every entry of a word from its letters' stored entries and
-    require 1e-13 agreement with the composed word.
+    require 1e-13 agreement with the composed word.  A gap that reads NaN,
+    from non-finite values on both sides, is left to the residual."""
+    mats = [letters[name].entries.triples() for name in word]
+    diff = _entrywise_gap(mats, mat.triples(), letters.n)
+    _require_close(diff, spec_id, word, "entrywise product")
 
-    A gap that reads NaN, from non-finite values on both sides, does not
-    raise; it is left to the probe and the residual.
-    """
-    diff = _entrywise_gap([letters[name].entries for name in word], sparse_mat)
+
+def _require_close(diff: float, spec_id: str, word: tuple[str, ...], path: str) -> None:
     if diff > 1e-13:
         raise QeuclidError(
             f"evaluation paths disagree on word {word} of {spec_id}: "
-            f"sparse composition vs entrywise product differ by {diff:.3e}"
+            f"sparse composition vs {path} differ by {diff:.3e}"
         )
+
+
+def _apply(A: Diagonals, x: np.ndarray) -> np.ndarray:
+    """A @ x, one stored diagonal at a time: the entry in column c on
+    offset o adds its product with x[c] to row c + o."""
+    terms = A.values * x
+    # An absent entry never meets a non-finite x.
+    terms[A.values == 0] = 0
+    return sum((_shift(t, -o) for o, t in zip(A.offsets, terms)), np.zeros(len(x), complex))
 
 
 def _require_probe_agreement(
-    spec_id: str,
-    word: tuple[str, ...],
-    sparse_mat: sp.csr_matrix,
-    letters: LetterTable,
+    spec_id: str, word: tuple[str, ...], mat: Diagonals, letters: LetterTable
 ) -> None:
     """Apply the letters to the table's probe vector one at a time, rightmost
-    first, and require 1e-13 agreement with the composed word times the same
-    vector.
+    first, and require 1e-13 agreement with the composed word times the
+    same vector.
 
-    The norms are taken after dividing by the largest magnitude on either
-    side, so finite vectors never overflow them.  A non-finite value on
-    either side reads NaN and is left to the residual.
+    Both norms add plain squares (no BLAS) of vectors divided by the largest
+    magnitude on either side, so finite vectors never overflow them; a
+    non-finite value reads NaN and is left to the residual.
     """
+    norm = lambda v: float(np.sqrt(np.add.reduce(np.square(np.abs(v)))))
     with np.errstate(all="ignore"):
         y = letters.probe
         for name in reversed(word):
-            y = letters[name].entries @ y
-        z = sparse_mat @ letters.probe
+            y = _apply(letters[name].entries, y)
+        z = _apply(mat, letters.probe)
         big = np.maximum(np.abs(y).max(initial=0.0), np.abs(z).max(initial=0.0))
-        diff = float(
-            np.linalg.norm((y - z) / big) / max(1.0 / big, np.linalg.norm(y / big))
-        )
-    if diff > 1e-13:
-        raise QeuclidError(
-            f"evaluation paths disagree on word {word} of {spec_id}: "
-            f"sparse composition vs letter-by-letter probe differ by {diff:.3e}"
-        )
+        diff = norm((y - z) / big) / max(1.0 / big, norm(y / big))
+    _require_close(diff, spec_id, word, "letter-by-letter probe")
 
 
 def check_relations(
-    specs: Sequence[RelationSpec],
-    letters: LetterTable,
-    tol: float,
-    asserted: bool = True,
+    specs: Sequence[RelationSpec], letters: LetterTable, tol: float, asserted: bool = True
 ) -> list[ResidualReport]:
     """Interior relative residual of each relation over the table's window.
 
@@ -554,44 +543,31 @@ def check_relations(
     entrywise = n <= DENSE_ORACLE_LIMIT
     reports = []
     for spec in specs:
-        sums: list[sp.csr_matrix] = []
-        leaks: list[float] = []
+        sums, leaks = [], []
         for terms in (spec.lhs, spec.rhs):
-            total = sp.csr_matrix((n, n), dtype=np.complex128)
+            total = Diagonals.of({}, n)
             leak = 0.0
             for t in terms:
                 mat, lk = word_matrix(t.word, letters)
                 _require_probe_agreement(spec.id, t.word, mat, letters)
                 if entrywise:
                     _require_entrywise_agreement(spec.id, t.word, mat, letters)
-                c = complex(t.coeff(p))
                 # An overflowing word reads inf or NaN and fails the residual.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    total = total + c * mat
+                c = complex(t.coeff(p))
+                total = total + c * mat
                 leak += abs(c) ** 2 * lk
-            sums.append(total.tocsr())
+            sums.append(total)
             leaks.append(leak)
         interior = _interior_mask(spec.words(), w)
-        residual = _balanced_residual(sums[0], sums[1], interior)
-        reports.append(
-            ResidualReport(
-                id=spec.id,
-                window=w,
-                q=p.q,
-                max_interior_residual=residual,
-                boundary_rows_excluded=n - int(interior.sum()),
-                leakage_norm=math.sqrt(leaks[0] + leaks[1]),
-                tolerance=tol if asserted else math.inf,
-                asserted=asserted,
-            )
-        )
+        reports.append(_report(
+            letters, spec.id, _balanced_residual(*sums, interior), tol, asserted,
+            boundary_rows_excluded=n - int(interior.sum()), leakage_norm=math.sqrt(sum(leaks)),
+        ))
     return reports
 
 
 def check_adjointness(
-    pairs: Sequence[tuple[str, Coeff, str]],
-    letters: LetterTable,
-    tol: float,
+    pairs: Sequence[tuple[str, Coeff, str]], letters: LetterTable, tol: float
 ) -> list[ResidualReport]:
     """Verify adjoint(A) = c * B entrywise over the window for each pair.
 
@@ -603,17 +579,9 @@ def check_adjointness(
     reports = []
     for a_name, coeff, b_name in pairs:
         adj = adjoint_matrix(letters[a_name], p).entries
-        with np.errstate(over="ignore", invalid="ignore"):
-            target = complex(coeff(p)) * letters[b_name].entries
-        reports.append(
-            ResidualReport(
-                id=f"adjoint_{a_name}_vs_{b_name}",
-                window=letters.w,
-                q=p.q,
-                max_interior_residual=_balanced_residual(adj, target, every_column),
-                tolerance=tol,
-            )
-        )
+        target = complex(coeff(p)) * letters[b_name].entries
+        residual = _balanced_residual(adj, target, every_column)
+        reports.append(_report(letters, f"adjoint_{a_name}_vs_{b_name}", residual, tol))
     return reports
 
 
@@ -629,20 +597,16 @@ def check_homomorphism(letters: LetterTable, tol: float) -> list[ResidualReport]
     """
     w, p = letters.w, letters.p
     x3 = get_operator("X3").branches[0].values(w.index_arrays(), p)
-    lam = p.lam
-    root = math.sqrt(1.0 + p.qpow(2))
+    lam, root = p.lam, math.sqrt(1.0 + p.qpow(2))
     # Where X3 underflows to 0 its inverse reads inf and the residual NaN.
     with np.errstate(all="ignore"):
-        x3_inv = sp.diags(1.0 / x3, format="csr", dtype=np.complex128)
-        assembled = {
-            "tplus": (-root / (lam * p.qpow(3))) * (letters["Xplus"].entries @ x3_inv),
-            "tminus": (p.qpow(2) * root / lam) * (letters["Xminus"].entries @ x3_inv),
-            "t3": (
-                sp.identity(letters.n, dtype=np.complex128, format="csr")
-                + letters["R2"].entries @ x3_inv @ x3_inv
-            )
-            / lam,
-        }
+        x3_inv = Diagonals.of({0: 1.0 / x3}, letters.n)
+    one = Diagonals.of({0: np.ones(letters.n)}, letters.n)
+    assembled = {
+        "tplus": (-root / (lam * p.qpow(3))) * (letters["Xplus"].entries @ x3_inv),
+        "tminus": (p.qpow(2) * root / lam) * (letters["Xminus"].entries @ x3_inv),
+        "t3": (1 / lam) * (one + letters["R2"].entries @ x3_inv @ x3_inv),
+    }
     every_column = np.ones(letters.n, dtype=bool)
     residuals = [
         _balanced_residual(mat, letters[name].entries, every_column)
@@ -650,17 +614,8 @@ def check_homomorphism(letters: LetterTable, tol: float) -> list[ResidualReport]
     ]
     # np.max, unlike the builtin max, propagates a NaN residual.
     worst = float(np.max(residuals))
-    reports = [
-        ResidualReport(
-            id="hopping_from_coordinate_ladder",
-            window=w,
-            q=p.q,
-            max_interior_residual=worst,
-            tolerance=tol,
-        )
-    ]
-    reports.extend(check_relations(T_TEMPLATE + TORB_TEMPLATE, letters, tol, asserted=False))
-    return reports
+    templates = check_relations(T_TEMPLATE + TORB_TEMPLATE, letters, tol, asserted=False)
+    return [_report(letters, "hopping_from_coordinate_ladder", worst, tol), *templates]
 
 
 def check_tensor_torb(letters: LetterTable, tol: float) -> list[ResidualReport]:
@@ -680,24 +635,13 @@ def check_tensor_torb(letters: LetterTable, tol: float) -> list[ResidualReport]:
         "Torbminus": letters["tminus"].entries - abs_inv @ letters["Kminus"].entries,
     }
     sigma = letters.w.index_arrays().sigma
-    reports = []
-    for name, mat in assembled.items():
-        direct = letters.at(name, -1.0).entries
-        for label, sector, asserted in (
-            ("sector_plus", sigma > 0, True),
-            ("sector_minus", sigma < 0, False),
-        ):
-            reports.append(
-                ResidualReport(
-                    id=f"tensor_{name}_{label}",
-                    window=letters.w,
-                    q=letters.p.q,
-                    max_interior_residual=_balanced_residual(mat, direct, sector),
-                    tolerance=tol if asserted else math.inf,
-                    asserted=asserted,
-                )
-            )
-    return reports
+    sectors = (("sector_plus", sigma > 0, True), ("sector_minus", sigma < 0, False))
+    return [
+        _report(letters, f"tensor_{name}_{label}",
+                _balanced_residual(mat, letters.at(name, -1.0).entries, sector), tol, asserted)
+        for name, mat in assembled.items()
+        for label, sector, asserted in sectors
+    ]
 
 
 # --- recursion closed forms ----------------------------------------------------
@@ -758,18 +702,11 @@ def check_recursions(
     # np.max, unlike the builtin max, propagates a NaN.
     sign_res = float(np.max(sign_pts, initial=0.0))
     j_res = j_recursion_residual(p, beta=0.0)
-    mk = lambda cid, res, t: ResidualReport(
-        id=cid,
-        window=w,
-        q=p.q,
-        max_interior_residual=res,
-        tolerance=t,
-    )
     return [
-        mk("phi_recursion_midpoints", phi_res, tol),
-        mk("phi_value_at_zero", zero_res, 0.0),
-        mk("phi_nonpositive_on_core", sign_res, 0.0),
-        mk("j_recursion_midpoints", j_res, tol),
+        ResidualReport("phi_recursion_midpoints", w, p.q, phi_res, tol),
+        ResidualReport("phi_value_at_zero", w, p.q, zero_res, 0.0),
+        ResidualReport("phi_nonpositive_on_core", w, p.q, sign_res, 0.0),
+        ResidualReport("j_recursion_midpoints", w, p.q, j_res, tol),
     ]
 
 
@@ -789,15 +726,7 @@ def check_lowest_weight(letters: LetterTable) -> list[ResidualReport]:
         np.add.at(emitted, pos, np.abs(c))
     # np.max, unlike the builtin max, propagates a NaN.
     worst = float(np.max(emitted))
-    return [
-        ResidualReport(
-            id="lowest_weight_annihilation",
-            window=w,
-            q=p.q,
-            max_interior_residual=worst,
-            tolerance=0.0,
-        )
-    ]
+    return [_report(letters, "lowest_weight_annihilation", worst, 0.0)]
 
 
 # --- suite driver ---------------------------------------------------------------
@@ -830,10 +759,7 @@ def run_suite(name: str, letters: LetterTable, tol: float) -> SuiteReport:
 
 
 def run_all_suites(
-    w: TruncationWindow,
-    p: DeformationParams,
-    tol: float,
-    capacity: int | None = None,
+    w: TruncationWindow, p: DeformationParams, tol: float, capacity: int | None = None
 ) -> dict[str, SuiteReport]:
     """Run every suite, one after another, in SUITE_NAMES order, on one
     letter table built for the run."""

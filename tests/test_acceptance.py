@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from dense import to_dense
 from qeuclid.core import (
     BasisIndex,
     DeformationParams,
@@ -88,8 +89,8 @@ def test_criterion_03_adjointness_under_weighted_inner_product():
     for q in Q_SWEEP:
         p = DeformationParams(q=q)
         for a_name, coeff, b_name in pairs:
-            adj = adjoint_matrix(materialize(a_name, WINDOW, p), p).entries.toarray()
-            target = complex(coeff(p)) * materialize(b_name, WINDOW, p).entries.toarray()
+            adj = to_dense(adjoint_matrix(materialize(a_name, WINDOW, p), p).entries)
+            target = complex(coeff(p)) * to_dense(materialize(b_name, WINDOW, p).entries)
             scale = max(1.0, float(np.max(np.abs(target))))
             worst = max(worst, float(np.max(np.abs(adj - target))) / scale)
     ok = worst <= TOL
@@ -105,9 +106,9 @@ def test_criterion_04_central_length_is_diagonal_radius_squared():
     for q in Q_SWEEP:
         p = DeformationParams(q=q, r0=r0)
         order = build_window(WINDOW)
-        x3 = materialize("X3", WINDOW, p).entries.toarray()
-        xp = materialize("Xplus", WINDOW, p).entries.toarray()
-        xm = materialize("Xminus", WINDOW, p).entries.toarray()
+        x3 = to_dense(materialize("X3", WINDOW, p).entries)
+        xp = to_dense(materialize("Xplus", WINDOW, p).entries)
+        xm = to_dense(materialize("Xminus", WINDOW, p).entries)
         cas = x3 @ x3 - q * (xp @ xm) - (1.0 / q) * (xm @ xp)
         interior = interior_positions(words, WINDOW)
         for col in interior:

@@ -115,14 +115,17 @@ class TestVerifyCommand:
 
     def test_cli_import_leaves_sparse_linalg_out(self):
         # scipy.sparse.linalg costs import time and memory in every command;
-        # no command needs it.
-        code = "import sys, qeuclid.cli; print('scipy.sparse.linalg' in sys.modules)"
+        # no command needs it, and no module of the package imports scipy.
+        code = (
+            "import sys, qeuclid.cli; print('scipy.sparse.linalg' in sys.modules); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         src = str(Path(qeuclid.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout == "False\n"
+        assert out.stdout == "False\n[]\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from qeuclid import lattice
 from qeuclid.lattice import LatticeState, load_state, save_state
 from qeuclid.operators import (
     ALIASES,
+    Diagonals,
     adjoint_matrix,
     apply,
     catalogue_names,
@@ -34,6 +36,7 @@ from qeuclid.operators import (
     spectrum_diagonal,
 )
 
+from dense import to_dense
 from oracle import ORACLE_NAMES, oracle_action
 
 P2 = DeformationParams(q=2.0)
@@ -163,16 +166,16 @@ class TestMaterialize:
     def test_diagonal_operator_yields_diagonal_matrix(self):
         w = TruncationWindow(0, 1, -2, 3)
         A = materialize("X3", w, P2)
-        dense = A.to_dense()
+        dense = to_dense(A.entries)
         assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
-        assert A.boundary_mask == frozenset()
+        assert np.flatnonzero(A.boundary).tolist() == []
         assert not A.leakage.any()
 
     def test_mode_raise_on_degenerate_window_is_all_boundary(self):
         w = TruncationWindow(0, 0, 0, 0)  # two states, both at the mode top
         A = materialize("Kplus", w, P2)
         assert A.entries.nnz == 0
-        assert A.boundary_mask == frozenset({0, 1})
+        assert np.flatnonzero(A.boundary).tolist() == [0, 1]
         want = [abs(c) ** 2 for i in w.iter_indices() for _, c in operator_action("Kplus", i, P2)]
         assert np.allclose(A.leakage, want, rtol=1e-15, atol=0.0)
 
@@ -205,10 +208,10 @@ class TestMaterialize:
                         leakage[col] += abs(c) ** 2
                         mask.add(col)
             A = materialize(name, w, p)
-            got = A.to_dense()
+            got = to_dense(A.entries)
             assert np.array_equal(got != 0, want != 0), name
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), name
-            assert A.boundary_mask == frozenset(mask), name
+            assert set(np.flatnonzero(A.boundary).tolist()) == mask, name
             assert np.all(np.abs(A.leakage - leakage) <= 1e-14 * leakage), name
 
     def test_radial_scaling_commutation(self):
@@ -216,10 +219,83 @@ class TestMaterialize:
         w = TruncationWindow(-2, 2, -1, 1)
         R = materialize("r", w, P2).entries
         L = materialize("Lambda", w, P2).entries
-        lhs = (R @ L).toarray()
-        rhs = (P2.qpow(4) * (L @ R)).toarray()
+        lhs = to_dense(R @ L)
+        rhs = to_dense(P2.qpow(4) * (L @ R))
         assert np.allclose(lhs, rhs, rtol=1e-14, atol=0.0)
         assert np.any(lhs != 0.0)
+
+
+def _clip(v, o):
+    """Column values of offset o with the positions outside the matrix zeroed."""
+    cols = np.arange(len(v))
+    return np.where((cols + o >= 0) & (cols + o < len(v)), v, 0)
+
+
+@st.composite
+def _diagonals(draw, n):
+    """A random n x n matrix of up to four diagonals, some entries absent."""
+    offsets = sorted(draw(st.sets(st.integers(-(n - 1), n - 1), max_size=4)))
+    part = st.floats(-1e3, 1e3, allow_nan=False)
+    values = np.zeros((len(offsets), n), dtype=complex)
+    for d, o in enumerate(offsets):
+        for c in range(max(0, -o), min(n, n - o)):
+            if draw(st.booleans()):
+                values[d, c] = complex(draw(part), draw(part))
+    return Diagonals(np.array(offsets, dtype=np.int64), values)
+
+
+class TestDiagonals:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_matches_compressed_rows_bit_for_bit(self, data):
+        # scipy's CSR arithmetic is the reference: the same stored entries,
+        # in the same row-major order, with the same bits.
+        n = data.draw(st.integers(1, 8))
+        A, B = data.draw(_diagonals(n)), data.draw(_diagonals(n))
+        c = complex(data.draw(st.floats(-8, 8)), data.draw(st.floats(-8, 8)))
+        csr_a, csr_b = (sp.csr_matrix(to_dense(M)) for M in (A, B))
+        for got, want in (
+            (A @ B, csr_a @ csr_b),
+            (A + B, csr_a + csr_b),
+            (A - B, csr_a - csr_b),
+            (c * A, c * csr_a),
+        ):
+            want = sp.csr_matrix(want)
+            want.sum_duplicates()
+            want.eliminate_zeros()
+            rows, cols, vals = got.triples()
+            assert np.array_equal(rows, np.repeat(np.arange(n), np.diff(want.indptr)))
+            assert np.array_equal(cols, want.indices)
+            assert np.array_equal(vals.view(float), want.data.view(float))
+            assert got.nnz == want.nnz and got.shape == (n, n)
+
+
+    def test_product_adds_terms_in_ascending_inner_index(self):
+        # Three terms meet on every inner entry of the product of two
+        # tridiagonal matrices, so the bits of the sum depend on its order.
+        rng = np.random.default_rng(3)
+        n = 40
+        A, B = (
+            Diagonals.of(
+                {o: _clip(rng.standard_normal(n) + 1j * rng.standard_normal(n), o) for o in (-1, 0, 1)},
+                n,
+            )
+            for _ in range(2)
+        )
+        want = sp.csr_matrix(to_dense(A)) @ sp.csr_matrix(to_dense(B))
+        want.sum_duplicates()
+        assert np.array_equal(to_dense(A @ B).view(float), want.toarray().view(float))
+
+
+    def test_absent_entries_never_meet_an_infinity(self):
+        # 0 * inf reads NaN, but compressed rows never form a term of an
+        # absent entry: A[1, 1] and every entry of column 1 are absent.
+        A = Diagonals.of({0: np.array([1.0, 0.0]), 1: np.array([2.0, 0.0])}, 2)
+        B = Diagonals.of({0: np.array([math.inf, math.inf])}, 2)
+        for M in (A @ B, B @ A, math.inf * A):
+            rows, cols, vals = M.triples()
+            assert (rows.tolist(), cols.tolist()) == ([0, 1], [0, 0])
+            assert np.all(vals.real == math.inf)
 
 
 class TestAdjoint:
@@ -239,8 +315,8 @@ class TestAdjoint:
     def test_adjoint_pairs_at_q2(self, name_a, factor, name_b):
         w = TruncationWindow(-1, 1, -3, 3)
         A = materialize(name_a, w, P2)
-        expected = factor * materialize(name_b, w, P2).entries.toarray()
-        got = adjoint_matrix(A, P2).entries.toarray()
+        expected = factor * to_dense(materialize(name_b, w, P2).entries)
+        got = to_dense(adjoint_matrix(A, P2).entries)
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-300)
 
     def test_adjoint_is_involutive(self):
@@ -249,7 +325,7 @@ class TestAdjoint:
             A = materialize(name, w, P2)
             back = adjoint_matrix(adjoint_matrix(A, P2), P2)
             assert np.allclose(
-                back.entries.toarray(), A.entries.toarray(), rtol=1e-14, atol=0.0
+                to_dense(back.entries), to_dense(A.entries), rtol=1e-14, atol=0.0
             )
 
     def test_jackson_shift_is_unitary(self):
@@ -257,8 +333,8 @@ class TestAdjoint:
         # the radial shift; same for the polar shift.
         w = TruncationWindow(-2, 2, -2, 2)
         for name, inv in (("Lambda", "Lambda_inv"), ("Lambda_xi", "Lambda_xi_inv")):
-            got = adjoint_matrix(materialize(name, w, P2), P2).entries.toarray()
-            want = materialize(inv, w, P2).entries.toarray()
+            got = to_dense(adjoint_matrix(materialize(name, w, P2), P2).entries)
+            want = to_dense(materialize(inv, w, P2).entries)
             assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_adjoint_keeps_caller_capacity(self, monkeypatch):
@@ -267,8 +343,8 @@ class TestAdjoint:
         monkeypatch.setattr(lattice, "DEFAULT_WINDOW_CAPACITY", 100)
         w = TruncationWindow(0, 0, -8, 8)
         A = materialize("Xplus", w, P2, capacity=1000)
-        got = adjoint_matrix(A, P2).entries.toarray()
-        want = -2.0 * materialize("Xminus", w, P2, capacity=1000).entries.toarray()
+        got = to_dense(adjoint_matrix(A, P2).entries)
+        want = -2.0 * to_dense(materialize("Xminus", w, P2, capacity=1000).entries)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
 
     def test_mode_raise_adjoint_conjugates_phase(self):
@@ -277,8 +353,8 @@ class TestAdjoint:
         phase = cmath.exp(1.3j)
         p = DeformationParams(q=2.0, theta_phase=phase)
         w = TruncationWindow(0, 0, -2, 3)
-        got = adjoint_matrix(materialize("Kplus", w, p), p).entries.toarray()
-        want = -0.25 * materialize("Kminus", w, p).entries.toarray()
+        got = to_dense(adjoint_matrix(materialize("Kplus", w, p), p).entries)
+        want = -0.25 * to_dense(materialize("Kminus", w, p).entries)
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 

@@ -21,7 +21,7 @@ from oracle import oracle_action
 from qeuclid import cli, lattice, operators, smooth, verify
 from qeuclid.core import DeformationParams, QeuclidError, TruncationWindow
 from qeuclid.lattice import build_window
-from qeuclid.operators import apply, get_operator
+from qeuclid.operators import Diagonals, apply, get_operator
 from qeuclid.verify import (
     ADJOINT_PAIRS,
     COMMUTANT,
@@ -242,7 +242,7 @@ class TestWordMatrices:
                 letters["tplus"].entries
                 + letters["abs_xi_inv"].entries @ letters["Kplus"].entries
             )
-            sides = [assembled.tocsr(), letters.at("Torbplus", -1.0).entries]
+            sides = [assembled, letters.at("Torbplus", -1.0).entries]
             sigma = W.index_arrays().sigma
             mask = sigma > 0 if case == "sector_plus" else sigma < 0
         else:
@@ -250,14 +250,14 @@ class TestWordMatrices:
             letters = LetterTable(W, P2)
             sides = []
             for terms in (spec.lhs, spec.rhs):
-                total = sum(
-                    complex(t.coeff(P2)) * word_matrix(t.word, letters)[0] for t in terms
-                )
-                sides.append(total.tocsr())
+                total = Diagonals.of({}, letters.n)
+                for t in terms:
+                    total = total + complex(t.coeff(P2)) * word_matrix(t.word, letters)[0]
+                sides.append(total)
             mask = verify._interior_mask(spec.words(), W)
             assert np.flatnonzero(mask).tolist() == interior_positions(spec.words(), W)
         cols = np.flatnonzero(mask)
-        L, R = (side[:, cols] for side in sides)
+        L, R = (_csr(side)[:, cols] for side in sides)
         want = sparse_norm(L - R) / max(1.0, sparse_norm(L), sparse_norm(R))
         assert want > 0.0 or not case.startswith("sector_")
         assert verify._balanced_residual(*sides, mask) == want
@@ -410,12 +410,14 @@ def _mutated(kind):
         elif kind == "dropped_letter":
             mat = word_matrix(word[1:] or word, letters)[0]
         else:
-            mat = mat.copy()
+            vals = mat.values.copy()
             # Frobenius norm, scaled so that words beyond 1e154 do not
             # overflow its squares.
-            big = np.abs(mat.data).max()
-            step = 1e-10 * big * np.linalg.norm(mat.data / big)
-            mat.data[0] += step if kind == "perturbed_entry" else 1j * step
+            big = np.abs(vals).max()
+            step = 1e-10 * big * np.linalg.norm(vals / big)
+            first = tuple(np.argwhere(vals)[0])
+            vals[first] += step if kind == "perturbed_entry" else 1j * step
+            mat = Diagonals(mat.offsets, vals)
         return mat, leak
 
     return wrong
@@ -448,6 +450,20 @@ class TestSecondPathsCatchMutations:
         monkeypatch.setattr(verify, "_require_entrywise_agreement", lambda *args: None)
         with pytest.raises(QeuclidError, match="probe"):
             check_relations(specs, LetterTable(w, p), TOL)
+
+    def test_second_paths_do_not_call_the_diagonal_product(self, monkeypatch):
+        # Both second paths recompute the word without the product kernel
+        # that composed it.
+        letters = LetterTable(W_162, P_COMPLEX)
+        word = ("Kminus", "Kplus")
+        mat, _ = word_matrix(word, letters)
+
+        def refuse(*args):
+            raise AssertionError("diagonal product called")
+
+        monkeypatch.setattr(Diagonals, "__matmul__", refuse)
+        verify._require_probe_agreement("k_exchange", word, mat, letters)
+        verify._require_entrywise_agreement("k_exchange", word, mat, letters)
 
     def test_probe_scales_before_taking_norms(self, monkeypatch):
         # At q = 3 on mt >= -60 both words send the probe to about 1e170,
@@ -502,6 +518,18 @@ def _sparse_letter(draw, n):
     )
 
 
+def _triples(m):
+    """The (rows, cols, values) of the stored entries of a CSR matrix."""
+    coo = m.tocoo()
+    return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
+
+
+def _csr(A):
+    """A matrix with a ``triples()`` export, as a scipy CSR matrix."""
+    rows, cols, vals = A.triples()
+    return sp.csr_matrix((vals, (rows, cols)), shape=A.shape)
+
+
 @st.composite
 def _words(draw):
     n = draw(st.integers(1, 9))
@@ -516,7 +544,7 @@ class TestEntrywiseProduct:
         want = np.eye(n, dtype=np.complex128)
         for m in mats:
             want = want @ m.toarray()
-        keys, terms = verify._product_terms(mats)
+        keys, terms = verify._product_terms([_triples(m) for m in mats], n)
         got = np.zeros(n * n, dtype=np.complex128)
         np.add.at(got, keys, terms)
         scale = max(1.0, np.abs(want).max(initial=0.0))
@@ -532,10 +560,11 @@ class TestEntrywiseProduct:
         for m in mats[1:]:
             word = word @ m
         word = sp.csr_matrix(word)
-        assert verify._entrywise_gap(mats, word) <= 1e-13
+        letters = [_triples(m) for m in mats]
+        assert verify._entrywise_gap(letters, _triples(word), n) <= 1e-13
         step = 1e-10 * max(1.0, sparse_norm(word))
         extra = word + sp.csr_matrix(([step], ([n - 1], [0])), shape=(n, n))
-        assert verify._entrywise_gap(mats, extra.tocsr()) > 1e-13
+        assert verify._entrywise_gap(letters, _triples(extra.tocsr()), n) > 1e-13
 
 
 class TestLetterMatrices:
@@ -590,7 +619,7 @@ class TestLetterMatrices:
         )
         for name, q, entry in made:
             fresh = materialize(name, W, q).entries
-            for field in ("data", "indices", "indptr"):
+            for field in ("offsets", "values"):
                 assert np.array_equal(getattr(entry.entries, field), getattr(fresh, field))
 
 
