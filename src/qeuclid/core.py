@@ -117,12 +117,21 @@ def qpow(q: float, n: int) -> float:
 def qpow_array(q: float, n) -> np.ndarray:
     """Elementwise q**n for an integer array n, read from a :func:`qpow` table.
 
-    The table holds one :func:`qpow` value per distinct exponent, so every
-    entry is bit-identical to the scalar power.
+    The table holds :func:`qpow` values, so every entry is bit-identical to
+    the scalar power.  It spans n.min()..n.max() and is indexed directly;
+    only exponents spread far wider than n has entries (labels may reach
+    2^59) get one value per distinct exponent, found by sorting.
     """
+    n = np.asarray(n)
+    if n.size == 0:
+        return np.zeros(n.shape)
+    lo, hi = int(n.min()), int(n.max())
+    if hi - lo <= max(n.size // 16, 64):
+        table = np.array([qpow(q, k) for k in range(lo, hi + 1)], dtype=np.float64)
+        return table[n.ravel() - lo].reshape(n.shape)
     exps, inv = np.unique(n, return_inverse=True)
     table = np.array([qpow(q, k) for k in exps.tolist()], dtype=np.float64)
-    return table[inv].reshape(np.shape(n))
+    return table[inv].reshape(n.shape)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ residual per identity.  Every matrix check takes that residual in one
 balanced form (``_balanced_residual``), in which finite entries never read
 NaN.  ``run_all_suites`` checks the capacity once and builds one
 :class:`LetterTable` for the run, which materializes each distinct
-(operator, phase) once and is handed to every check.  Reports serialize to
-byte-stable JSON so CI can diff them.
+(operator, phase) once and is handed to every check.  Norms and dot
+products sum with ``np.add.reduce`` (never BLAS), in an order fixed by the
+array shape, so report bytes do not depend on the BLAS thread count.
 
 Truncation policy
 -----------------
@@ -352,7 +353,7 @@ def word_matrix(word: Sequence[str], letters: LetterTable) -> tuple[Diagonals, f
             squares = (_shift(np.square(np.abs(v)), -o) for o, v in zip(prod.offsets, prod.values))
             reach = sum(squares, np.zeros(letters.n))
             hit = (reach != 0.0) & (letter.leakage != 0.0)
-            leak += float(reach[hit] @ letter.leakage[hit])
+            leak += float(np.add.reduce(reach[hit] * letter.leakage[hit]))
         prod = letter.entries @ prod
     return prod, leak
 
@@ -385,40 +386,38 @@ def interior_positions(words: Iterable[Sequence[str]], w: TruncationWindow) -> l
     return np.flatnonzero(_interior_mask(words, w)).tolist()
 
 
+def _norm(v: np.ndarray, e: int = 0) -> float:
+    """Frobenius norm of 2^-e * v: ``np.add.reduce`` of squared parts."""
+    parts = (np.square(np.ldexp(x, -e)) for x in (v.real, v.imag))
+    return math.sqrt(sum(float(np.add.reduce(x, axis=None)) for x in parts))
+
+
 def _relative_norm(gap: np.ndarray, *refs: np.ndarray) -> float:
     """Frobenius norm of ``gap`` over max(1, the norm of each of ``refs``).
 
-    When every entry is finite, all vectors are scaled by 2^-e with 2^e just
-    above the largest entry (e >= 0), so the squares in the norms cannot
-    overflow, and the floor 1 becomes 2^-e.  Multiplying by a power of two
-    is exact (``np.ldexp`` has no complex loop), so the quotient keeps its
-    bits wherever the unscaled norms were finite.  A non-finite entry
-    leaves the norms unscaled, and the quotient reads inf or NaN.
+    When every entry is finite, all arrays are scaled by 2^-e with 2^e just
+    above the largest entry (e >= 0), so no square overflows and the floor 1
+    becomes 2^-e; a power of two scales exactly.  A non-finite entry leaves
+    them unscaled, and the quotient reads inf or NaN.  Zeros add nothing.
     """
     parts = (gap, *refs)
     big = max((float(np.max(np.abs(d))) for d in parts if d.size), default=0.0)
     e = max(math.frexp(big)[1], 0) if math.isfinite(big) else 0
-    scale = math.ldexp(1.0, -e)
     # Unscaled, the squares of finite entries beside a non-finite one overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = [float(np.linalg.norm(d * scale if e else d)) for d in parts]
-    return norms[0] / max(scale, *norms[1:])
+        norms = [_norm(d, e) for d in parts]
+    return norms[0] / max(math.ldexp(1.0, -e), *norms[1:])
 
 
 def _balanced_residual(L: Diagonals, R: Diagonals, mask: np.ndarray) -> float:
     """Frobenius norm of (L-R) on the masked columns over max(1, |L|, |R|),
-    taken by ``_relative_norm``, in which finite entries never read NaN.
-
-    Each norm reads the stored entries of its masked columns in row-major
-    order, so its bits are those of the same entries in compressed rows.
+    taken by ``_relative_norm`` (finite entries never read NaN) over those
+    columns of the stored diagonal values, column by column; an absent
+    entry, and every slot whose row falls outside the matrix, is an exact 0.
     """
     if not mask.any():
         return 0.0
-    parts = []
-    for A in (L - R, L, R):
-        _, cols, vals = A.triples()
-        parts.append(vals[mask[cols]])
-    return _relative_norm(*parts)
+    return _relative_norm(*(A.values[:, mask] for A in (L - R, L, R)))
 
 
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -514,18 +513,17 @@ def _require_probe_agreement(
     first, and require 1e-13 agreement with the composed word times the
     same vector.
 
-    Both norms add plain squares (no BLAS) of vectors divided by the largest
-    magnitude on either side, so finite vectors never overflow them; a
-    non-finite value reads NaN and is left to the residual.
+    Both norms (``_norm``) take vectors divided by the largest magnitude on
+    either side, so finite vectors never overflow them; a non-finite value
+    reads NaN and is left to the residual.
     """
-    norm = lambda v: float(np.sqrt(np.add.reduce(np.square(np.abs(v)))))
     with np.errstate(all="ignore"):
         y = letters.probe
         for name in reversed(word):
             y = _apply(letters[name].entries, y)
         z = _apply(mat, letters.probe)
         big = np.maximum(np.abs(y).max(initial=0.0), np.abs(z).max(initial=0.0))
-        diff = norm((y - z) / big) / max(1.0 / big, norm(y / big))
+        diff = _norm((y - z) / big) / max(1.0 / big, _norm(y / big))
     _require_close(diff, spec_id, word, "letter-by-letter probe")
 
 

@@ -10,3 +10,11 @@ def to_dense(A) -> np.ndarray:
     out = np.zeros(A.shape, dtype=np.complex128)
     out[rows, cols] = vals
     return out
+
+
+def outside_slots(A) -> np.ndarray:
+    """The stored values of ``A`` in slots whose row c + offset falls
+    outside the matrix; each must be an exact 0."""
+    n = A.shape[0]
+    rows = np.arange(n) + A.offsets[:, None]
+    return A.values[(rows < 0) | (rows >= n)]

@@ -127,6 +127,25 @@ class TestVerifyCommand:
         )
         assert out.stdout == "False\n[]\n"
 
+    def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # A BLAS dot splits a long vector across its threads and so changes
+        # the order of the sum; at 17,298 states the reports must not move.
+        src = str(Path(qeuclid.__file__).resolve().parents[1])
+        args = ["verify", "--q", "1.5", "--window=-4:4,-30,30", "--output-dir"]
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                "OPENBLAS_NUM_THREADS": threads,
+            }
+            out = tmp_path / threads
+            cmd = [sys.executable, "-m", "qeuclid.cli", *args, str(out)]
+            assert subprocess.run(cmd, env=env, capture_output=True).returncode == EXIT_PASS
+        for name in SUITE_NAMES:
+            assert (tmp_path / "1" / f"{name}.json").read_bytes() == (
+                tmp_path / "2" / f"{name}.json"
+            ).read_bytes(), name
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -134,10 +153,12 @@ GOLDEN = Path(__file__).parent / "golden"
 class TestGoldenReports:
     """Reports and stdout must match checked-in bytes, not only themselves.
 
-    q3.0-sparse (2,890 states, the dense second path off) and
-    q1.1-phase0.7 (a complex phase, while the direct operators of the
-    tensor suite stay at phase -1) were written by the code that still
-    materialized every letter once per check.
+    q3.0-sparse holds 2,890 states, so the entrywise second path is off;
+    q1.1-phase0.7 runs at a complex phase, while the direct operators of
+    the tensor suite stay at phase -1.  Every stdout.txt was written by the
+    code that still materialized every letter once per check; the reports
+    were last rewritten when the residual norms became fixed-order sums,
+    which moved some residuals in their last bits and no verdict.
     """
 
     @pytest.mark.parametrize(

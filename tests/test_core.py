@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from qeuclid.core import (
     jackson_weight,
     lattice_coordinates,
     qpow,
+    qpow_array,
     t3_eigenvalue,
     tauk_eigenvalue,
     torb3_eigenvalue,
@@ -37,6 +39,27 @@ class TestQpow:
     @settings(max_examples=200, deadline=None)
     def test_inverse_symmetry(self, q, n):
         assert qpow(q, -n) == pytest.approx(1.0 / qpow(q, n), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # Dense: a table over min..max.
+            np.arange(-61, 62, 2).repeat(300).reshape(-1, 3),
+            # Sparse: few entries spread wider than the table would pay off.
+            np.array([-900, -3, 0, 7, 512, 1200]),
+            # Far apart: labels may reach 2^59.
+            np.array([-(2**61), -(2**59), -1, 0, 1, 2**59, 2**61 + 3]),
+            np.array([[5, 5], [5, 5]]),
+            np.array(-7),
+            np.zeros(0, dtype=np.int64),
+        ],
+    )
+    @pytest.mark.parametrize("q", [1.01, 1.5, 40.0])
+    def test_array_powers_are_the_scalar_powers(self, q, n):
+        got = qpow_array(q, n)
+        assert got.shape == n.shape and got.dtype == np.float64
+        want = np.array([qpow(q, k) for k in n.ravel().tolist()], dtype=np.float64)
+        assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
 
 
 class TestDeformationParams:

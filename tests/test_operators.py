@@ -36,7 +36,7 @@ from qeuclid.operators import (
     spectrum_diagonal,
 )
 
-from dense import to_dense
+from dense import outside_slots, to_dense
 from oracle import ORACLE_NAMES, oracle_action
 
 P2 = DeformationParams(q=2.0)
@@ -268,6 +268,8 @@ class TestDiagonals:
             assert np.array_equal(cols, want.indices)
             assert np.array_equal(vals.view(float), want.data.view(float))
             assert got.nnz == want.nnz and got.shape == (n, n)
+            # The residual norms read every slot of a masked column.
+            assert not outside_slots(got).any()
 
 
     def test_product_adds_terms_in_ascending_inner_index(self):

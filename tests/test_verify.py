@@ -9,6 +9,7 @@ import cmath
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import norm as sparse_norm
 
+from dense import outside_slots
 from oracle import oracle_action
 from qeuclid import cli, lattice, operators, smooth, verify
 from qeuclid.core import DeformationParams, QeuclidError, TruncationWindow
@@ -260,7 +262,12 @@ class TestWordMatrices:
         L, R = (_csr(side)[:, cols] for side in sides)
         want = sparse_norm(L - R) / max(1.0, sparse_norm(L), sparse_norm(R))
         assert want > 0.0 or not case.startswith("sector_")
-        assert verify._balanced_residual(*sides, mask) == want
+        got = verify._balanced_residual(*sides, mask)
+        assert got == want
+        # A second reference adds the squares with one rounding, in any order.
+        exact = lambda M: math.sqrt(math.fsum(np.square(M.data.view(float)).tolist()))
+        ref = exact(L - R) / max(1.0, exact(L), exact(R))
+        assert abs(got - ref) <= 1e-14 * ref
 
     def test_raise_exchange_needs_no_exclusions(self):
         reports = {r.id: r for r in check_relations(X_RELATIONS, LetterTable(W, P2), TOL)}
@@ -621,6 +628,36 @@ class TestLetterMatrices:
             fresh = materialize(name, W, q).entries
             for field in ("offsets", "values"):
                 assert np.array_equal(getattr(entry.entries, field), getattr(fresh, field))
+
+    def test_slots_outside_the_matrix_hold_exact_zeros(self, monkeypatch):
+        # The residual norms read the masked columns of every diagonal as
+        # stored, so every matrix a run builds (letters, words, their sums
+        # and adjoints) must hold an exact 0 where its row falls outside.
+        built = 0
+        of = Diagonals.of.__func__
+
+        def of_spy(cls, diags, n):
+            nonlocal built
+            built += 1
+            made = of(cls, diags, n)
+            assert not outside_slots(made).any()
+            return made
+
+        monkeypatch.setattr(Diagonals, "of", classmethod(of_spy))
+        letters = LetterTable(TruncationWindow(-2, 2, -16, 16), DeformationParams(q=1.5))
+        for name in SUITE_NAMES:
+            run_suite(name, letters, TOL)
+        assert built > len(letters._made) == 18
+
+
+class TestNoBlas:
+    @pytest.mark.parametrize("module", [verify, operators], ids=["verify", "operators"])
+    def test_sums_never_go_through_blas(self, module):
+        # A BLAS dot splits a long sum across its threads, so its bits would
+        # follow the host's thread count; numpy's own reductions do not.
+        source = Path(module.__file__).read_text()
+        assert "np.linalg" not in source
+        assert ".dot(" not in source
 
 
 class TestNoScalarWalk:
