@@ -15,6 +15,7 @@ product carries the Jackson weight q^(4M) * q^(2*mt).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -295,7 +296,15 @@ class TruncationWindow:
 
     def index_arrays(self) -> BasisIndex:
         """The window's indices as arrays in canonical order (sigma=+1 block
-        first, then M, mt, m)."""
+        first, then M, mt, m).
+
+        They are built on the first call and shared by every later one, so
+        they are read-only.
+        """
+        return self._index_arrays
+
+    @functools.cached_property
+    def _index_arrays(self) -> BasisIndex:
         sigma, M, mt, mk = np.meshgrid(
             np.array([1, -1]),
             np.arange(self.M_min, self.M_max + 1),
@@ -303,7 +312,10 @@ class TruncationWindow:
             np.arange(self.k_max + 1),
             indexing="ij",
         )
-        return BasisIndex(M.ravel(), sigma.ravel(), mt.ravel(), (mt + mk).ravel())
+        ix = BasisIndex(M.ravel(), sigma.ravel(), mt.ravel(), (mt + mk).ravel())
+        for a in ix:
+            a.flags.writeable = False
+        return ix
 
     def iter_indices(self) -> Iterator[BasisIndex]:
         """Yield the window's indices in canonical order."""

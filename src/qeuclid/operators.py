@@ -127,14 +127,19 @@ class Branch:
         return (self.dM, self.dmt, self.dm)
 
     def values(self, src: BasisIndex, p: DeformationParams) -> np.ndarray:
-        """Complex coefficients at the source points (Python-float semantics:
-        an overflow reads inf, never a warning)."""
+        """Coefficients at the source points (Python-float semantics: an
+        overflow reads inf, never a warning).
+
+        They are float64 unless the branch carries a phase whose imaginary
+        part is nonzero; then they are complex128.  At a real phase (+1 or
+        -1) every catalogue coefficient is real.
+        """
         with np.errstate(over="ignore", invalid="ignore"):
-            c = np.full(src.M.shape, self.coeff(Points(src, p)), dtype=np.complex128)
+            c = np.full(src.M.shape, self.coeff(Points(src, p)), dtype=np.float64)
             if self.phase:
-                c *= p.theta_phase if self.phase > 0 else p.theta_phase.conjugate()
-                # Adding 0.0 turns the -0.0 imaginary part that a real phase
-                # leaves on negative entries into +0.0.
+                theta = p.theta_phase if self.phase > 0 else p.theta_phase.conjugate()
+                c = c * (theta.real if theta.imag == 0.0 else theta)
+                # Adding 0.0 turns a -0.0 part into +0.0.
                 c += 0.0
         return c
 
@@ -317,6 +322,11 @@ class Diagonals:
     of present entries only, from 0 and in ascending inner index, and a
     scalar multiple keeps absent entries absent.  Overflow reads inf or
     NaN without a warning.
+
+    ``values`` is float64 when every operand it was built from is real and
+    complex128 otherwise: a catalogue letter at a real phase, and any sum,
+    product or real multiple of such letters, stays float64; a complex
+    operand or scalar makes the result complex128.
     """
 
     offsets: np.ndarray
@@ -324,9 +334,11 @@ class Diagonals:
 
     @classmethod
     def of(cls, diags: dict[int, np.ndarray], n: int) -> "Diagonals":
-        """The n x n matrix of offset -> column values, less empty diagonals."""
+        """The n x n matrix of offset -> column values, less empty diagonals:
+        complex128 if any given column values are complex, else float64."""
         keep = sorted(o for o, v in diags.items() if np.any(v))
-        vals = np.array([diags[o] for o in keep], dtype=np.complex128)
+        dtype = complex if any(map(np.iscomplexobj, diags.values())) else float
+        vals = np.array([diags[o] for o in keep], dtype=dtype)
         return cls(np.array(keep, dtype=np.int64), vals.reshape(len(keep), n))
 
     @property
@@ -350,17 +362,22 @@ class Diagonals:
 
     def __matmul__(self, other: "Diagonals") -> "Diagonals":
         sums: dict[int, np.ndarray] = {}
+        real = not (np.iscomplexobj(self.values) or np.iscomplexobj(other.values))
         # The term of A's offset oa and B's ob in column c has inner index
         # c + ob, so ascending ob adds each entry's terms in that order.
         with np.errstate(over="ignore", invalid="ignore"):
             for ob, b in zip(other.offsets.tolist(), other.values):
                 for oa, a in zip(self.offsets.tolist(), self.values):
                     a = _shift(a, ob)
-                    # (ac - bd) + (ad + bc)i with every operation rounded on
-                    # its own; numpy's complex loops may fuse them.
-                    term = np.empty(len(b), dtype=np.complex128)
-                    term.real = a.real * b.real - a.imag * b.imag
-                    term.imag = a.real * b.imag + a.imag * b.real
+                    if real:
+                        term = a * b
+                    else:
+                        # (ac - bd) + (ad + bc)i with every operation rounded
+                        # on its own; numpy's complex loops may fuse them.  A
+                        # real operand's imaginary part reads 0.
+                        term = np.empty(len(b), dtype=np.complex128)
+                        term.real = a.real * b.real - a.imag * b.imag
+                        term.imag = a.real * b.imag + a.imag * b.real
                     term[(a == 0) | (b == 0)] = 0
                     sums[oa + ob] = sums.get(oa + ob, 0) + term
         return Diagonals.of(sums, self.shape[0])
@@ -414,9 +431,12 @@ def materialize(
     leakage = np.zeros(n)
     for br, (pos, tgt, c) in zip(op.branches, images(name, w.index_arrays(), p)):
         inside = w.contains(tgt)
-        # Two branches may share an offset, but never an in-window target.
         offset = (br.dM * (1 - w.mt_min) + br.dmt) * nk + br.dm - br.dmt
-        diags.setdefault(offset, np.zeros(n, dtype=np.complex128))[pos[inside]] = c[inside]
+        d = np.zeros(n, dtype=c.dtype)
+        d[pos[inside]] = c[inside]
+        # Two branches may share an offset (Torb+- when k_max = 0), but never
+        # an in-window target; a real and a complex branch sum to complex.
+        diags[offset] = diags[offset] + d if offset in diags else d
         out, c = pos[~inside], c[~inside]
         lost[out] = True
         # Like a Python float product, the square overflows to inf silently.
@@ -449,7 +469,8 @@ def spectrum_arrays(
     name: str, w: TruncationWindow, p: DeformationParams, capacity: int | None = None
 ) -> tuple[BasisIndex, np.ndarray]:
     """A diagonal catalogue operator's eigenvalues over a window, as the
-    window's index arrays (canonical order) and one complex value array.
+    window's index arrays (canonical order) and one value array.  No
+    diagonal operator carries the ladder phase, so the values are float64.
 
     Raises :class:`NotDiagonalError` for operators with nonzero shifts.
     """

@@ -8,8 +8,10 @@ balanced form (``_balanced_residual``), in which finite entries never read
 NaN.  ``run_all_suites`` checks the capacity once and builds one
 :class:`LetterTable` for the run, which materializes each distinct
 (operator, phase) once and is handed to every check.  Norms and dot
-products sum with ``np.add.reduce`` (never BLAS), in an order fixed by the
-array shape, so report bytes do not depend on the BLAS thread count.
+products sum with ``np.add.reduce`` (never BLAS), in a named order, so
+report bytes depend neither on the BLAS thread count nor on memory layout.
+At a real ladder phase every letter, word and residual is float64; a
+complex phase makes the letters that carry it complex128.
 
 Truncation policy
 -----------------
@@ -102,7 +104,7 @@ DENSE_ORACLE_LIMIT = 2**9
 #: Fixed tolerance of the two recursion identities and the closed-form checks.
 RECURSION_TOL = 1e-13
 
-Coeff = Callable[[DeformationParams], complex]
+Coeff = Callable[[DeformationParams], float]
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,7 @@ def config_dict(w: TruncationWindow, p: DeformationParams, tol: float) -> dict:
 
 # --- relation catalogues ------------------------------------------------------
 
-def _one(p: DeformationParams) -> complex:
+def _one(p: DeformationParams) -> float:
     return 1.0
 
 
@@ -387,9 +389,11 @@ def interior_positions(words: Iterable[Sequence[str]], w: TruncationWindow) -> l
 
 
 def _norm(v: np.ndarray, e: int = 0) -> float:
-    """Frobenius norm of 2^-e * v: ``np.add.reduce`` of squared parts."""
-    parts = (np.square(np.ldexp(x, -e)) for x in (v.real, v.imag))
-    return math.sqrt(sum(float(np.add.reduce(x, axis=None)) for x in parts))
+    """Frobenius norm of 2^-e * v: ``np.add.reduce`` of squared parts (a
+    real array has no imaginary part to add)."""
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    squares = (np.square(np.ldexp(x, -e)) for x in parts)
+    return math.sqrt(sum(float(np.add.reduce(x, axis=None)) for x in squares))
 
 
 def _relative_norm(gap: np.ndarray, *refs: np.ndarray) -> float:
@@ -412,12 +416,16 @@ def _relative_norm(gap: np.ndarray, *refs: np.ndarray) -> float:
 def _balanced_residual(L: Diagonals, R: Diagonals, mask: np.ndarray) -> float:
     """Frobenius norm of (L-R) on the masked columns over max(1, |L|, |R|),
     taken by ``_relative_norm`` (finite entries never read NaN) over those
-    columns of the stored diagonal values, column by column; an absent
-    entry, and every slot whose row falls outside the matrix, is an exact 0.
+    columns of the stored diagonal values; an absent entry, and every slot
+    whose row falls outside the matrix, is an exact 0.
+
+    The entries are gathered in a named order, whatever the layout of
+    ``values``: column by column, ascending offset within a column.  That
+    order fixes the bits of each sum.
     """
     if not mask.any():
         return 0.0
-    return _relative_norm(*(A.values[:, mask] for A in (L - R, L, R)))
+    return _relative_norm(*(A.values.T[mask].ravel() for A in (L - R, L, R)))
 
 
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -503,7 +511,7 @@ def _apply(A: Diagonals, x: np.ndarray) -> np.ndarray:
     terms = A.values * x
     # An absent entry never meets a non-finite x.
     terms[A.values == 0] = 0
-    return sum((_shift(t, -o) for o, t in zip(A.offsets, terms)), np.zeros(len(x), complex))
+    return sum((_shift(t, -o) for o, t in zip(A.offsets, terms)), np.zeros(len(x), terms.dtype))
 
 
 def _require_probe_agreement(
@@ -551,7 +559,7 @@ def check_relations(
                 if entrywise:
                     _require_entrywise_agreement(spec.id, t.word, mat, letters)
                 # An overflowing word reads inf or NaN and fails the residual.
-                c = complex(t.coeff(p))
+                c = float(t.coeff(p))
                 total = total + c * mat
                 leak += abs(c) ** 2 * lk
             sums.append(total)
@@ -577,7 +585,7 @@ def check_adjointness(
     reports = []
     for a_name, coeff, b_name in pairs:
         adj = adjoint_matrix(letters[a_name], p).entries
-        target = complex(coeff(p)) * letters[b_name].entries
+        target = float(coeff(p)) * letters[b_name].entries
         residual = _balanced_residual(adj, target, every_column)
         reports.append(_report(letters, f"adjoint_{a_name}_vs_{b_name}", residual, tol))
     return reports

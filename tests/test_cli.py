@@ -158,7 +158,8 @@ class TestGoldenReports:
     the tensor suite stay at phase -1.  Every stdout.txt was written by the
     code that still materialized every letter once per check; the reports
     were last rewritten when the residual norms became fixed-order sums,
-    which moved some residuals in their last bits and no verdict.
+    which moved some residuals in their last bits and no verdict.  They
+    kept their bytes when the values at a real phase became float64.
     """
 
     @pytest.mark.parametrize(
@@ -192,10 +193,12 @@ POINTWISE = GOLDEN / "pointwise"
 
 
 class TestPointwiseGoldens:
-    # commands.json lists the apply, spectrum and limit commands with their
-    # exit codes; the output files beside it were written by the code that
-    # still kept states as dicts, the limit files other than
-    # limit-Torbplus-Lplus.csv by the hand-written smooth rule closures.  A
+    # commands.json lists the apply, spectrum, limit and matrix commands
+    # with their exit codes; the output files beside it were written by the
+    # code that still kept states as dicts, the limit files other than
+    # limit-Torbplus-Lplus.csv by the hand-written smooth rule closures, and
+    # the matrix files, at phases -1 and 0.7, by the code that stored every
+    # matrix value as complex128.  A
     # command that is refused names its error in "stderr" and writes no
     # file.  state.txt is a seeded state on 0:0,-8,8 with shuffled rows, a
     # repeated index, a label given three times, a -0.0 real part and an

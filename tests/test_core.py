@@ -157,6 +157,15 @@ class TestTruncationWindow:
         assert all(i.is_valid() for i in indices)
         assert all(w.contains(i) for i in indices)
 
+    def test_index_arrays_are_built_once_and_read_only(self):
+        w = TruncationWindow(-1, 0, -2, 3)
+        ix = w.index_arrays()
+        assert w.index_arrays() is ix
+        for a in ix:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            ix.M[0] = 5
+
     def test_contains_rejects_out_of_window(self):
         w = TruncationWindow(0, 0, -2, 2)
         assert not w.contains(BasisIndex(1, 1, 0, 0))

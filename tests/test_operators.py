@@ -33,6 +33,7 @@ from qeuclid.operators import (
     materialize,
     operator_action,
     resolve_name,
+    spectrum_arrays,
     spectrum_diagonal,
 )
 
@@ -214,6 +215,21 @@ class TestMaterialize:
             assert set(np.flatnonzero(A.boundary).tolist()) == mask, name
             assert np.all(np.abs(A.leakage - leakage) <= 1e-14 * leakage), name
 
+    @pytest.mark.parametrize("theta", [-1.0, 1.0])
+    def test_real_phase_stores_real_values(self, theta):
+        # At a real phase the values are float64 (so are the exported
+        # triples), and a coefficient that overflows reads inf, not an
+        # entry with a NaN imaginary part.
+        p = DeformationParams(q=40.0, theta_phase=theta)
+        w = TruncationWindow(0, 0, -120, 4)
+        for name in ("Kplus", "Torbplus", "Torbminus"):
+            A = materialize(name, w, p).entries
+            assert A.values.dtype == A.triples()[2].dtype == np.float64
+            assert not np.isnan(A.values).any()
+        # The orbital ladder branch overflows on this window.
+        assert np.isinf(A.values).any()
+        assert spectrum_arrays("X3", w, p)[1].dtype == np.float64
+
     def test_radial_scaling_commutation(self):
         # r scales by q^4 under the radial shift: r Lambda = q^4 Lambda r
         w = TruncationWindow(-2, 2, -1, 1)
@@ -233,14 +249,16 @@ def _clip(v, o):
 
 @st.composite
 def _diagonals(draw, n):
-    """A random n x n matrix of up to four diagonals, some entries absent."""
+    """A random n x n matrix of up to four diagonals, some entries absent,
+    with float64 or complex128 values."""
     offsets = sorted(draw(st.sets(st.integers(-(n - 1), n - 1), max_size=4)))
     part = st.floats(-1e3, 1e3, allow_nan=False)
-    values = np.zeros((len(offsets), n), dtype=complex)
+    real = draw(st.booleans())
+    values = np.zeros((len(offsets), n), dtype=float if real else complex)
     for d, o in enumerate(offsets):
         for c in range(max(0, -o), min(n, n - o)):
             if draw(st.booleans()):
-                values[d, c] = complex(draw(part), draw(part))
+                values[d, c] = draw(part) if real else complex(draw(part), draw(part))
     return Diagonals(np.array(offsets, dtype=np.int64), values)
 
 
@@ -249,20 +267,30 @@ class TestDiagonals:
     @settings(max_examples=200, deadline=None)
     def test_arithmetic_matches_compressed_rows_bit_for_bit(self, data):
         # scipy's CSR arithmetic is the reference: the same stored entries,
-        # in the same row-major order, with the same bits.
+        # in the same row-major order, with the same bits and dtype.  Each
+        # operand and scalar is real or complex, so real, mixed and complex
+        # pairs are all drawn.
         n = data.draw(st.integers(1, 8))
         A, B = data.draw(_diagonals(n)), data.draw(_diagonals(n))
-        c = complex(data.draw(st.floats(-8, 8)), data.draw(st.floats(-8, 8)))
+        r = data.draw(st.floats(-8, 8))
+        c = complex(r, data.draw(st.floats(-8, 8)))
         csr_a, csr_b = (sp.csr_matrix(to_dense(M)) for M in (A, B))
         for got, want in (
             (A @ B, csr_a @ csr_b),
             (A + B, csr_a + csr_b),
             (A - B, csr_a - csr_b),
             (c * A, c * csr_a),
+            (r * A, r * csr_a),
+            (r * B, r * csr_b),
         ):
             want = sp.csr_matrix(want)
             want.sum_duplicates()
             want.eliminate_zeros()
+            if got.values.dtype != want.dtype:
+                # An operand without diagonals holds no values to promote.
+                assert got.values.dtype == np.float64
+                assert 0 in (A.offsets.size, B.offsets.size)
+                want = want.real
             rows, cols, vals = got.triples()
             assert np.array_equal(rows, np.repeat(np.arange(n), np.diff(want.indptr)))
             assert np.array_equal(cols, want.indices)
@@ -270,6 +298,9 @@ class TestDiagonals:
             assert got.nnz == want.nnz and got.shape == (n, n)
             # The residual norms read every slot of a masked column.
             assert not outside_slots(got).any()
+        if not (np.iscomplexobj(A.values) or np.iscomplexobj(B.values)):
+            for got in (A @ B, A + B, A - B, r * A):
+                assert got.values.dtype == np.float64
 
 
     def test_product_adds_terms_in_ascending_inner_index(self):

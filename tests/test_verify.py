@@ -23,7 +23,7 @@ from oracle import oracle_action
 from qeuclid import cli, lattice, operators, smooth, verify
 from qeuclid.core import DeformationParams, QeuclidError, TruncationWindow
 from qeuclid.lattice import build_window
-from qeuclid.operators import Diagonals, apply, get_operator
+from qeuclid.operators import Diagonals, apply, catalogue_names, get_operator
 from qeuclid.verify import (
     ADJOINT_PAIRS,
     COMMUTANT,
@@ -236,8 +236,9 @@ class TestWordMatrices:
     def test_masked_residual_matches_column_slices(self, case):
         # Reference: the residual of the masked columns sliced out of both
         # sides, as sparse matrices.  The relations mask their interior
-        # columns; the tensor sectors mask one sign of sigma, here on Torb+
-        # assembled at the phase e^{0.7i}, so that both sectors differ.
+        # columns, on real words at phase -1; the tensor sectors mask one
+        # sign of sigma, here on Torb+ assembled at the phase e^{0.7i}, so
+        # that both sectors differ and the values are complex.
         if case.startswith("sector_"):
             letters = LetterTable(W, DeformationParams(q=2.0, theta_phase=cmath.exp(0.7j)))
             assembled = (
@@ -254,7 +255,7 @@ class TestWordMatrices:
             for terms in (spec.lhs, spec.rhs):
                 total = Diagonals.of({}, letters.n)
                 for t in terms:
-                    total = total + complex(t.coeff(P2)) * word_matrix(t.word, letters)[0]
+                    total = total + float(t.coeff(P2)) * word_matrix(t.word, letters)[0]
                 sides.append(total)
             mask = verify._interior_mask(spec.words(), W)
             assert np.flatnonzero(mask).tolist() == interior_positions(spec.words(), W)
@@ -264,6 +265,10 @@ class TestWordMatrices:
         assert want > 0.0 or not case.startswith("sector_")
         got = verify._balanced_residual(*sides, mask)
         assert got == want
+        # The bits do not depend on how the values are laid out in memory.
+        for order in "CF":
+            copies = [Diagonals(s.offsets, np.array(s.values, order=order)) for s in sides]
+            assert verify._balanced_residual(*copies, mask) == got
         # A second reference adds the squares with one rounding, in any order.
         exact = lambda M: math.sqrt(math.fsum(np.square(M.data.view(float)).tolist()))
         ref = exact(L - R) / max(1.0, exact(L), exact(R))
@@ -417,7 +422,8 @@ def _mutated(kind):
         elif kind == "dropped_letter":
             mat = word_matrix(word[1:] or word, letters)[0]
         else:
-            vals = mat.values.copy()
+            # A real word is upcast, so that it can hold the imaginary step.
+            vals = mat.values.astype(complex if kind == "imaginary_entry" else mat.values.dtype)
             # Frobenius norm, scaled so that words beyond 1e154 do not
             # overflow its squares.
             big = np.abs(vals).max()
@@ -648,6 +654,37 @@ class TestLetterMatrices:
         for name in SUITE_NAMES:
             run_suite(name, letters, TOL)
         assert built > len(letters._made) == 18
+
+    def test_real_phase_keeps_every_matrix_real(self, monkeypatch):
+        # At phase -1 every letter is real, so every word, sum, adjoint and
+        # assembled matrix of the nine suites stays float64.
+        dtypes = set()
+        of = Diagonals.of.__func__
+
+        def of_spy(cls, diags, n):
+            made = of(cls, diags, n)
+            dtypes.add(made.values.dtype)
+            return made
+
+        monkeypatch.setattr(Diagonals, "of", classmethod(of_spy))
+        letters = LetterTable(TruncationWindow(-2, 2, -16, 16), DeformationParams(q=1.5))
+        for name in SUITE_NAMES:
+            run_suite(name, letters, TOL)
+        assert dtypes == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize(
+        "phase", [-1.0, 1.0, cmath.exp(0.7j)], ids=["phase-1", "phase+1", "phase0.7"]
+    )
+    def test_letters_are_complex_only_where_a_complex_phase_enters(self, phase):
+        # At a real phase every catalogue letter is float64; at a complex
+        # one exactly the letters that carry the ladder phase are complex.
+        letters = LetterTable(W_17298, DeformationParams(q=1.5, theta_phase=phase))
+        complex_letters = {
+            name for name in catalogue_names() if np.iscomplexobj(letters[name].entries.values)
+        }
+        phased = {"Kplus", "Kminus", "Torbplus", "Torbminus"}
+        assert complex_letters == (set() if phase.imag == 0.0 else phased)
+        assert letters["X3"].entries.values.dtype == np.float64
 
 
 class TestNoBlas:
