@@ -29,6 +29,7 @@ from .core import (
     DomainError,
     NotDiagonalError,
     QeuclidError,
+    RangeError,
     TruncationWindow,
     UnknownOperatorError,
     canonical_key,
@@ -119,6 +120,7 @@ __all__ = [
     "UnknownOperatorError",
     "NotDiagonalError",
     "DomainError",
+    "RangeError",
     "DEFAULT_WINDOW_CAPACITY",
     "qpow",
     "DeformationParams",

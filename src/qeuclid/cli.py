@@ -7,8 +7,10 @@ fixed exit-code contract.
 Exit codes
 ----------
 0   all asserted checks pass / command succeeded
-1   a check failed (residual above tolerance, or no classical limit)
-2   usage error (bad flag, malformed window, q <= 1, unreadable state file)
+1   a check failed (residual above tolerance, no classical limit, or a
+    limit error that is not finite)
+2   usage error (bad flag, malformed window, q <= 1, unreadable state file,
+    an h whose powers of q = e^h leave the double range)
 3   window capacity exceeded
 4   operator misuse (unknown name, or non-diagonal name given to spectrum)
 5   evaluation outside a rule's domain (the offending factor is named)
@@ -23,6 +25,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +38,7 @@ from .core import (
     DomainError,
     NotDiagonalError,
     QeuclidError,
+    RangeError,
     TruncationWindow,
     UnknownOperatorError,
 )
@@ -431,6 +435,13 @@ def cmd_limit(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
 
+    bad = [h for h, err, _ in result.rows if not math.isfinite(err)]
+    if bad:
+        print(
+            f"{result.deformed} vs {result.classical}: error is not finite at "
+            f"h = {', '.join(map(repr, bad))}"
+        )
+        return EXIT_CHECK_FAILURE
     if result.all_zero:
         print(f"{result.deformed} vs {result.classical}: error identically zero")
         return EXIT_PASS
@@ -505,6 +516,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except RangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except QeuclidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE

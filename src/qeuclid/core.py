@@ -29,6 +29,7 @@ __all__ = [
     "UnknownOperatorError",
     "NotDiagonalError",
     "DomainError",
+    "RangeError",
     "DEFAULT_WINDOW_CAPACITY",
     "LABEL_LIMIT",
     "ALIASES",
@@ -75,6 +76,10 @@ class DomainError(QeuclidError):
     def __init__(self, message: str, factor: str = "input domain"):
         super().__init__(message)
         self.factor = factor
+
+
+class RangeError(QeuclidError):
+    """An input drives a power of q outside the double range."""
 
 
 #: Default cap on truncation-window sizes; guards accidental huge windows.
@@ -177,8 +182,11 @@ class DeformationParams:
         """The deformation scale lambda = q - 1/q (recomputed, never stored)."""
         return self.q - 1.0 / self.q
 
-    def qpow(self, n: int) -> float:
-        """Exact integer power of q (see :func:`qpow`)."""
+    def qpow(self, n):
+        """Exact integer power of q (see :func:`qpow`); an int array n gives
+        the array of powers, read from a :func:`qpow_array` table."""
+        if isinstance(n, np.ndarray):
+            return qpow_array(self.q, n)
         return qpow(self.q, n)
 
 

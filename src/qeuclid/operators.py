@@ -260,15 +260,23 @@ def images(
 
     Each entry holds the positions in ``src`` whose shifted target is a valid
     index with a nonzero coefficient, those targets, and the coefficients.
-    Coefficients are evaluated on valid targets only.
+    Coefficients are evaluated on valid targets only.  Labels are gathered
+    only where some position drops out; otherwise the arrays pass as they are.
     """
     for br in get_operator(name).branches:
         tgt = src.shifted(br.dM, br.dmt, br.dm)
-        pos = np.flatnonzero(tgt.is_valid())
-        c = br.values(BasisIndex(*(a[pos] for a in src)), p)
+        valid = tgt.is_valid()
+        whole = bool(valid.all())
+        pos = np.arange(len(valid)) if whole else np.flatnonzero(valid)
+        c = br.values(src if whole else _take(src, pos), p)
         keep = c != 0.0
-        pos, c = pos[keep], c[keep]
-        yield pos, BasisIndex(*(a[pos] for a in tgt)), c
+        if not keep.all():
+            pos, c, whole = pos[keep], c[keep], False
+        yield pos, tgt if whole else _take(tgt, pos), c
+
+
+def _take(idx: BasisIndex, pos: np.ndarray) -> BasisIndex:
+    return BasisIndex(*(a[pos] for a in idx))
 
 
 def operator_action(

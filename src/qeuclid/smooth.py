@@ -14,18 +14,25 @@ the post-shift mode.
 
 Both families are data: ``DEFORMED_RULES`` and ``CLASSICAL_RULES`` map each
 name to a tuple of :class:`SmoothBranch` entries, read by one applier.  A
-branch holds its mode shift, the power of q at which it reads the source
-argument, the exponent of its square-root factor sqrt(1 - q^n xi^2) if it
-has one, and value and d/dxi expressions over one :class:`SmoothPoint`
-(r, xi, the source mode m, the parameters, and the source value and
-derivative at the scaled argument).  Branches that land on one target mode
-are summed.
+branch holds its mode shift (every branch of a rule shares it), the power
+of q at which it reads the source argument, the exponent of its square-root
+factor sqrt(1 - q^n xi^2) if it has one, and value and d/dxi expressions
+over one :class:`SmoothPoint`.
 
-Every rule application records the xi-subinterval on which the result is
-evaluable (square-root factors must stay nonnegative, scaled arguments must
-stay inside (0, 1)); evaluating outside raises :class:`DomainError` naming
-the offending factor.  Square roots use the principal branch and never go
-complex: a negative argument is a domain mistake, not data.
+Evaluation is stacked over the modes.  A function evaluates all of its
+modes in one call, as an array with a leading mode axis: the probe by one
+Horner pass over its stacked coefficients, a rule image by one array pass
+per branch, in which the source modes are an int array of shape (K, 1, ...)
+against the sample points, and the branches are summed in table order.  A
+per-mode call ``f.modes[m](r, xi)`` reads one row of that pass, with the
+same bits as a pass over mode m alone.
+
+Every rule application records, per output mode, the xi-subinterval on
+which the result is evaluable (square-root factors must stay nonnegative,
+scaled arguments must stay inside (0, 1)); evaluating outside raises
+:class:`DomainError` naming the offending factor.  Square roots use the
+principal branch and never go complex: a negative argument is a domain
+mistake, not data.
 
 The classical rules (q = 1 counterparts) consume the analytic xi-derivative
 supplied with each mode function; :func:`limit_convergence` drives the
@@ -36,8 +43,8 @@ slope of the maximum grid error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,6 +54,7 @@ from .core import (
     DeformationParams,
     DomainError,
     QeuclidError,
+    RangeError,
     UnknownOperatorError,
 )
 
@@ -87,8 +95,22 @@ class XiConstraint:
             return (xi <= self.lo) | (xi >= self.hi)
         return (xi < self.lo) | (xi > self.hi)
 
+    def excludes(self, lo: float, hi: float) -> bool:
+        """Whether a sample whose extremes are lo and hi has a violation."""
+        if self.strict:
+            return lo <= self.lo or hi >= self.hi
+        return lo < self.lo or hi > self.hi
+
 
 _BASE = XiConstraint(0.0, 1.0, "xi inside (0, 1)", strict=True)
+
+
+def _span(xi: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest xi, skipping NaN (which violates no constraint)."""
+    return (
+        float(np.fmin.reduce(xi, axis=None, initial=math.inf)),
+        float(np.fmax.reduce(xi, axis=None, initial=-math.inf)),
+    )
 
 
 def _sqrt_nonneg(arg: np.ndarray) -> np.ndarray:
@@ -114,10 +136,7 @@ class ModeFunction:
     ):
         self.value = value
         self.dxi = dxi
-        seen: dict[XiConstraint, None] = {}
-        for c in constraints:
-            seen.setdefault(c)
-        self.constraints = tuple(seen)
+        self.constraints = tuple(dict.fromkeys(constraints))
 
     @property
     def xi_domain(self) -> tuple[float, float]:
@@ -128,10 +147,13 @@ class ModeFunction:
 
     def check_domain(self, xi) -> None:
         xi = np.asarray(xi, dtype=float)
+        self._check_span(xi, *_span(xi))
+
+    def _check_span(self, xi: np.ndarray, lo: float, hi: float) -> None:
+        """Raise for the first constraint violated by xi, whose extremes are lo, hi."""
         for c in self.constraints:
-            bad = c.violations(xi)
-            if np.any(bad):
-                offender = float(np.asarray(xi)[bad].flat[0])
+            if c.excludes(lo, hi):
+                offender = float(xi[c.violations(xi)].flat[0])
                 raise DomainError(
                     f"xi = {offender!r} is outside [{c.lo!r}, {c.hi!r}] "
                     f"required by factor {c.source}",
@@ -157,7 +179,15 @@ class ModeFunction:
 
 
 class SmoothFunction:
-    """Finite Fourier sum over integer modes with :class:`ModeFunction` coefficients."""
+    """Finite Fourier sum over integer modes with :class:`ModeFunction` coefficients.
+
+    ``_stack(r, x, d)`` evaluates every mode at the float arrays (r, x) in
+    one call: values (d False) or xi-derivatives (d True), stacked along a
+    leading axis in :meth:`mode_indices` order.  Built from mode functions,
+    it stacks their values, broadcast to one shape and promoted to one
+    dtype; a mode without a derivative has a NaN row.  The probe and rule
+    images evaluate the whole stack in one array pass.
+    """
 
     __slots__ = ("modes",)
 
@@ -176,52 +206,56 @@ class SmoothFunction:
     def evaluate_mode(self, m: int, r, xi) -> np.ndarray:
         return self.modes[m](r, xi)
 
+    def _stack(self, r: np.ndarray, x: np.ndarray, d: bool) -> np.ndarray:
+        shape = np.broadcast_shapes(r.shape, x.shape)
+        rows = []
+        for m in self.mode_indices():
+            fn = self.modes[m].dxi if d else self.modes[m].value
+            rows.append(np.full(shape, np.nan) if fn is None else np.asarray(fn(r, x)))
+        if not rows:
+            return np.zeros((0,) + shape)
+        return np.stack(np.broadcast_arrays(r, x, *rows)[2:])
 
-def _mf_add(a: ModeFunction, b: ModeFunction) -> ModeFunction:
-    """Sum of two mode functions that land on one target mode."""
 
-    def value(r, x, _a=a.value, _b=b.value):
-        return _a(r, x) + _b(r, x)
+class _Row:
+    """Mode k of a function: one row of its stacked values or derivatives."""
 
-    dxi = None
-    if a.dxi is not None and b.dxi is not None:
+    __slots__ = ("f", "k", "d")
 
-        def dxi(r, x, _a=a.dxi, _b=b.dxi):
-            return _a(r, x) + _b(r, x)
+    def __init__(self, f: SmoothFunction, k: int, d: bool):
+        self.f, self.k, self.d = f, k, d
 
-    return ModeFunction(value, dxi, tuple(a.constraints) + tuple(b.constraints))
+    def __call__(self, r, x) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        x = np.asarray(x, dtype=float)
+        return self.f._stack(r, x, self.d)[self.k]
+
+
+def _mode_axis(a: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A per-mode array (leading axis) shaped to broadcast against (r, x)."""
+    return a.reshape(a.shape + (1,) * max(r.ndim, x.ndim))
 
 
 # --- the rule tables ---------------------------------------------------------
 
 class SmoothPoint:
-    """One evaluation of a branch at the points (r, x), source mode m.
+    """One branch evaluated at the points (r, x) for every source mode at once.
 
-    ``v`` and ``dv`` are the source mode's value and xi-derivative at the
-    branch's scaled argument s*x (``dv`` carries the chain-rule factor s);
-    ``root`` is the branch's factor sqrt(1 - q^n x^2) and ``sin`` the
-    classical sin(theta) = sqrt(1 - x^2).  ``p`` is None for classical rules.
+    ``m`` holds the source modes as an int array of shape (K, 1, ...)
+    against the points.  ``v`` and ``dv`` are the source modes' values and
+    xi-derivatives at the branch's scaled argument s*x, stacked along the
+    same leading axis (``dv`` carries the chain-rule factor s, and is None
+    in a value pass of a branch that does not read it).  ``root`` is the
+    branch's factor sqrt(1 - q^n x^2) and ``sin`` the classical
+    sin(theta) = sqrt(1 - x^2); each is None where the branch has no use
+    for it.  ``p`` is None for classical rules.
     """
 
-    def __init__(self, r, x, m: int, p: DeformationParams | None,
-                 src: ModeFunction, scale: float | None, root_scale: float | None):
+    __slots__ = ("r", "x", "m", "p", "v", "dv", "root", "sin")
+
+    def __init__(self, r, x, m, p, v, dv, root, sin):
         self.r, self.x, self.m, self.p = r, x, m, p
-        self._src, self._scale, self._root_scale = src, scale, root_scale
-        self.v = src.value(r, x if scale is None else scale * x)
-
-    @cached_property
-    def dv(self) -> np.ndarray:
-        if self._scale is None:
-            return self._src.dxi(self.r, self.x)
-        return self._scale * self._src.dxi(self.r, self._scale * self.x)
-
-    @cached_property
-    def root(self) -> np.ndarray:
-        return _sqrt_nonneg(1.0 - self._root_scale * self.x * self.x)
-
-    @cached_property
-    def sin(self) -> np.ndarray:
-        return _sqrt_nonneg(1.0 - self.x * self.x)
+        self.v, self.dv, self.root, self.sin = v, dv, root, sin
 
 
 Expr = Callable[[SmoothPoint], np.ndarray]
@@ -233,12 +267,12 @@ class SmoothBranch:
 
     The source mode is read at q^arg * xi; a nonzero ``arg`` rescales the
     source constraints and re-imposes xi inside (0, 1).  ``root(m)`` gives
-    the exponent n of the factor sqrt(1 - q^n xi^2) that ``SmoothPoint.root``
-    evaluates, and records its constraint xi <= q^(-n/2).  ``value`` and
-    ``dxi`` are expressions over one :class:`SmoothPoint`; the output has a
-    derivative when ``dxi`` is given and the source mode has one.  A rule
-    whose value reads ``dv`` sets ``needs_dv`` to the error raised for a
-    source mode without a derivative.
+    the exponent n of the factor sqrt(1 - q^n xi^2) held in
+    ``SmoothPoint.root`` (m may be an int array), and records its constraint
+    xi <= q^(-n/2).  ``value`` and ``dxi`` are expressions over one
+    :class:`SmoothPoint`; the output has a derivative when ``dxi`` is given
+    and the source mode has one.  A rule whose value reads ``dv`` sets
+    ``needs_dv`` to the error raised for a source mode without a derivative.
     """
 
     dm: int
@@ -249,50 +283,87 @@ class SmoothBranch:
     needs_dv: str | None = None
 
 
-def _branch_mode(
-    br: SmoothBranch, m: int, c: ModeFunction, p: DeformationParams | None
-) -> ModeFunction:
-    """The mode function that branch ``br`` makes of source mode (m, c)."""
-    if br.needs_dv and c.dxi is None:
-        raise QeuclidError(br.needs_dv)
-    scale = root_scale = None
-    cons = list(c.constraints)
-    if br.arg:
-        scale = p.qpow(br.arg)
-        cons = [
-            XiConstraint(k.lo / scale, k.hi / scale,
-                         f"{k.source} at argument q^{br.arg}*xi", k.strict)
-            for k in c.constraints
-        ]
-        cons.append(_BASE)
-    if br.root is not None:
-        n = br.root(m)
-        root_scale = p.qpow(n)
-        bound = math.inf if root_scale <= 0.0 else 1.0 / math.sqrt(root_scale)
-        cons.append(XiConstraint(0.0, bound, f"sqrt(1 - q^{n}*xi^2)"))
+class _Image(SmoothFunction):
+    """A rule applied to a function: each branch is one pass over all modes.
 
-    def value(r, x):
-        return br.value(SmoothPoint(r, x, m, p, c, scale, root_scale))
+    Building the image records every output mode's constraints; evaluating
+    it sums, in table order, each branch's expression over the source
+    modes stacked at the branch's scaled argument.
+    """
 
-    dxi = None
-    if br.dxi is not None and c.dxi is not None:
+    __slots__ = ("_passes", "_src", "_p", "_m")
 
-        def dxi(r, x):
-            return br.dxi(SmoothPoint(r, x, m, p, c, scale, root_scale))
-
-    return ModeFunction(value, dxi, cons)
-
-
-def _apply(
-    branches: tuple[SmoothBranch, ...], f: SmoothFunction, p: DeformationParams | None
-) -> SmoothFunction:
-    """Apply a rule mode by mode; branches landing on one mode are summed."""
-    out: dict[int, ModeFunction] = {}
-    for m in f.mode_indices():
+    def __init__(
+        self,
+        branches: tuple[SmoothBranch, ...],
+        src: SmoothFunction,
+        p: DeformationParams | None,
+    ):
+        ms = src.mode_indices()
         for br in branches:
-            tgt, mf = m + br.dm, _branch_mode(br, m, f.modes[m], p)
-            out[tgt] = _mf_add(out[tgt], mf) if tgt in out else mf
-    return SmoothFunction(out)
+            if br.needs_dv and any(src.modes[m].dxi is None for m in ms):
+                raise QeuclidError(br.needs_dv)
+        self._src, self._p = src, p
+        self._m = np.array(ms, dtype=np.int64)
+        # Per branch: the argument scale and the square root's q^n, if any.
+        self._passes: list[tuple[SmoothBranch, float | None, float | np.ndarray | None]] = []
+        cons: list[list[XiConstraint]] = [[] for _ in ms]
+        for br in branches:
+            scale = None
+            if br.arg:
+                scale = p.qpow(br.arg)
+                if not 0.0 < scale < math.inf:
+                    raise RangeError(
+                        f"q^{br.arg} = {scale!r} leaves the double range at q = {p.q!r}"
+                    )
+                for k, m in enumerate(ms):
+                    cons[k] += [
+                        XiConstraint(c.lo / scale, c.hi / scale,
+                                     f"{c.source} at argument q^{br.arg}*xi", c.strict)
+                        for c in src.modes[m].constraints
+                    ] + [_BASE]
+            else:
+                for k, m in enumerate(ms):
+                    cons[k] += src.modes[m].constraints
+            root_scale = None
+            if br.root is not None:
+                n = br.root(self._m)
+                root_scale = p.qpow(n)
+                ns = np.broadcast_to(n, self._m.shape).tolist()
+                for k, rs in enumerate(np.broadcast_to(root_scale, self._m.shape).tolist()):
+                    bound = math.inf if rs <= 0.0 else 1.0 / math.sqrt(rs)
+                    cons[k].append(XiConstraint(0.0, bound, f"sqrt(1 - q^{ns[k]}*xi^2)"))
+            self._passes.append((br, scale, root_scale))
+        has_dxi = all(br.dxi is not None for br in branches)
+        dm = branches[0].dm
+        super().__init__({
+            m + dm: ModeFunction(
+                _Row(self, k, False),
+                _Row(self, k, True) if has_dxi and src.modes[m].dxi is not None else None,
+                cons[k],
+            )
+            for k, m in enumerate(ms)
+        })
+
+    def _stack(self, r: np.ndarray, x: np.ndarray, d: bool) -> np.ndarray:
+        m = _mode_axis(self._m, r, x)
+        sin = _sqrt_nonneg(1.0 - x * x) if self._p is None else None
+        total = None
+        for br, scale, rs in self._passes:
+            sx = x if scale is None else scale * x
+            v = self._src._stack(r, sx, False)
+            dv = root = None
+            if d or br.needs_dv:
+                dv = self._src._stack(r, sx, True)
+                if scale is not None:
+                    dv = scale * dv
+            if rs is not None:
+                rs = _mode_axis(rs, r, x) if np.ndim(rs) else rs
+                root = _sqrt_nonneg(1.0 - rs * x * x)
+            s = SmoothPoint(r, x, m, self._p, v, dv, root, sin)
+            term = br.dxi(s) if d else br.value(s)
+            total = term if total is None else total + term
+        return total
 
 
 # Each expression fixes its floating-point operation order, so the output
@@ -401,12 +472,12 @@ def smooth_names() -> tuple[str, ...]:
 
 
 def smooth_apply(name: str, f: SmoothFunction, p: DeformationParams) -> SmoothFunction:
-    """Apply a deformed operator to a smooth function, mode by mode."""
+    """Apply a deformed operator to a smooth function, all modes at once."""
     cname = ALIASES.get(name, name)
     if cname not in DEFORMED_RULES:
         known = ", ".join(smooth_names())
         raise UnknownOperatorError(f"unknown smooth operator {name!r}; have: {known}")
-    return _apply(DEFORMED_RULES[cname], f, p)
+    return _Image(DEFORMED_RULES[cname], f, p)
 
 
 # Classical (q = 1) rules: d/dtheta = -sqrt(1 - xi^2) d/dxi for
@@ -430,6 +501,9 @@ CLASSICAL_RULES: dict[str, tuple[SmoothBranch, ...]] = {
     "Xminus_cl": (SmoothBranch(-1, lambda s: s.r * s.sin * s.v / math.sqrt(2.0)),),
 }
 
+# The classical spellings stay out of core.ALIASES: that table is shared
+# with the lattice catalogue, where every alias must name an operator, and
+# L+- and X+-_cl have no lattice operator.
 _CLASSICAL_ALIASES = {
     "L+": "Lplus",
     "L-": "Lminus",
@@ -448,10 +522,41 @@ def classical_apply(name: str, f: SmoothFunction) -> SmoothFunction:
     if cname not in CLASSICAL_RULES:
         known = ", ".join(classical_names())
         raise UnknownOperatorError(f"unknown classical operator {name!r}; have: {known}")
-    return _apply(CLASSICAL_RULES[cname], f, None)
+    return _Image(CLASSICAL_RULES[cname], f, None)
 
 
 # --- test corpus -------------------------------------------------------------
+
+class _Probe(SmoothFunction):
+    """The modes of :func:`probe_function`, evaluated in one Horner pass.
+
+    The pass is numpy's ``polyval``, operation for operation, with the
+    coefficients of every mode stacked along a leading axis, times the
+    Gaussian, computed once per call.
+    """
+
+    __slots__ = ("_c", "_dc", "_rc")
+
+    def __init__(self, modes: Iterable[int], degree: int, r_center: float):
+        ms = sorted({int(m) for m in modes})
+        # Row k holds the x^k coefficients of every mode (columns in mode order).
+        self._c = np.array(
+            [[3.0 ** (-abs(m)) / (1 + k) for m in ms] for k in range(degree + 1)]
+        ).reshape(degree + 1, len(ms))
+        self._dc = self._c[1:] * np.arange(1, degree + 1)[:, None]
+        self._rc = r_center
+        super().__init__({
+            m: ModeFunction(_Row(self, k, False), _Row(self, k, True))
+            for k, m in enumerate(ms)
+        })
+
+    def _stack(self, r: np.ndarray, x: np.ndarray, d: bool) -> np.ndarray:
+        c = _mode_axis(self._dc if d else self._c, r, x)
+        v = c[-1] + x * 0
+        for i in range(2, len(c) + 1):
+            v = c[-i] + v * x
+        return v * np.exp(-((r - self._rc) ** 2))
+
 
 def probe_function(
     modes: Iterable[int], degree: int = 3, r_center: float = 1.0
@@ -464,21 +569,7 @@ def probe_function(
     least geometrically.  All coefficients are deterministic so convergence
     measurements are reproducible.
     """
-    out: dict[int, ModeFunction] = {}
-    for m in modes:
-        coeffs = np.array(
-            [3.0 ** (-abs(m)) / (1 + k) for k in range(degree + 1)]
-        )
-        dcoeffs = coeffs[1:] * np.arange(1, degree + 1)
-
-        def value(r, x, _c=coeffs, _rc=r_center):
-            return np.polynomial.polynomial.polyval(x, _c) * np.exp(-((r - _rc) ** 2))
-
-        def dxi(r, x, _d=dcoeffs, _rc=r_center):
-            return np.polynomial.polynomial.polyval(x, _d) * np.exp(-((r - _rc) ** 2))
-
-        out[int(m)] = ModeFunction(value, dxi)
-    return SmoothFunction(out)
+    return _Probe(modes, degree, r_center)
 
 
 # --- q -> 1 convergence -------------------------------------------------------
@@ -489,9 +580,10 @@ class ConvergenceResult:
 
     ``rows`` holds one (h, max_abs_error, slope_so_far) triple per h, where
     slope_so_far is the pairwise log-log slope against the previous h (nan
-    for the first row or whenever an error vanishes).  ``slope`` is the
-    least-squares log-log fit over all rows with nonzero error, or None if
-    every error is exactly zero.
+    for the first row or whenever an error vanishes or is not finite).  A
+    NaN anywhere on the grid makes that row's error NaN.  ``slope`` is the
+    least-squares log-log fit over all rows with a finite nonzero error, or
+    None if fewer than two rows have one.
     """
 
     deformed: str
@@ -503,27 +595,25 @@ class ConvergenceResult:
     all_zero: bool
 
 
-def _max_mode_error(
-    fq: SmoothFunction,
-    fcl: SmoothFunction,
-    r_mesh: np.ndarray,
-    xi_mesh: np.ndarray,
-    cl_values: dict[int, np.ndarray],
+def _max_error(
+    fq: SmoothFunction, a: np.ndarray, fcl: SmoothFunction, b: np.ndarray
 ) -> float:
-    """Largest |fq - fcl| over all modes; ``cl_values`` caches fcl on the mesh.
+    """Largest |fq - fcl| over the stacked values a of fq and b of fcl.
 
-    Each classical mode is evaluated on first use, right after the deformed
-    mode, so a mesh outside either domain raises the same DomainError as an
-    uncached evaluation would.
+    A mode that one side lacks counts as 0 there; NaN propagates.
     """
-    err = 0.0
-    for m in sorted(set(fq.mode_indices()) | set(fcl.mode_indices())):
-        a = fq.modes[m](r_mesh, xi_mesh) if m in fq else 0.0
-        if m in fcl and m not in cl_values:
-            cl_values[m] = fcl.modes[m](r_mesh, xi_mesh)
-        b = cl_values.get(m, 0.0)
-        err = max(err, float(np.max(np.abs(np.asarray(a) - np.asarray(b)))))
-    return err
+    qm, cm = fq.mode_indices(), fcl.mode_indices()
+    if qm != cm:
+        modes = sorted(set(qm) | set(cm))
+        a, b = _spread(a, qm, modes), _spread(b, cm, modes)
+    return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def _spread(v: np.ndarray, have: list[int], modes: list[int]) -> np.ndarray:
+    """Rows of v (modes ``have``) placed among zero rows for ``modes``."""
+    out = np.zeros((len(modes),) + v.shape[1:], dtype=v.dtype)
+    out[[modes.index(m) for m in have]] = v
+    return out
 
 
 def limit_convergence(
@@ -535,18 +625,30 @@ def limit_convergence(
 
     ``grid`` (from :func:`limit_grid`) holds the deformed images and the xi
     samples.  No rescaling is applied: the deformed operators as written
-    converge directly.  Domain errors from evaluating outside a rule's
-    recorded xi-interval propagate to the caller.
+    converge directly.  The classical image is evaluated once and each
+    deformed image once, every mode in one stacked pass.  Domain errors
+    from evaluating outside a rule's recorded xi-interval propagate to the
+    caller; for ascending m, the deformed mode is checked before the
+    classical one.
     """
     r = np.asarray(list(r_grid), dtype=float)
     r_mesh, xi_mesh = np.meshgrid(r, grid.xi, indexing="ij")
+    lo, hi = _span(xi_mesh)
     fcl = classical_apply(classical_name, grid.f)
-    cl_values: dict[int, np.ndarray] = {}
+    cl: np.ndarray | None = None
     rows: list[tuple[float, float, float]] = []
     prev: tuple[float, float] | None = None
     for h, fq in zip(grid.h_values, grid.images):
-        err = _max_mode_error(fq, fcl, r_mesh, xi_mesh, cl_values)
-        if prev is None or err == 0.0 or prev[1] == 0.0 or prev[0] == h:
+        for m in sorted(fq.modes.keys() | fcl.modes.keys()):
+            if m in fq.modes:
+                fq.modes[m]._check_span(xi_mesh, lo, hi)
+            if cl is None and m in fcl.modes:
+                fcl.modes[m]._check_span(xi_mesh, lo, hi)
+        if cl is None:
+            cl = fcl._stack(r_mesh, xi_mesh, False)
+        err = _max_error(fq, fq._stack(r_mesh, xi_mesh, False), fcl, cl)
+        if (prev is None or prev[0] == h
+                or not (0.0 < err < math.inf and 0.0 < prev[1] < math.inf)):
             pair_slope = math.nan
         else:
             pair_slope = math.log(err / prev[1]) / math.log(h / prev[0])
@@ -555,7 +657,7 @@ def limit_convergence(
     errs = [e for _, e, _ in rows]
     all_zero = all(e == 0.0 for e in errs)
     slope: float | None = None
-    pts = [(h, e) for (h, e, _) in rows if e > 0.0]
+    pts = [(h, e) for (h, e, _) in rows if 0.0 < e < math.inf]
     if len(pts) >= 2:
         hs = np.log([h for h, _ in pts])
         es = np.log([e for _, e in pts])
@@ -585,15 +687,37 @@ def write_convergence_csv(path: str, result: ConvergenceResult) -> None:
         fh.write(convergence_csv(result))
 
 
+#: |log| of the smallest normal double: q^n and q^-n are both normal
+#: doubles while n*h stays below it.
+_LOG_RANGE = -math.log(sys.float_info.min)
+
+
 def deformed_images(
     deformed_name: str,
     f: SmoothFunction,
     h_values: Sequence[float],
     theta_phase: complex = -1.0,
 ) -> list[SmoothFunction]:
-    """D_{q=e^h} f for each h in order, one rule application per h."""
+    """D_{q=e^h} f for each h in order, one rule application per h.
+
+    A smooth rule reads powers q^n with |n| <= 4*max|m| + 2 over the modes m
+    of f (the K+- square roots).  An h at which such a power leaves the
+    normal double range, or at which e^h rounds to 1, raises
+    :class:`RangeError` naming that h.
+    """
     if any(float(h) <= 0.0 for h in h_values):
         raise ValueError("h values must be positive")
+    top = max((abs(m) for m in f.modes), default=0)
+    reach = 4 * top + 2
+    for h in map(float, h_values):
+        if h * reach > _LOG_RANGE:
+            raise RangeError(
+                f"h = {h!r} is out of range: q^{reach}, the largest power of q "
+                f"a smooth rule reads on modes up to |m| = {top}, leaves the "
+                f"normal double range above h = {_LOG_RANGE / reach:.6g}"
+            )
+        if math.exp(h) == 1.0:
+            raise RangeError(f"h = {h!r} is out of range: q = e^h rounds to 1")
     return [
         smooth_apply(
             deformed_name,

@@ -8,10 +8,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qeuclid
-from qeuclid import smooth
+from qeuclid import cli, smooth
 from qeuclid.cli import (
     EXIT_CAPACITY,
     EXIT_CHECK_FAILURE,
@@ -198,7 +199,9 @@ class TestPointwiseGoldens:
     # code that still kept states as dicts, the limit files other than
     # limit-Torbplus-Lplus.csv by the hand-written smooth rule closures, and
     # the matrix files, at phases -1 and 0.7, by the code that stored every
-    # matrix value as complex128.  A
+    # matrix value as complex128, and the limit files with "-m" in their
+    # names (the benchmark's mode ranges and sample counts) by the code
+    # that still evaluated each mode through its own closure chain.  A
     # command that is refused names its error in "stderr" and writes no
     # file.  state.txt is a seeded state on 0:0,-8,8 with shuffled rows, a
     # repeated index, a label given three times, a -0.0 real part and an
@@ -332,6 +335,25 @@ class TestLimitCommand:
         monkeypatch.setattr(smooth, "smooth_apply", counting)
         assert main(["limit", "Torb3", "L3"]) == EXIT_PASS
         assert calls == [math.exp(h) for h in (0.1, 0.05, 0.025, 0.0125)]
+
+    def test_non_finite_error_is_a_failure_naming_h(self, monkeypatch, capsys):
+        # A NaN mode must not read as "error identically zero".
+        nan = smooth.ModeFunction(
+            lambda r, x: np.full(np.broadcast_shapes(np.shape(r), np.shape(x)), np.nan)
+        )
+        probe = smooth.probe_function([0])
+        monkeypatch.setattr(
+            cli, "probe_function", lambda modes: smooth.SmoothFunction({0: probe[0], 1: nan})
+        )
+        code = main(["limit", "X3", "X3_cl", "--h", "0.1,0.05"])
+        out = capsys.readouterr().out
+        assert code == EXIT_CHECK_FAILURE
+        assert "X3 vs X3_cl: error is not finite at h = 0.1, 0.05" in out
+        assert "identically zero" not in out
+
+    def test_out_of_range_h_is_a_usage_error(self, capsys):
+        assert main(["limit", "Torb3", "L3", "--h", "1e-20"]) == EXIT_USAGE
+        assert "h = 1e-20 is out of range: q = e^h rounds to 1" in capsys.readouterr().err
 
     def test_samples_sets_the_xi_grid(self, capsys):
         assert main(["limit", "--help"]) == EXIT_PASS

@@ -61,6 +61,15 @@ class TestQpow:
         want = np.array([qpow(q, k) for k in n.ravel().tolist()], dtype=np.float64)
         assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
 
+    def test_params_take_an_int_array_of_exponents(self):
+        # The smooth rules read a mode-dependent power for all modes at once.
+        p = DeformationParams(q=1.7)
+        n = -4 * np.arange(-6, 7).reshape(-1, 1, 1)
+        got = p.qpow(n)
+        assert got.shape == n.shape
+        assert got.ravel().tolist() == [p.qpow(int(k)) for k in n.ravel()]
+        assert isinstance(p.qpow(3), float)
+
 
 class TestDeformationParams:
     def test_lam_value(self):

@@ -6,17 +6,23 @@ sparse rules must reproduce the smooth rules evaluated at the lattice points,
 on every target whose full preimage stayed inside the sampled window.
 """
 
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qeuclid import smooth
 from qeuclid.core import (
     ALIASES,
     BasisIndex,
     DeformationParams,
     DomainError,
     QeuclidError,
+    RangeError,
     TruncationWindow,
     UnknownOperatorError,
     lattice_coordinates,
@@ -24,6 +30,8 @@ from qeuclid.core import (
 from qeuclid.lattice import LatticeState, build_window
 from qeuclid.operators import apply, catalogue_names, get_operator
 from qeuclid.smooth import (
+    CLASSICAL_RULES,
+    DEFORMED_RULES,
     ModeFunction,
     SmoothFunction,
     classical_apply,
@@ -325,3 +333,137 @@ class TestFeasibleGrid:
         f = probe_function([0])
         with pytest.raises(DomainError, match="no feasible xi interval"):
             limit_grid("tminus", f, [3.0])
+
+
+def _nan_mode():
+    return ModeFunction(
+        lambda r, x: np.full(np.broadcast_shapes(np.shape(r), np.shape(x)), np.nan)
+    )
+
+
+class TestStackedEvaluation:
+    """An image evaluates all its modes in one pass per branch, bit for bit
+    as a pass over each mode alone."""
+
+    R_MESH = np.array([[0.5], [1.0], [1.5]])
+
+    @pytest.mark.parametrize("table", [DEFORMED_RULES, CLASSICAL_RULES])
+    def test_every_rule_has_one_mode_shift(self, table):
+        for name, branches in table.items():
+            assert len({br.dm for br in branches}) == 1, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        modes=st.lists(st.integers(-6, 6), min_size=1, max_size=8, unique=True),
+        samples=st.integers(1, 60),
+        rule=st.sampled_from(
+            [(n, False) for n in sorted(DEFORMED_RULES)]
+            + [(n, True) for n in sorted(CLASSICAL_RULES)]
+        ),
+        q=st.sampled_from([1.05, 1.7]),
+        phase=st.sampled_from([-1.0, 1.0, cmath.exp(0.7j)]),
+    )
+    def test_each_mode_matches_its_single_mode_image(self, modes, samples, rule, q, phase):
+        name, classical = rule
+        p = DeformationParams(q=q, theta_phase=phase)
+
+        def run(g):
+            return classical_apply(name, g) if classical else smooth_apply(name, g, p)
+
+        f = probe_function(modes)
+        xi = np.linspace(0.05, 0.95, samples)
+        r, x = np.broadcast_arrays(self.R_MESH, xi)
+        image = run(f)
+        for m in f.mode_indices():
+            alone = run(SmoothFunction({m: f.modes[m]}))
+            (t,) = alone.mode_indices()
+            for call in ("__call__", "derivative"):
+                if call == "derivative" and image.modes[t].dxi is None:
+                    assert alone.modes[t].dxi is None
+                    continue
+                try:
+                    want = getattr(alone.modes[t], call)(r, x)
+                except DomainError as exc:
+                    with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                        getattr(image.modes[t], call)(r, x)
+                    continue
+                got = getattr(image.modes[t], call)(r, x)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (name, m, call)
+
+    def test_limit_evaluates_the_probe_once_per_image_and_branch(self, monkeypatch):
+        # Torbplus has two branches, Lplus one that also reads derivatives:
+        # 4 deformed images x 2 branches + 1 classical value pass, and one
+        # classical derivative pass, whatever the number of modes.
+        calls = []
+        stack = smooth._Probe._stack
+
+        def spy(self, r, x, d):
+            calls.append(d)
+            return stack(self, r, x, d)
+
+        f = probe_function(range(-6, 7))
+        grid = limit_grid("Torbplus", f, H_LIST)
+        monkeypatch.setattr(smooth._Probe, "_stack", spy)
+        limit_convergence(grid, "Lplus")
+        assert calls.count(False) == 9
+        assert calls.count(True) == 1
+
+    @pytest.mark.parametrize(
+        "deformed, classical", [("Torbplus", "L3"), ("Xminus", "Lplus"), ("Torb3", "L3")]
+    )
+    def test_error_is_the_largest_mode_by_mode_difference(self, deformed, classical):
+        # Reference: the mode-by-mode fold, a mode missing on one side read
+        # as 0 (the first two pairs shift the modes differently).
+        f = probe_function(range(-3, 4))
+        grid = limit_grid(deformed, f, H_LIST)
+        res = limit_convergence(grid, classical)
+        r_mesh, xi_mesh = np.meshgrid(np.array([0.5, 1.0, 1.5]), grid.xi, indexing="ij")
+        fcl = classical_apply(classical, f)
+        for (h, err, _), fq in zip(res.rows, grid.images):
+            want = 0.0
+            for m in sorted(set(fq.mode_indices()) | set(fcl.mode_indices())):
+                a = fq.modes[m](r_mesh, xi_mesh) if m in fq else 0.0
+                b = fcl.modes[m](r_mesh, xi_mesh) if m in fcl else 0.0
+                want = max(want, float(np.max(np.abs(np.asarray(a) - np.asarray(b)))))
+            assert err == want, h
+
+    def test_domain_error_names_the_deformed_mode_first(self):
+        # Xplus_cl reads no derivative and records no constraint of its own:
+        # a grid outside (0, 1) trips every mode, and the deformed one of
+        # the lowest mode is reported.
+        f = probe_function([0, 1])
+        grid = limit_grid("Xplus", f, [0.1])
+        bad = smooth.LimitGrid(
+            grid.deformed, f, grid.theta_phase, grid.h_values, grid.images,
+            np.array([0.5, 1.5]),
+        )
+        with pytest.raises(DomainError, match="xi = 1.5") as exc_info:
+            limit_convergence(bad, "Xplus_cl")
+        assert "q^-2*xi" in exc_info.value.factor
+
+
+class TestNonFiniteAndRange:
+    def test_non_finite_mode_error_is_not_a_pass(self):
+        f = SmoothFunction({0: probe_function([0])[0], 1: _nan_mode()})
+        res = limit_convergence(limit_grid("X3", f, (0.1, 0.05)), "X3_cl")
+        assert not res.all_zero
+        assert all(math.isnan(e) for _, e, _ in res.rows)
+        assert res.slope is None
+        assert not res.monotone_decreasing
+
+    @pytest.mark.parametrize("h", [800.0, 400.0, 100.0, 1e-20])
+    def test_out_of_range_h_is_a_range_error(self, h):
+        with pytest.raises(RangeError, match=f"h = {h!r} is out of range"):
+            limit_grid("Torb3", probe_function(range(-3, 4)), [0.05, h])
+
+    def test_range_follows_the_modes(self):
+        # q^(4|m| + 2) must stay normal: h = 50 passes on |m| <= 3 only.
+        limit_grid("Torb3", probe_function(range(-3, 4)), [50.0])
+        with pytest.raises(RangeError, match=re.escape("q^18,")):
+            limit_grid("Torb3", probe_function(range(-4, 5)), [50.0])
+
+    def test_vanishing_argument_scale_is_a_range_error(self):
+        # q^-2 underflows to 0: no division by zero while recording domains.
+        with pytest.raises(RangeError, match=re.escape("q^-2 = 0.0")):
+            smooth_apply("tplus", probe_function([0]), DeformationParams(q=1e200))
