@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    BasisIndex,
     CapacityError,
     DeformationParams,
     DomainError,
@@ -377,33 +378,45 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_PASS if all_pass else EXIT_CHECK_FAILURE
 
 
+def spectrum_csv(ix: BasisIndex, vals: np.ndarray) -> str:
+    """The CSV of ``qeuclid spectrum``: one ``M,sigma,mt,m,eigenvalue`` row
+    per index, the value as ``repr`` writes it (a float where the imaginary
+    part is zero, else a complex).  Spectra repeat a few values many times,
+    so each distinct float bit pattern is formatted once."""
+    real = np.ascontiguousarray(vals.real)
+    bits, inv = np.unique(real.view(np.int64), return_inverse=True)
+    eig = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)[inv]
+    for k in np.flatnonzero(vals.imag != 0.0).tolist():
+        eig[k] = repr(complex(vals[k]))
+    rows = map("{},{},{},{},{}".format, *(a.tolist() for a in ix), eig.tolist())
+    return "\n".join(("M,sigma,mt,m,eigenvalue", *rows)) + "\n"
+
+
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     p = cfg.params()
     ix, vals = spectrum_arrays(args.operator, cfg.window, p, capacity=args.capacity)
-    # A real eigenvalue prints as a float, any other as a complex.
-    eig = vals.real.tolist()
-    for k in np.flatnonzero(vals.imag != 0.0).tolist():
-        eig[k] = complex(vals[k])
-    columns = (*(a.tolist() for a in ix), eig)
     if cfg.format == "json":
+        # A real eigenvalue prints as a float, any other as [re, im].
+        eig = vals.real.tolist()
+        for k in np.flatnonzero(vals.imag != 0.0).tolist():
+            eig[k] = [vals.real[k].item(), vals.imag[k].item()]
         rows = [
             {
                 "M": M,
                 "sigma": sigma,
                 "mt": mt,
                 "m": m,
-                "eigenvalue": [e.real, e.imag] if isinstance(e, complex) else e,
+                "eigenvalue": e,
             }
-            for M, sigma, mt, m, e in zip(*columns)
+            for M, sigma, mt, m, e in zip(*(a.tolist() for a in ix), eig)
         ]
         text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
     else:
-        rows = map("{},{},{},{},{!r}".format, *columns)
-        text = "\n".join(("M,sigma,mt,m,eigenvalue", *rows)) + "\n"
+        text = spectrum_csv(ix, vals)
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         args.output.write_text(text, encoding="utf-8")
-        print(f"wrote {len(eig)} eigenvalues to {args.output}")
+        print(f"wrote {len(vals)} eigenvalues to {args.output}")
     else:
         sys.stdout.write(text)
     return EXIT_PASS
@@ -414,18 +427,23 @@ def cmd_limit(cfg: RunConfig, args: argparse.Namespace) -> int:
     f = probe_function(args.modes)
     grid = limit_grid(args.deformed, f, args.h, n=args.samples, theta_phase=theta)
     result = limit_convergence(grid, args.classical)
+    bad = [(h, err) for h, err, _ in result.rows if not math.isfinite(err)]
     if cfg.format == "json":
+        # Strict JSON has no NaN or Infinity: such an error reads null in
+        # rows, and "non_finite" spells it out.
         doc = {
             "deformed": result.deformed,
             "classical": result.classical,
             "theta_phase": [theta.real, theta.imag],
             "rows": [
-                [h, err, None if s is None or s != s else s]
+                [h, err if math.isfinite(err) else None, None if s is None or s != s else s]
                 for h, err, s in result.rows
             ],
             "slope": result.slope,
             "all_zero": result.all_zero,
         }
+        if bad:
+            doc["non_finite"] = [[h, repr(err)] for h, err in bad]
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
         text = convergence_csv(result)
@@ -435,11 +453,10 @@ def cmd_limit(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
 
-    bad = [h for h, err, _ in result.rows if not math.isfinite(err)]
     if bad:
         print(
             f"{result.deformed} vs {result.classical}: error is not finite at "
-            f"h = {', '.join(map(repr, bad))}"
+            f"h = {', '.join(repr(h) for h, _ in bad)}"
         )
         return EXIT_CHECK_FAILURE
     if result.all_zero:

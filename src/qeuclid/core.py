@@ -126,12 +126,16 @@ def qpow_array(q: float, n) -> np.ndarray:
     The table holds :func:`qpow` values, so every entry is bit-identical to
     the scalar power.  It spans n.min()..n.max() and is indexed directly;
     only exponents spread far wider than n has entries (labels may reach
-    2^59) get one value per distinct exponent, found by sorting.
+    2^59) get one value per distinct exponent, found by sorting.  A short
+    array (at most 64 entries, fewer than its span) is not tabled at all:
+    each entry gets its own :func:`qpow`.
     """
     n = np.asarray(n)
     if n.size == 0:
         return np.zeros(n.shape)
     lo, hi = int(n.min()), int(n.max())
+    if n.size <= min(hi - lo, 64):
+        return np.array([qpow(q, k) for k in n.ravel().tolist()]).reshape(n.shape)
     if hi - lo <= max(n.size // 16, 64):
         table = np.array([qpow(q, k) for k in range(lo, hi + 1)], dtype=np.float64)
         return table[n.ravel() - lo].reshape(n.shape)

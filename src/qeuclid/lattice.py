@@ -9,6 +9,7 @@ and truncation windows serialize to plain text so CLI runs can be chained.
 
 from __future__ import annotations
 
+import io
 from array import array
 from typing import Iterable, Mapping
 
@@ -34,6 +35,7 @@ __all__ = [
     "inner_product",
     "save_state",
     "load_state",
+    "write_rows",
 ]
 
 
@@ -65,7 +67,7 @@ def _canonical(index: BasisIndex, amplitudes, floor: float) -> tuple[BasisIndex,
         for k in range(1, sizes.max(initial=1)):  # the k-th repeat of every label
             sel = np.flatnonzero(sizes > k)
             acc[sel] += amps[starts[sel] + k]
-    keep = np.hypot(acc.real, acc.imag) > floor
+        keep = np.hypot(acc.real, acc.imag) > floor  # a magnitude past 1.8e308 reads inf
     return BasisIndex(*(a[starts[keep]] for a in ix)), acc[keep]
 
 
@@ -189,26 +191,78 @@ def inner_product(a: LatticeState, b: LatticeState, p: DeformationParams) -> com
 
 
 _STATE_HEADER = "# qeuclid state: M sigma mt m re im"
+#: One state-file row: four int64 labels, then the real and imaginary parts.
+_ROW = np.dtype([("labels", np.int64, (4,)), ("parts", np.float64, (2,))])
+
+
+def write_rows(path: str, header: Iterable[str], fmt: str, columns) -> None:
+    """Write the header lines, then one line ``fmt.format(*row)`` per row of
+    the equal-length arrays ``columns``, as UTF-8 text ending in a newline."""
+    rows = map(fmt.format, *(c.tolist() for c in columns))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join((*header, *rows)) + "\n")
 
 
 def save_state(path: str, state: LatticeState) -> None:
     """Write a state as text lines ``M sigma mt m re im`` in canonical order."""
     columns = (*state.index, state.values.real, state.values.imag)
-    rows = map("{} {:+d} {} {} {!r} {!r}".format, *(c.tolist() for c in columns))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join((_STATE_HEADER, *rows)) + "\n")
+    write_rows(path, (_STATE_HEADER,), "{} {:+d} {} {} {!r} {!r}", columns)
 
 
 def load_state(path: str) -> LatticeState:
-    """Read a state written by :func:`save_state` ('#' lines are comments).
+    """Read a state written by :func:`save_state`.
 
-    Rows may come in any order; a repeated index sums its amplitudes.  A
-    malformed row, an invalid index, a label beyond 2^59 or a non-finite
-    amplitude raises ValueError naming ``path:line``.
+    A line whose first field starts with '#' is a comment.  Rows may come in
+    any order; a repeated index sums its amplitudes.  A malformed row, an
+    invalid index, a label beyond 2^59 or a non-finite amplitude raises
+    ValueError naming ``path:line``.  The file is parsed in one array pass;
+    a file that pass declines is read again row by row, which names the line.
     """
-    labels, parts, lines = array("q"), array("d"), []
     with open(path, "rb") as fh:
         data = fh.read()
+    parsed = _parse_bulk(data)
+    ix, amps = parsed if parsed is not None else _parse_rows(path, data)
+    return LatticeState.from_arrays(ix, amps)
+
+
+def _parse_bulk(data: bytes) -> tuple[BasisIndex, np.ndarray] | None:
+    """Labels and amplitudes of a well-formed state file in one ``np.loadtxt``
+    pass, or None where the row reader must decide (and name the line)."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if text.count("\r") != text.count("\r\n"):  # the row reader ends a line there
+        return None
+    # Cut out the comment lines; a '#' after a row's fields is left to the
+    # row reader.  Lines end at \n, so every \r left sits before one.
+    body, start = [], 0
+    while (pos := text.find("#", start)) >= 0:
+        head = text.rfind("\n", start, pos) + 1 or start
+        if text[head:pos].strip():
+            return None
+        body.append(text[start:head])
+        start = text.find("\n", pos) + 1 or len(text)
+    body.append(text[start:])
+    body = "".join(body)
+    if body.isspace() or not body:  # np.loadtxt warns on an empty body
+        rows = np.zeros(0, dtype=_ROW)
+    else:
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=_ROW, comments=None, ndmin=1)
+        except ValueError:
+            return None
+    ix = BasisIndex(*rows["labels"].T.copy())
+    amps = rows["parts"].copy().view(np.complex128).ravel()
+    if len(invalid_indices(ix)) or not np.isfinite(amps).all():
+        return None
+    return ix, amps
+
+
+def _parse_rows(path: str, data: bytes) -> tuple[BasisIndex, np.ndarray]:
+    """Labels and amplitudes read one row at a time; the first bad row
+    raises ValueError naming ``path:line``."""
+    labels, parts, lines = array("q"), array("d"), []
     # Rows are decoded one at a time so that bytes which are not UTF-8 are
     # reported with their line; bytes.splitlines() breaks lines where text
     # mode does (\n, \r\n and \r).
@@ -236,4 +290,4 @@ def load_state(path: str) -> LatticeState:
             raise ValueError(f"amplitude {amps[k]} is not finite")
         except ValueError as exc:
             raise ValueError(f"{path}:{lines[k]}: {exc}") from None
-    return LatticeState.from_arrays(ix, amps)
+    return ix, amps

@@ -55,7 +55,7 @@ from .core import (
     unstack_indices,
     validate_index,
 )
-from .lattice import LatticeState, check_capacity
+from .lattice import LatticeState, check_capacity, write_rows
 
 __all__ = [
     "Branch",
@@ -505,7 +505,5 @@ def spectrum_diagonal(
 def save_matrix(path: str, A: OperatorMatrix, header: str = "") -> None:
     """Write nonzero entries as text lines ``row col re im`` (row-major order)."""
     lines = [f"# {ln}" for ln in header.splitlines()] + ["# row col re im"]
-    rows, cols, vals = (a.tolist() for a in A.entries.triples())
-    lines += [f"{r} {c} {v.real!r} {v.imag!r}" for r, c, v in zip(rows, cols, vals)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows, cols, vals = A.entries.triples()
+    write_rows(path, lines, "{} {} {!r} {!r}", (rows, cols, vals.real, vals.imag))

@@ -270,6 +270,24 @@ class TestSpectrumCommand:
         rows = json.loads(out_file.read_text())
         assert {row["eigenvalue"] for row in rows} == {-0.25, -0.015625}
 
+    def test_csv_writes_each_value_as_repr_writes_it(self):
+        # Values are formatted once per bit pattern: -0.0 and 0.0 stay apart,
+        # and every NaN payload reads nan.
+        payload = np.array([0x7FF8000000000001, -1], dtype=np.int64).view(np.float64)
+        vals = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, *payload])
+        ix = BasisIndex(*(np.arange(len(vals)) - k for k in range(4)))
+        want = [
+            f"{M},{sigma},{mt},{m},{v!r}"
+            for M, sigma, mt, m, v in zip(*(a.tolist() for a in ix), vals.tolist())
+        ]
+        assert cli.spectrum_csv(ix, vals).splitlines() == ["M,sigma,mt,m,eigenvalue", *want]
+        # A value with a nonzero imaginary part prints as a complex.
+        z = vals.astype(np.complex128)
+        z[1] = complex(-0.0, 2.0)
+        assert cli.spectrum_csv(ix, z).splitlines()[1:] == [
+            *want[:1], "1,0,-1,-2,(-0+2j)", *want[2:]
+        ]
+
     def test_output_is_stable_across_runs(self, capsys):
         main(["spectrum", "R2", "--q", "1.5", "--window", "-1:1,0,0"])
         first = capsys.readouterr().out
@@ -336,8 +354,9 @@ class TestLimitCommand:
         assert main(["limit", "Torb3", "L3"]) == EXIT_PASS
         assert calls == [math.exp(h) for h in (0.1, 0.05, 0.025, 0.0125)]
 
-    def test_non_finite_error_is_a_failure_naming_h(self, monkeypatch, capsys):
-        # A NaN mode must not read as "error identically zero".
+    @pytest.fixture
+    def nan_probe(self, monkeypatch):
+        """A probe function with one mode that is NaN everywhere."""
         nan = smooth.ModeFunction(
             lambda r, x: np.full(np.broadcast_shapes(np.shape(r), np.shape(x)), np.nan)
         )
@@ -345,11 +364,32 @@ class TestLimitCommand:
         monkeypatch.setattr(
             cli, "probe_function", lambda modes: smooth.SmoothFunction({0: probe[0], 1: nan})
         )
+
+    def test_non_finite_error_is_a_failure_naming_h(self, nan_probe, capsys):
+        # A NaN mode must not read as "error identically zero".
         code = main(["limit", "X3", "X3_cl", "--h", "0.1,0.05"])
         out = capsys.readouterr().out
         assert code == EXIT_CHECK_FAILURE
         assert "X3 vs X3_cl: error is not finite at h = 0.1, 0.05" in out
         assert "identically zero" not in out
+
+    def test_non_finite_error_is_null_in_strict_json(self, nan_probe, tmp_path):
+        out = tmp_path / "limit.json"
+        args = ["limit", "X3", "X3_cl", "--h", "0.1,0.05", "--format", "json"]
+        assert main([*args, "--output", str(out)]) == EXIT_CHECK_FAILURE
+
+        def refuse(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert doc["rows"] == [[0.1, None, None], [0.05, None, None]]
+        assert doc["non_finite"] == [[0.1, "nan"], [0.05, "nan"]]
+
+    def test_finite_json_has_no_non_finite_field(self, tmp_path):
+        out = tmp_path / "limit.json"
+        args = ["limit", "Torb3", "L3", "--format", "json", "--output", str(out)]
+        assert main(args) == EXIT_PASS
+        assert "non_finite" not in json.loads(out.read_text())
 
     def test_out_of_range_h_is_a_usage_error(self, capsys):
         assert main(["limit", "Torb3", "L3", "--h", "1e-20"]) == EXIT_USAGE

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeuclid import core
 from qeuclid.core import (
     BasisIndex,
     DeformationParams,
@@ -60,6 +61,30 @@ class TestQpow:
         assert got.shape == n.shape and got.dtype == np.float64
         want = np.array([qpow(q, k) for k in n.ravel().tolist()], dtype=np.float64)
         assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
+
+    def test_short_arrays_are_not_tabled(self, monkeypatch):
+        # 13 entries spanning 49 exponents: one qpow per entry, not 49.  An
+        # array with at least as many entries as its span keeps the table.
+        calls = []
+        real = core.qpow
+
+        def counting(q, k):
+            calls.append(k)
+            return real(q, k)
+
+        monkeypatch.setattr(core, "qpow", counting)
+        for n, want in (
+            (-4 * np.arange(-6, 7), (-4 * np.arange(-6, 7)).tolist()),
+            (np.arange(-3, 4).repeat(2), list(range(-3, 4))),
+            (np.array([5, 5, 5]), [5]),
+            # More than 64 entries spread wider: one qpow per distinct exponent.
+            (np.arange(0, 200, 2), list(range(0, 200, 2))),
+        ):
+            calls.clear()
+            got = qpow_array(1.3, n)
+            assert calls == want
+            expect = np.array([real(1.3, k) for k in n.tolist()])
+            assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
     def test_params_take_an_int_array_of_exponents(self):
         # The smooth rules read a mode-dependent power for all modes at once.

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qeuclid.core import (
@@ -15,6 +15,7 @@ from qeuclid.core import (
     canonical_key,
     jackson_weight,
 )
+from qeuclid import lattice
 from qeuclid.lattice import (
     LatticeState,
     build_window,
@@ -26,6 +27,7 @@ from state_reference import (
     bits,
     reference_amplitudes,
     reference_inner_product,
+    reference_load_state,
 )
 
 
@@ -297,3 +299,130 @@ class TestStateFiles:
         path.write_text("0 +1 0 0 1.0\n")
         with pytest.raises(ValueError, match="expected 'M sigma mt m re im'"):
             load_state(str(path))
+
+
+def _row(idx: BasisIndex, re: str, im: str, plus: bool) -> list[str]:
+    sigma = f"{idx.sigma:+d}" if plus or idx.sigma < 0 else "1"
+    return [str(idx.M), sigma, str(idx.mt), str(idx.m), re, im]
+
+
+#: Amplitude parts as save_state writes them, and other spellings both
+#: readers take.
+_part_text = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "0", ".5", "5.", "1E5", "+.5e-3", "1e-400", "4.9e-324", "007"]),
+)
+#: Tokens that one reader or both may refuse, or that name a bad value.
+_ODD_TOKENS = [
+    "1_0.5", "1_0", "\u0663", "+1", "nan", "-nan", "inf", "-inf", "1e400", "0x10",
+    "x", "0.5", "1e3", "#", "#x", "1.0#",
+    str(2**59), str(-(2**59)), str(2**59 + 1), str(-(2**59) - 1),
+    str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), str(10**20),
+]
+_good_row = st.builds(_row, st.sampled_from(POOL), _part_text, _part_text, st.booleans())
+_odd_row = st.builds(
+    lambda fields, k, token: fields[:k] + [token] + fields[k + 1 :],
+    _good_row,
+    st.integers(0, 5),
+    st.sampled_from(_ODD_TOKENS),
+)
+_row_line = st.builds(
+    lambda fields, sep, pad: (pad + sep.join(fields) + pad).encode(),
+    st.one_of(_good_row, _good_row, _good_row, _odd_row),
+    st.sampled_from([" ", " ", "\t", "  ", " \x0c"]),
+    st.sampled_from(["", "", " ", "\t"]),
+)
+_other_line = st.sampled_from(
+    [
+        b"", b"   ", b"\t", b"# comment", b"  # indented # comment", b"#",
+        b"0 +1 0 0 1.0 0.0 # tail", b"0 +1 0 0 1.0 0.0#tail", b"0 +1 0 0 1.0",
+        b"0 +1 0 0 1.0 0.0 2.0", b"\xff", b"# \xff", b"0 +1 0 0 \xff 0.0",
+        b"0 +1 0 0 \xd9\xa3 0.0", b"\x0c", b"\xc2\x85", b"\x00",
+        # Rows that parse but name an invalid index or a non-finite part.
+        b"0 +1 1 0 1.0 0.0", b"0 0 0 0 1.0 0.0", b"0 -1 -1 -2 1.0 0.0",
+        b"576460752303423489 +1 0 0 1.0 0.0", b"0 +1 0 0 1.0 -inf",
+    ]
+)
+#: State files: rows in any order with repeated indices, blank and comment
+#: lines anywhere, mixed line ends, and odd tokens and bytes.
+def _join(lines: list[bytes], ends: list[bytes], final_end: bool) -> bytes:
+    ends = ends + [b"\n"] * len(lines)
+    text = b"".join(line + end for line, end in zip(lines, ends))
+    return text if final_end or not lines else text[: -len(ends[len(lines) - 1])]
+
+
+_state_files = st.builds(
+    _join,
+    st.lists(st.one_of(_row_line, _row_line, _row_line, _other_line), max_size=12),
+    st.lists(st.sampled_from([b"\n", b"\n", b"\n", b"\r\n", b"\r"]), max_size=12),
+    st.booleans(),
+)
+
+
+class TestStateLoader:
+    @given(data=_state_files)
+    # A row behind a lone \r on a comment line, a '#' after a row, no rows.
+    @example(data=b"# c\r0 +1 0 0 1.0 0.0\n")
+    @example(data=b"0 +1 0 0 1.0 0.0 # tail\n")
+    @example(data=b"# header only\n")
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_matches_the_row_reader(self, data, tmp_path):
+        # The same state bits, or the same ValueError text with path:line.
+        path = tmp_path / "state.txt"
+        path.write_bytes(data)
+        try:
+            want = reference_load_state(str(path))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_state(str(path))
+            assert str(got.value) == str(exc)
+        else:
+            assert _state_bits(load_state(str(path))) == _reference_bits(want)
+
+    def test_a_magnitude_beyond_the_float_range_loads_without_warning(self, tmp_path):
+        # |1.5e308 + 1.5e308j| overflows to inf: kept, and no RuntimeWarning.
+        path = tmp_path / "state.txt"
+        path.write_text("0 +1 0 0 1.5e308 1.5e308\n")
+        assert load_state(str(path))[IDX] == complex(1.5e308, 1.5e308)
+
+    @pytest.fixture
+    def bulk_only(self, monkeypatch):
+        """Fail any read that falls back to the row reader."""
+
+        def refuse(path, data):
+            raise AssertionError(f"{path} was read row by row")
+
+        monkeypatch.setattr(lattice, "_parse_rows", refuse)
+
+    @given(entries=_entries)
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_saved_files_take_the_bulk_path(self, entries, bulk_only, tmp_path):
+        s = LatticeState(entries)
+        save_state(str(tmp_path / "s.txt"), s)
+        assert _state_bits(load_state(str(tmp_path / "s.txt"))) == _state_bits(s)
+
+    def test_the_largest_benchmark_state_takes_the_bulk_path(self, bulk_only, tmp_path):
+        # Every state of the 17,298-state window, with extreme labels and parts.
+        ix = TruncationWindow(-4, 4, -30, 30).index_arrays()
+        rng = np.random.default_rng(7)
+        amps = rng.standard_normal(len(ix.M)) + 1j * rng.standard_normal(len(ix.M))
+        amps[:6] = [-0.0 + 3.0j, 5e-324, -1.7976931348623157e308, 1e-300j, -0.0 - 2.5j, 1 - 0.0j]
+        lim = 2**59
+        extra = BasisIndex(*map(np.array, ([lim, -lim], [1, -1], [-lim, -lim], [lim, -lim])))
+        s = LatticeState.from_arrays(
+            BasisIndex(*map(np.concatenate, zip(ix, extra))),
+            np.concatenate((amps, [1.0, -1.0j])),
+        )
+        assert len(s) == 17_300
+        for state in (s, LatticeState()):
+            path = tmp_path / "s.txt"
+            save_state(str(path), state)
+            assert _state_bits(load_state(str(path))) == _state_bits(state)
