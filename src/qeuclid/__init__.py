@@ -79,7 +79,6 @@ from .smooth import (
     probe_function,
     smooth_apply,
     smooth_names,
-    write_convergence_csv,
 )
 from .verify import (
     ADJOINT_PAIRS,
@@ -165,7 +164,6 @@ __all__ = [
     "ConvergenceResult",
     "limit_convergence",
     "convergence_csv",
-    "write_convergence_csv",
     "deformed_images",
     "common_xi_interval",
     "LimitGrid",

@@ -43,7 +43,7 @@ from .core import (
     TruncationWindow,
     UnknownOperatorError,
 )
-from .lattice import load_state, save_state
+from .lattice import format_rows, load_state, save_state
 from .operators import apply, materialize, save_matrix, spectrum_arrays
 from .smooth import (
     convergence_csv,
@@ -378,41 +378,53 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_PASS if all_pass else EXIT_CHECK_FAILURE
 
 
+def _eigenvalue_texts(vals: np.ndarray, text) -> np.ndarray:
+    """``text(v)`` for each eigenvalue, v a float where the imaginary part is
+    zero, else a complex.  Spectra repeat a few values many times, so each
+    distinct float bit pattern is formatted once (``-0.0`` and ``0.0``, and
+    NaN payloads, stay apart)."""
+    real = np.ascontiguousarray(vals.real)
+    bits, inv = np.unique(real.view(np.int64), return_inverse=True)
+    out = np.array([text(v) for v in bits.view(np.float64).tolist()], dtype=object)[inv]
+    for k in np.flatnonzero(vals.imag != 0.0).tolist():
+        out[k] = text(complex(vals[k]))
+    return out
+
+
 def spectrum_csv(ix: BasisIndex, vals: np.ndarray) -> str:
     """The CSV of ``qeuclid spectrum``: one ``M,sigma,mt,m,eigenvalue`` row
     per index, the value as ``repr`` writes it (a float where the imaginary
-    part is zero, else a complex).  Spectra repeat a few values many times,
-    so each distinct float bit pattern is formatted once."""
-    real = np.ascontiguousarray(vals.real)
-    bits, inv = np.unique(real.view(np.int64), return_inverse=True)
-    eig = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)[inv]
-    for k in np.flatnonzero(vals.imag != 0.0).tolist():
-        eig[k] = repr(complex(vals[k]))
-    rows = map("{},{},{},{},{}".format, *(a.tolist() for a in ix), eig.tolist())
-    return "\n".join(("M,sigma,mt,m,eigenvalue", *rows)) + "\n"
+    part is zero, else a complex)."""
+    eig = _eigenvalue_texts(vals, repr)
+    return "M,sigma,mt,m,eigenvalue\n" + format_rows("%d,%d,%d,%d,%s", (*ix, eig))
+
+
+def _json_eigenvalue(v: float | complex) -> str:
+    if isinstance(v, complex):
+        return "[\n      %s,\n      %s\n    ]" % (json.dumps(v.real), json.dumps(v.imag))
+    return json.dumps(v)
+
+
+def spectrum_json(ix: BasisIndex, vals: np.ndarray) -> str:
+    """The JSON of ``qeuclid spectrum``: the bytes of
+    ``json.dumps(rows, sort_keys=True, indent=2)`` over one object per
+    index, a real eigenvalue as a float and any other as ``[re, im]``,
+    written from a fixed row template."""
+    if not len(vals):
+        return "[]\n"
+    eig = _eigenvalue_texts(vals, _json_eigenvalue)
+    row = (
+        '  {\n    "M": %d,\n    "eigenvalue": %s,\n    "m": %d,\n    "mt": %d,\n'
+        '    "sigma": %d\n  },'
+    )
+    body = format_rows(row, (ix.M, eig, ix.m, ix.mt, ix.sigma))
+    return "[\n" + body[:-2] + "\n]\n"
 
 
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     p = cfg.params()
     ix, vals = spectrum_arrays(args.operator, cfg.window, p, capacity=args.capacity)
-    if cfg.format == "json":
-        # A real eigenvalue prints as a float, any other as [re, im].
-        eig = vals.real.tolist()
-        for k in np.flatnonzero(vals.imag != 0.0).tolist():
-            eig[k] = [vals.real[k].item(), vals.imag[k].item()]
-        rows = [
-            {
-                "M": M,
-                "sigma": sigma,
-                "mt": mt,
-                "m": m,
-                "eigenvalue": e,
-            }
-            for M, sigma, mt, m, e in zip(*(a.tolist() for a in ix), eig)
-        ]
-        text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
-    else:
-        text = spectrum_csv(ix, vals)
+    text = (spectrum_json if cfg.format == "json" else spectrum_csv)(ix, vals)
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         args.output.write_text(text, encoding="utf-8")

@@ -35,14 +35,24 @@ __all__ = [
     "inner_product",
     "save_state",
     "load_state",
+    "format_rows",
     "write_rows",
 ]
 
 
 def _sort(ix: BasisIndex) -> tuple[np.ndarray, BasisIndex, np.ndarray]:
     """Stable argsort into canonical order (sigma=+1 block first, then M, mt,
-    m), the sorted labels, and the mask of those unequal to their predecessor."""
-    order = np.lexsort((ix.m, ix.mt, ix.M, ix.sigma < 0))
+    m), the sorted labels, and the mask of those unequal to their predecessor.
+    Labels already strictly in that order skip the sort."""
+    n, keys = len(ix.m), (ix.sigma < 0, ix.M, ix.mt, ix.m)
+    # Row i + 1 follows row i where it is greater at the first key that differs.
+    after, tied = np.zeros(max(n - 1, 0), dtype=bool), np.ones(max(n - 1, 0), dtype=bool)
+    for a in keys:
+        after |= tied & (a[1:] > a[:-1])
+        tied &= a[1:] == a[:-1]
+    if after.all():
+        return np.arange(n), ix, np.ones(n, dtype=bool)
+    order = np.lexsort(keys[::-1])
     ix = BasisIndex(*(a[order] for a in ix))
     new = np.ones(len(order), dtype=bool)
     new[1:] = np.any([a[1:] != a[:-1] for a in ix], axis=0)
@@ -195,18 +205,31 @@ _STATE_HEADER = "# qeuclid state: M sigma mt m re im"
 _ROW = np.dtype([("labels", np.int64, (4,)), ("parts", np.float64, (2,))])
 
 
+def format_rows(fmt: str, columns) -> str:
+    """One line ``fmt % row``, ending in a newline, per row of the
+    equal-length arrays ``columns``, in one ``%`` pass over the interleaved
+    columns (``%d``, ``%+d`` and ``%r`` write what ``str``, ``{:+d}`` and
+    ``repr`` write)."""
+    cols = [c.tolist() for c in columns]
+    n = len(cols[0]) if cols else 0
+    flat = [None] * (n * len(cols))
+    for k, col in enumerate(cols):
+        flat[k :: len(cols)] = col
+    return ((fmt + "\n") * n) % tuple(flat)
+
+
 def write_rows(path: str, header: Iterable[str], fmt: str, columns) -> None:
-    """Write the header lines, then one line ``fmt.format(*row)`` per row of
-    the equal-length arrays ``columns``, as UTF-8 text ending in a newline."""
-    rows = map(fmt.format, *(c.tolist() for c in columns))
+    """Write the header lines, then the rows of :func:`format_rows`, as
+    UTF-8 text; a file with neither is one empty line."""
+    text = "".join(f"{line}\n" for line in header) + format_rows(fmt, columns)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join((*header, *rows)) + "\n")
+        fh.write(text or "\n")
 
 
 def save_state(path: str, state: LatticeState) -> None:
     """Write a state as text lines ``M sigma mt m re im`` in canonical order."""
     columns = (*state.index, state.values.real, state.values.imag)
-    write_rows(path, (_STATE_HEADER,), "{} {:+d} {} {} {!r} {!r}", columns)
+    write_rows(path, (_STATE_HEADER,), "%d %+d %d %d %r %r", columns)
 
 
 def load_state(path: str) -> LatticeState:
@@ -232,7 +255,7 @@ def _parse_bulk(data: bytes) -> tuple[BasisIndex, np.ndarray] | None:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    if text.count("\r") != text.count("\r\n"):  # the row reader ends a line there
+    if "\r" in text and text.count("\r") != text.count("\r\n"):  # the row reader ends a line there
         return None
     # Cut out the comment lines; a '#' after a row's fields is left to the
     # row reader.  Lines end at \n, so every \r left sits before one.

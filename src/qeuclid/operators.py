@@ -506,4 +506,4 @@ def save_matrix(path: str, A: OperatorMatrix, header: str = "") -> None:
     """Write nonzero entries as text lines ``row col re im`` (row-major order)."""
     lines = [f"# {ln}" for ln in header.splitlines()] + ["# row col re im"]
     rows, cols, vals = A.entries.triples()
-    write_rows(path, lines, "{} {} {!r} {!r}", (rows, cols, vals.real, vals.imag))
+    write_rows(path, lines, "%d %d %r %r", (rows, cols, vals.real, vals.imag))

@@ -13,26 +13,16 @@ xihat = xi * q^{2i d/dphi} standing left of a mode shift are evaluated at
 the post-shift mode.
 
 Both families are data: ``DEFORMED_RULES`` and ``CLASSICAL_RULES`` map each
-name to a tuple of :class:`SmoothBranch` entries, read by one applier.  A
-branch holds its mode shift (every branch of a rule shares it), the power
-of q at which it reads the source argument, the exponent of its square-root
-factor sqrt(1 - q^n xi^2) if it has one, and value and d/dxi expressions
-over one :class:`SmoothPoint`.
+name to a tuple of :class:`SmoothBranch` entries, read by one applier.
 
-Evaluation is stacked over the modes.  A function evaluates all of its
-modes in one call, as an array with a leading mode axis: the probe by one
-Horner pass over its stacked coefficients, a rule image by one array pass
-per branch, in which the source modes are an int array of shape (K, 1, ...)
-against the sample points, and the branches are summed in table order.  A
-per-mode call ``f.modes[m](r, xi)`` reads one row of that pass, with the
-same bits as a pass over mode m alone.
-
-Every rule application records, per output mode, the xi-subinterval on
-which the result is evaluable (square-root factors must stay nonnegative,
-scaled arguments must stay inside (0, 1)); evaluating outside raises
-:class:`DomainError` naming the offending factor.  Square roots use the
-principal branch and never go complex: a negative argument is a domain
-mistake, not data.
+A function is arrays over its modes.  It evaluates all of them in one call,
+with a leading mode axis: the probe by one Horner pass, a rule image by one
+array pass per branch, summed in table order.  It records the xi-intervals
+on which it is evaluable (square-root factors must stay nonnegative, scaled
+arguments inside (0, 1)) as a table of constraints over its modes.
+Evaluating outside raises :class:`DomainError` naming the offending factor;
+square roots never go complex.  ``f.modes[m]`` is a per-mode view, built on
+first use, whose call reads one row of the stacked pass.
 
 The classical rules (q = 1 counterparts) consume the analytic xi-derivative
 supplied with each mode function; :func:`limit_convergence` drives the
@@ -45,17 +35,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
-    ALIASES,
-    DeformationParams,
-    DomainError,
-    QeuclidError,
-    RangeError,
-    UnknownOperatorError,
+    ALIASES, DeformationParams, DomainError, QeuclidError, RangeError, UnknownOperatorError,
 )
 
 __all__ = [
@@ -71,7 +57,6 @@ __all__ = [
     "ConvergenceResult",
     "limit_convergence",
     "convergence_csv",
-    "write_convergence_csv",
     "deformed_images",
     "common_xi_interval",
     "LimitGrid",
@@ -114,12 +99,8 @@ def _span(xi: np.ndarray) -> tuple[float, float]:
 
 
 def _sqrt_nonneg(arg: np.ndarray) -> np.ndarray:
-    """Principal square root with the argument clamped at 0.
-
-    The clamp only absorbs rounding fuzz at an allowed interval endpoint;
-    genuinely negative arguments are rejected by the constraint check
-    before evaluation reaches this point.
-    """
+    """Principal square root; the clamp at 0 absorbs rounding fuzz at an
+    allowed endpoint (the domain check rejects negative arguments)."""
     return np.sqrt(np.maximum(arg, 0.0))
 
 
@@ -128,29 +109,20 @@ class ModeFunction:
 
     __slots__ = ("value", "dxi", "constraints")
 
-    def __init__(
-        self,
-        value: Evaluator,
-        dxi: Evaluator | None = None,
-        constraints: Iterable[XiConstraint] = (_BASE,),
-    ):
-        self.value = value
-        self.dxi = dxi
+    def __init__(self, value: Evaluator, dxi: Evaluator | None = None,
+                 constraints: Iterable[XiConstraint] = (_BASE,)):
+        self.value, self.dxi = value, dxi
         self.constraints = tuple(dict.fromkeys(constraints))
 
     @property
     def xi_domain(self) -> tuple[float, float]:
         """Intersection (lo, hi) of all recorded constraints."""
-        lo = max(c.lo for c in self.constraints)
-        hi = min(c.hi for c in self.constraints)
-        return (lo, hi)
+        return (max(c.lo for c in self.constraints), min(c.hi for c in self.constraints))
 
     def check_domain(self, xi) -> None:
+        """Raise for the first recorded constraint that xi violates."""
         xi = np.asarray(xi, dtype=float)
-        self._check_span(xi, *_span(xi))
-
-    def _check_span(self, xi: np.ndarray, lo: float, hi: float) -> None:
-        """Raise for the first constraint violated by xi, whose extremes are lo, hi."""
+        lo, hi = _span(xi)
         for c in self.constraints:
             if c.excludes(lo, hi):
                 offender = float(xi[c.violations(xi)].flat[0])
@@ -160,11 +132,12 @@ class ModeFunction:
                     factor=c.source,
                 )
 
-    def __call__(self, r, xi) -> np.ndarray:
+    def _eval(self, fn: Evaluator, r, xi) -> np.ndarray:
         self.check_domain(xi)
-        r = np.asarray(r, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return np.asarray(self.value(r, xi))
+        return np.asarray(fn(np.asarray(r, dtype=float), np.asarray(xi, dtype=float)))
+
+    def __call__(self, r, xi) -> np.ndarray:
+        return self._eval(self.value, r, xi)
 
     def derivative(self, r, xi) -> np.ndarray:
         if self.dxi is None:
@@ -172,10 +145,14 @@ class ModeFunction:
                 "mode function supplies no xi-derivative; classical operators "
                 "and Z_xi need analytic derivatives"
             )
-        self.check_domain(xi)
-        r = np.asarray(r, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return np.asarray(self.dxi(r, xi))
+        return self._eval(self.dxi, r, xi)
+
+
+def _source_text(parts: tuple, k: int) -> str | None:
+    """A constraint row's source at mode column k: its parts joined, a
+    per-mode part read at k; None where that mode has no constraint there."""
+    texts = [part if isinstance(part, str) else part[k] for part in parts]
+    return None if None in texts else "".join(map(str, texts))
 
 
 class SmoothFunction:
@@ -185,50 +162,89 @@ class SmoothFunction:
     one call: values (d False) or xi-derivatives (d True), stacked along a
     leading axis in :meth:`mode_indices` order.  Built from mode functions,
     it stacks their values, broadcast to one shape and promoted to one
-    dtype; a mode without a derivative has a NaN row.  The probe and rule
-    images evaluate the whole stack in one array pass.
+    dtype; a mode without a derivative has a NaN row.
+
+    The constraints are a table: ``_lo`` and ``_hi`` of shape (C, K) hold
+    constraint c's bounds at mode column k (NaN where that mode has none),
+    ``_strict`` one flag and ``_sources`` the parts of the source (see
+    :func:`_source_text`) per constraint.  Rule images and the probe build
+    ``modes`` on first use.
     """
 
-    __slots__ = ("modes",)
+    __slots__ = ("_ms", "_lo", "_hi", "_strict", "_sources", "_dxi", "_modes", "_domain")
 
     def __init__(self, modes: Mapping[int, ModeFunction]):
-        self.modes = {int(m): mf for m, mf in modes.items()}
+        given = {int(m): mf for m, mf in modes.items()}
+        ms = sorted(given)
+        # One row per mode and constraint: a block diagonal over the modes.
+        cells = [(k, c) for k, m in enumerate(ms) for c in given[m].constraints]
+        lo, hi = np.full((2, len(cells), len(ms)), np.nan)
+        for row, (k, c) in enumerate(cells):
+            lo[row, k], hi[row, k] = c.lo, c.hi
+        blank = (None,) * len(ms)
+        self._table(
+            ms, lo, hi, [c.strict for _, c in cells],
+            [(blank[:k] + (c.source,) + blank[k + 1:],) for k, c in cells],
+            [given[m].dxi is not None for m in ms], given,
+        )
+
+    def _table(self, ms, lo, hi, strict, sources, dxi, modes=None) -> None:
+        """Set the modes, the constraint table and its intersection ``_domain``."""
+        self._ms, self._lo, self._hi = ms, lo, hi
+        self._strict = np.asarray(strict, dtype=bool)
+        self._sources, self._dxi, self._modes = tuple(sources), dxi, modes
+        self._domain = (float(np.fmax.reduce(lo, axis=None, initial=-math.inf)),
+                        float(np.fmin.reduce(hi, axis=None, initial=math.inf)))
+
+    @property
+    def modes(self) -> dict[int, ModeFunction]:
+        """Each mode's :class:`ModeFunction`: value, d/dxi and constraints."""
+        if self._modes is None:
+            self._modes = {m: self._view(k) for k, m in enumerate(self._ms)}
+        return self._modes
+
+    def _view(self, k: int) -> ModeFunction:
+        """Mode column k as a ModeFunction reading row k of the stacked pass."""
+        lo, hi, strict = self._lo[:, k].tolist(), self._hi[:, k].tolist(), self._strict.tolist()
+        cons = [
+            XiConstraint(lo[c], hi[c], text, strict[c])
+            for c, parts in enumerate(self._sources)
+            if (text := _source_text(parts, k)) is not None
+        ]
+        dxi = partial(self._row, k, True) if self._dxi[k] else None
+        return ModeFunction(partial(self._row, k, False), dxi, cons)
+
+    def _row(self, k: int, d: bool, r, x) -> np.ndarray:
+        return self._stack(np.asarray(r, dtype=float), np.asarray(x, dtype=float), d)[k]
 
     def mode_indices(self) -> list[int]:
-        return sorted(self.modes)
+        return list(self._ms)
 
     def __getitem__(self, m: int) -> ModeFunction:
         return self.modes[m]
 
     def __contains__(self, m: int) -> bool:
-        return m in self.modes
+        return m in self._ms
 
-    def evaluate_mode(self, m: int, r, xi) -> np.ndarray:
-        return self.modes[m](r, xi)
+    def _excluded(self, lo: float, hi: float) -> int | None:
+        """The lowest mode with a constraint that a sample whose extremes are
+        lo and hi violates (as :meth:`XiConstraint.excludes` decides), if any."""
+        if self._domain[0] < lo and hi < self._domain[1]:
+            return None
+        L, H = self._lo, self._hi
+        bad = (lo < L) | (hi > H) | (self._strict[:, None] & ((lo == L) | (hi == H)))
+        hit = np.flatnonzero(bad.any(axis=0))
+        return self._ms[hit[0]] if len(hit) else None
 
     def _stack(self, r: np.ndarray, x: np.ndarray, d: bool) -> np.ndarray:
         shape = np.broadcast_shapes(r.shape, x.shape)
         rows = []
-        for m in self.mode_indices():
+        for m in self._ms:
             fn = self.modes[m].dxi if d else self.modes[m].value
             rows.append(np.full(shape, np.nan) if fn is None else np.asarray(fn(r, x)))
         if not rows:
             return np.zeros((0,) + shape)
         return np.stack(np.broadcast_arrays(r, x, *rows)[2:])
-
-
-class _Row:
-    """Mode k of a function: one row of its stacked values or derivatives."""
-
-    __slots__ = ("f", "k", "d")
-
-    def __init__(self, f: SmoothFunction, k: int, d: bool):
-        self.f, self.k, self.d = f, k, d
-
-    def __call__(self, r, x) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return self.f._stack(r, x, self.d)[self.k]
 
 
 def _mode_axis(a: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -241,14 +257,12 @@ def _mode_axis(a: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
 class SmoothPoint:
     """One branch evaluated at the points (r, x) for every source mode at once.
 
-    ``m`` holds the source modes as an int array of shape (K, 1, ...)
-    against the points.  ``v`` and ``dv`` are the source modes' values and
-    xi-derivatives at the branch's scaled argument s*x, stacked along the
-    same leading axis (``dv`` carries the chain-rule factor s, and is None
-    in a value pass of a branch that does not read it).  ``root`` is the
-    branch's factor sqrt(1 - q^n x^2) and ``sin`` the classical
-    sin(theta) = sqrt(1 - x^2); each is None where the branch has no use
-    for it.  ``p`` is None for classical rules.
+    ``m`` holds the source modes as an int array of shape (K, 1, ...).
+    ``v`` and ``dv`` are their values and xi-derivatives at the scaled
+    argument s*x, along the same leading axis (``dv`` carries the factor s;
+    None in a value pass that does not read it).  ``root`` is the factor
+    sqrt(1 - q^n x^2), ``sin`` the classical sqrt(1 - x^2), each None where
+    unused; ``p`` is None for classical rules.
     """
 
     __slots__ = ("r", "x", "m", "p", "v", "dv", "root", "sin")
@@ -286,28 +300,25 @@ class SmoothBranch:
 class _Image(SmoothFunction):
     """A rule applied to a function: each branch is one pass over all modes.
 
-    Building the image records every output mode's constraints; evaluating
-    it sums, in table order, each branch's expression over the source
-    modes stacked at the branch's scaled argument.
+    Each branch adds constraint rows: the source's (divided by the argument
+    scale, then xi inside (0, 1), if it scales the argument) and its
+    square-root bound.  Evaluation sums the branches' passes in table order.
     """
 
     __slots__ = ("_passes", "_src", "_p", "_m")
 
-    def __init__(
-        self,
-        branches: tuple[SmoothBranch, ...],
-        src: SmoothFunction,
-        p: DeformationParams | None,
-    ):
-        ms = src.mode_indices()
+    def __init__(self, branches: tuple[SmoothBranch, ...], src: SmoothFunction,
+                 p: DeformationParams | None):
         for br in branches:
-            if br.needs_dv and any(src.modes[m].dxi is None for m in ms):
+            if br.needs_dv and not all(src._dxi):
                 raise QeuclidError(br.needs_dv)
         self._src, self._p = src, p
-        self._m = np.array(ms, dtype=np.int64)
+        self._m = np.array(src._ms, dtype=np.int64)
+        one = np.ones((1, len(src._ms)))
+        zero = 0.0 * one
         # Per branch: the argument scale and the square root's q^n, if any.
         self._passes: list[tuple[SmoothBranch, float | None, float | np.ndarray | None]] = []
-        cons: list[list[XiConstraint]] = [[] for _ in ms]
+        lo, hi, strict, sources = [], [], [], []
         for br in branches:
             scale = None
             if br.arg:
@@ -316,34 +327,36 @@ class _Image(SmoothFunction):
                     raise RangeError(
                         f"q^{br.arg} = {scale!r} leaves the double range at q = {p.q!r}"
                     )
-                for k, m in enumerate(ms):
-                    cons[k] += [
-                        XiConstraint(c.lo / scale, c.hi / scale,
-                                     f"{c.source} at argument q^{br.arg}*xi", c.strict)
-                        for c in src.modes[m].constraints
-                    ] + [_BASE]
+                tail = f" at argument q^{br.arg}*xi"
+                lo += [src._lo / scale, zero]
+                hi += [src._hi / scale, one]
+                strict += [src._strict, [True]]
+                sources += [parts + (tail,) for parts in src._sources] + [(_BASE.source,)]
             else:
-                for k, m in enumerate(ms):
-                    cons[k] += src.modes[m].constraints
+                lo.append(src._lo)
+                hi.append(src._hi)
+                strict.append(src._strict)
+                sources += src._sources
             root_scale = None
             if br.root is not None:
                 n = br.root(self._m)
                 root_scale = p.qpow(n)
-                ns = np.broadcast_to(n, self._m.shape).tolist()
-                for k, rs in enumerate(np.broadcast_to(root_scale, self._m.shape).tolist()):
-                    bound = math.inf if rs <= 0.0 else 1.0 / math.sqrt(rs)
-                    cons[k].append(XiConstraint(0.0, bound, f"sqrt(1 - q^{ns[k]}*xi^2)"))
+                if np.ndim(n):
+                    ns, rs = n.tolist(), root_scale.tolist()
+                else:
+                    ns, rs = [n] * len(src._ms), [root_scale]
+                # xi <= q^(-n/2); a q^n that underflows to 0 bounds nothing.
+                bound = [math.inf if x <= 0.0 else 1.0 / math.sqrt(x) for x in rs]
+                lo.append(zero)
+                hi.append(bound * one)
+                strict.append([False])
+                sources.append(("sqrt(1 - q^", ns, "*xi^2)"))
             self._passes.append((br, scale, root_scale))
         has_dxi = all(br.dxi is not None for br in branches)
-        dm = branches[0].dm
-        super().__init__({
-            m + dm: ModeFunction(
-                _Row(self, k, False),
-                _Row(self, k, True) if has_dxi and src.modes[m].dxi is not None else None,
-                cons[k],
-            )
-            for k, m in enumerate(ms)
-        })
+        self._table(
+            [m + branches[0].dm for m in src._ms], np.concatenate(lo), np.concatenate(hi),
+            np.concatenate(strict), sources, [has_dxi and d for d in src._dxi],
+        )
 
     def _stack(self, r: np.ndarray, x: np.ndarray, d: bool) -> np.ndarray:
         m = _mode_axis(self._m, r, x)
@@ -504,12 +517,7 @@ CLASSICAL_RULES: dict[str, tuple[SmoothBranch, ...]] = {
 # The classical spellings stay out of core.ALIASES: that table is shared
 # with the lattice catalogue, where every alias must name an operator, and
 # L+- and X+-_cl have no lattice operator.
-_CLASSICAL_ALIASES = {
-    "L+": "Lplus",
-    "L-": "Lminus",
-    "X+_cl": "Xplus_cl",
-    "X-_cl": "Xminus_cl",
-}
+_CLASSICAL_ALIASES = {"L+": "Lplus", "L-": "Lminus", "X+_cl": "Xplus_cl", "X-_cl": "Xminus_cl"}
 
 
 def classical_names() -> tuple[str, ...]:
@@ -528,12 +536,10 @@ def classical_apply(name: str, f: SmoothFunction) -> SmoothFunction:
 # --- test corpus -------------------------------------------------------------
 
 class _Probe(SmoothFunction):
-    """The modes of :func:`probe_function`, evaluated in one Horner pass.
-
-    The pass is numpy's ``polyval``, operation for operation, with the
+    """The modes of :func:`probe_function`, each kept to xi inside (0, 1):
+    one Horner pass (numpy's ``polyval``, operation for operation) over the
     coefficients of every mode stacked along a leading axis, times the
-    Gaussian, computed once per call.
-    """
+    Gaussian, computed once per call."""
 
     __slots__ = ("_c", "_dc", "_rc")
 
@@ -545,10 +551,8 @@ class _Probe(SmoothFunction):
         ).reshape(degree + 1, len(ms))
         self._dc = self._c[1:] * np.arange(1, degree + 1)[:, None]
         self._rc = r_center
-        super().__init__({
-            m: ModeFunction(_Row(self, k, False), _Row(self, k, True))
-            for k, m in enumerate(ms)
-        })
+        one = np.ones((1, len(ms)))
+        self._table(ms, 0.0 * one, one, [True], [(_BASE.source,)], [True] * len(ms))
 
     def _stack(self, r: np.ndarray, x: np.ndarray, d: bool) -> np.ndarray:
         c = _mode_axis(self._dc if d else self._c, r, x)
@@ -558,9 +562,7 @@ class _Probe(SmoothFunction):
         return v * np.exp(-((r - self._rc) ** 2))
 
 
-def probe_function(
-    modes: Iterable[int], degree: int = 3, r_center: float = 1.0
-) -> SmoothFunction:
+def probe_function(modes: Iterable[int], degree: int = 3, r_center: float = 1.0) -> SmoothFunction:
     """Polynomial-in-xi times Gaussian-in-r probe with analytic derivatives.
 
     Mode m carries c_m(r, xi) = 3^-|m| * P_m(xi) * exp(-(r - r_center)^2)
@@ -578,12 +580,11 @@ def probe_function(
 class ConvergenceResult:
     """Grid errors of a deformed operator against its classical target.
 
-    ``rows`` holds one (h, max_abs_error, slope_so_far) triple per h, where
-    slope_so_far is the pairwise log-log slope against the previous h (nan
-    for the first row or whenever an error vanishes or is not finite).  A
-    NaN anywhere on the grid makes that row's error NaN.  ``slope`` is the
-    least-squares log-log fit over all rows with a finite nonzero error, or
-    None if fewer than two rows have one.
+    ``rows`` holds one (h, max_abs_error, slope_so_far) triple per h: the
+    pairwise log-log slope against the previous h, nan for the first row or
+    where an error vanishes or is not finite (a NaN anywhere on the grid
+    makes the error NaN).  ``slope`` is the least-squares log-log fit over
+    the rows with a finite nonzero error, None if fewer than two have one.
     """
 
     deformed: str
@@ -595,16 +596,14 @@ class ConvergenceResult:
     all_zero: bool
 
 
-def _max_error(
-    fq: SmoothFunction, a: np.ndarray, fcl: SmoothFunction, b: np.ndarray
-) -> float:
+def _max_error(fq: SmoothFunction, a: np.ndarray, fcl: SmoothFunction, b: np.ndarray) -> float:
     """Largest |fq - fcl| over the stacked values a of fq and b of fcl.
 
     A mode that one side lacks counts as 0 there; NaN propagates.
     """
-    qm, cm = fq.mode_indices(), fcl.mode_indices()
+    qm, cm = fq._ms, fcl._ms
     if qm != cm:
-        modes = sorted(set(qm) | set(cm))
+        modes = sorted({*qm, *cm})
         a, b = _spread(a, qm, modes), _spread(b, cm, modes)
     return float(np.max(np.abs(a - b), initial=0.0))
 
@@ -617,36 +616,34 @@ def _spread(v: np.ndarray, have: list[int], modes: list[int]) -> np.ndarray:
 
 
 def limit_convergence(
-    grid: LimitGrid,
-    classical_name: str,
-    r_grid: Sequence[float] = (0.5, 1.0, 1.5),
+    grid: LimitGrid, classical_name: str, r_grid: Sequence[float] = (0.5, 1.0, 1.5)
 ) -> ConvergenceResult:
     """Max-error table of D_{q=e^h} f versus the classical operator on a grid.
 
     ``grid`` (from :func:`limit_grid`) holds the deformed images and the xi
-    samples.  No rescaling is applied: the deformed operators as written
-    converge directly.  The classical image is evaluated once and each
-    deformed image once, every mode in one stacked pass.  Domain errors
-    from evaluating outside a rule's recorded xi-interval propagate to the
-    caller; for ascending m, the deformed mode is checked before the
-    classical one.
+    samples; no rescaling is applied.  The classical image is evaluated once
+    and each deformed image once, every mode in one stacked pass.  A grid
+    outside a recorded xi-interval raises :class:`DomainError` for the
+    lowest such mode, the deformed image's before the classical one's.
     """
     r = np.asarray(list(r_grid), dtype=float)
-    r_mesh, xi_mesh = np.meshgrid(r, grid.xi, indexing="ij")
+    _, xi_mesh = np.meshgrid(r, grid.xi, indexing="ij")
+    # A column of r against one row of xi: what depends on xi alone runs once per xi.
+    r_col, xi_row = r[:, None], xi_mesh[:1]
     lo, hi = _span(xi_mesh)
     fcl = classical_apply(classical_name, grid.f)
     cl: np.ndarray | None = None
     rows: list[tuple[float, float, float]] = []
     prev: tuple[float, float] | None = None
     for h, fq in zip(grid.h_values, grid.images):
-        for m in sorted(fq.modes.keys() | fcl.modes.keys()):
-            if m in fq.modes:
-                fq.modes[m]._check_span(xi_mesh, lo, hi)
-            if cl is None and m in fcl.modes:
-                fcl.modes[m]._check_span(xi_mesh, lo, hi)
+        hits = [(m, g) for g in ((fq,) if cl is not None else (fq, fcl))
+                if (m := g._excluded(lo, hi)) is not None]
+        if hits:
+            m, g = min(hits, key=lambda hit: hit[0])
+            g.modes[m].check_domain(xi_mesh)
         if cl is None:
-            cl = fcl._stack(r_mesh, xi_mesh, False)
-        err = _max_error(fq, fq._stack(r_mesh, xi_mesh, False), fcl, cl)
+            cl = fcl._stack(r_col, xi_row, False)
+        err = _max_error(fq, fq._stack(r_col, xi_row, False), fcl, cl)
         if (prev is None or prev[0] == h
                 or not (0.0 < err < math.inf and 0.0 < prev[1] < math.inf)):
             pair_slope = math.nan
@@ -655,36 +652,22 @@ def limit_convergence(
         rows.append((h, err, pair_slope))
         prev = (h, err)
     errs = [e for _, e, _ in rows]
-    all_zero = all(e == 0.0 for e in errs)
-    slope: float | None = None
     pts = [(h, e) for (h, e, _) in rows if 0.0 < e < math.inf]
-    if len(pts) >= 2:
-        hs = np.log([h for h, _ in pts])
-        es = np.log([e for _, e in pts])
-        slope = float(np.polyfit(hs, es, 1)[0])
-    monotone = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
+    slope = float(np.polyfit(*np.log(pts).T, 1)[0]) if len(pts) >= 2 else None
     return ConvergenceResult(
         deformed=grid.deformed,
         classical=classical_name,
         theta_phase=complex(grid.theta_phase),
         rows=rows,
         slope=slope,
-        monotone_decreasing=monotone,
-        all_zero=all_zero,
+        monotone_decreasing=all(errs[i] > errs[i + 1] for i in range(len(errs) - 1)),
+        all_zero=all(e == 0.0 for e in errs),
     )
 
 
 def convergence_csv(result: ConvergenceResult) -> str:
     """CSV body ``h,error,slope`` (slope-so-far per row), byte-stable."""
-    lines = ["h,error,slope"]
-    for h, err, s in result.rows:
-        lines.append(f"{h!r},{err!r},{s!r}")
-    return "\n".join(lines) + "\n"
-
-
-def write_convergence_csv(path: str, result: ConvergenceResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(convergence_csv(result))
+    return "h,error,slope\n" + "".join(f"{h!r},{e!r},{s!r}\n" for h, e, s in result.rows)
 
 
 #: |log| of the smallest normal double: q^n and q^-n are both normal
@@ -693,10 +676,7 @@ _LOG_RANGE = -math.log(sys.float_info.min)
 
 
 def deformed_images(
-    deformed_name: str,
-    f: SmoothFunction,
-    h_values: Sequence[float],
-    theta_phase: complex = -1.0,
+    deformed_name: str, f: SmoothFunction, h_values: Sequence[float], theta_phase: complex = -1.0
 ) -> list[SmoothFunction]:
     """D_{q=e^h} f for each h in order, one rule application per h.
 
@@ -707,7 +687,7 @@ def deformed_images(
     """
     if any(float(h) <= 0.0 for h in h_values):
         raise ValueError("h values must be positive")
-    top = max((abs(m) for m in f.modes), default=0)
+    top = max((abs(m) for m in f.mode_indices()), default=0)
     reach = 4 * top + 2
     for h in map(float, h_values):
         if h * reach > _LOG_RANGE:
@@ -719,23 +699,15 @@ def deformed_images(
         if math.exp(h) == 1.0:
             raise RangeError(f"h = {h!r} is out of range: q = e^h rounds to 1")
     return [
-        smooth_apply(
-            deformed_name,
-            f,
-            DeformationParams(q=math.exp(float(h)), r0=1.0, theta_phase=theta_phase),
-        )
-        for h in h_values
+        smooth_apply(deformed_name, f, DeformationParams(q=math.exp(h), theta_phase=theta_phase))
+        for h in map(float, h_values)
     ]
 
 
 def common_xi_interval(images: Sequence[SmoothFunction]) -> tuple[float, float]:
     """Intersection of recorded output xi-domains over all modes and images."""
-    lo, hi = 0.0, 1.0
-    for fq in images:
-        for m in fq.mode_indices():
-            mlo, mhi = fq.modes[m].xi_domain
-            lo, hi = max(lo, mlo), min(hi, mhi)
-    return (lo, hi)
+    return (max([0.0, *(fq._domain[0] for fq in images)]),
+            min([1.0, *(fq._domain[1] for fq in images)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -751,14 +723,8 @@ class LimitGrid:
 
 
 def limit_grid(
-    deformed_name: str,
-    f: SmoothFunction,
-    h_values: Sequence[float],
-    n: int = 25,
-    lo: float = 0.1,
-    hi: float = 0.9,
-    margin: float = 0.75,
-    theta_phase: complex = -1.0,
+    deformed_name: str, f: SmoothFunction, h_values: Sequence[float], n: int = 25,
+    lo: float = 0.1, hi: float = 0.9, margin: float = 0.75, theta_phase: complex = -1.0,
 ) -> LimitGrid:
     """Apply the deformed rule per h and sample xi inside their common domain.
 
@@ -777,11 +743,5 @@ def limit_grid(
             f"{deformed_name} over h = {list(h_values)}",
             factor=deformed_name,
         )
-    return LimitGrid(
-        deformed=deformed_name,
-        f=f,
-        theta_phase=theta_phase,
-        h_values=tuple(float(h) for h in h_values),
-        images=tuple(images),
-        xi=np.linspace(bottom, top, n),
-    )
+    return LimitGrid(deformed_name, f, theta_phase, tuple(float(h) for h in h_values),
+                     tuple(images), np.linspace(bottom, top, n))

@@ -145,7 +145,7 @@ class ResidualReport:
         return self.max_interior_residual <= self.tolerance
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "id": self.id,
             "window": window_label(self.window),
             "q": self.q,
@@ -154,6 +154,14 @@ class ResidualReport:
             "leakage": self.leakage_norm,
             "excluded_rows": self.boundary_rows_excluded,
         }
+        # Strict JSON has no NaN or Infinity: such a value reads null, and
+        # "non_finite" spells it out.
+        keys = ("leakage", "residual")
+        bad = {k: repr(float(doc[k])) for k in keys if not math.isfinite(doc[k])}
+        if bad:
+            doc.update(dict.fromkeys(bad))
+            doc["non_finite"] = bad
+        return doc
 
 
 @dataclass

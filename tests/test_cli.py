@@ -22,9 +22,9 @@ from qeuclid.cli import (
     EXIT_USAGE,
     main,
 )
-from qeuclid.core import BasisIndex, DeformationParams
+from qeuclid.core import BasisIndex, DeformationParams, TruncationWindow
 from qeuclid.lattice import LatticeState, load_state, save_state
-from qeuclid.operators import apply
+from qeuclid.operators import apply, spectrum_arrays
 from qeuclid.verify import SUITE_NAMES
 
 
@@ -51,6 +51,27 @@ class TestVerifyCommand:
             assert (dir_a / f"{name}.json").read_bytes() == (
                 dir_b / f"{name}.json"
             ).read_bytes()
+
+    def test_non_finite_reports_are_strict_json(self, tmp_path, capsys):
+        # At q = 40 and M = 24 some words overflow: their residual or
+        # leakage reads null, and "non_finite" names the value.
+        code = main(["verify", "--q", "40", "--window=24:24,0,0", "--output-dir", str(tmp_path)])
+        assert code == EXIT_CHECK_FAILURE
+
+        def refuse(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        flagged = []
+        for name in SUITE_NAMES:
+            doc = json.loads((tmp_path / f"{name}.json").read_text(), parse_constant=refuse)
+            for check in doc["checks"]:
+                bad = check.get("non_finite", {})
+                assert set(bad) <= {"residual", "leakage"} and set(bad.values()) <= {"nan", "inf"}
+                for key in ("residual", "leakage"):
+                    assert (check[key] is None) == (key in bad), check["id"]
+                flagged += [(name, key) for key in bad]
+        assert ("casimir", "leakage") in flagged
+        assert ("commutant", "residual") in flagged
 
     def test_degenerate_q_is_a_usage_error(self, tmp_path):
         code = main(["verify", "--q", "1.0", "--output-dir", str(tmp_path)])
@@ -94,7 +115,7 @@ class TestVerifyCommand:
         assert "FAILURES detected" in capsys.readouterr().out
         doc = json.loads((tmp_path / "homomorphism.json").read_text())
         (check,) = [c for c in doc["checks"] if c["id"] == "hopping_from_coordinate_ladder"]
-        assert math.isnan(check["residual"])
+        assert check["residual"] is None and check["non_finite"]["residual"] == "nan"
         assert check["pass"] is False
 
     def test_nan_residual_reaches_the_stdout_verdict(self, tmp_path, capsys):
@@ -112,7 +133,7 @@ class TestVerifyCommand:
         assert line.split()[1:5] == ["FAIL", "worst", "asserted", "residual"]
         assert line.split()[5] == "nan"
         doc = json.loads((tmp_path / "commutant.json").read_text())
-        assert any(math.isnan(c["residual"]) for c in doc["checks"])
+        assert any(c.get("non_finite", {}).get("residual") == "nan" for c in doc["checks"])
 
     def test_cli_import_leaves_sparse_linalg_out(self):
         # scipy.sparse.linalg costs import time and memory in every command;
@@ -287,6 +308,28 @@ class TestSpectrumCommand:
         assert cli.spectrum_csv(ix, z).splitlines()[1:] == [
             *want[:1], "1,0,-1,-2,(-0+2j)", *want[2:]
         ]
+
+    @pytest.mark.parametrize("case", ["real", "complex", "non-finite", "empty"])
+    def test_json_has_the_bytes_of_the_json_encoder(self, case):
+        ix, vals = spectrum_arrays(
+            "K3", TruncationWindow(-1, 1, -3, 3), DeformationParams(q=1.7, r0=0.8)
+        )
+        if case == "complex":
+            vals = vals * np.exp(0.3j)
+            vals[::5] = vals[::5].real  # some rows stay real
+        elif case == "non-finite":
+            vals = vals.copy()
+            vals[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16]
+        elif case == "empty":
+            ix, vals = BasisIndex(*(a[:0] for a in ix)), vals[:0]
+        eig = vals.real.tolist()
+        for k in np.flatnonzero(vals.imag != 0.0).tolist():
+            eig[k] = [vals.real[k].item(), vals.imag[k].item()]
+        rows = [
+            {"M": M, "sigma": sigma, "mt": mt, "m": m, "eigenvalue": e}
+            for M, sigma, mt, m, e in zip(*(a.tolist() for a in ix), eig)
+        ]
+        assert cli.spectrum_json(ix, vals) == json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
     def test_output_is_stable_across_runs(self, capsys):
         main(["spectrum", "R2", "--q", "1.5", "--window", "-1:1,0,0"])

@@ -22,6 +22,7 @@ from qeuclid.lattice import (
     inner_product,
     load_state,
     save_state,
+    write_rows,
 )
 from state_reference import (
     bits,
@@ -201,6 +202,29 @@ class TestStateConstruction:
         ]
 
 
+def _reference_sort(ix: BasisIndex):
+    """Canonical order by a stable lexsort, as the sort always ran."""
+    order = np.lexsort((ix.m, ix.mt, ix.M, ix.sigma < 0))
+    ix = BasisIndex(*(a[order] for a in ix))
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any([a[1:] != a[:-1] for a in ix], axis=0)
+    return order, ix, new
+
+
+class TestCanonicalSort:
+    @given(labels=st.lists(_indices(), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_labels_skip_the_sort_with_the_same_result(self, labels):
+        # The labels as drawn, and sorted with repeats dropped (which skips
+        # the lexsort), give what the lexsort gives.
+        ix = BasisIndex(*(np.array([i[k] for i in labels], dtype=np.int64) for k in range(4)))
+        _, srt, new = _reference_sort(ix)
+        for case in (ix, srt, BasisIndex(*(a[new] for a in srt))):
+            got, want = lattice._sort(case), _reference_sort(case)
+            for a, b in zip((got[0], *got[1], got[2]), (want[0], *want[1], want[2])):
+                assert np.array_equal(a, b)
+
+
 class TestBuildWindow:
     def test_returns_canonical_basis(self):
         w = TruncationWindow(0, 1, -2, 2)
@@ -287,6 +311,26 @@ class TestStateFiles:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == "0 -1 -2 1 1.5 0.0"
+
+    def test_rows_have_the_bytes_of_the_format_template(self, tmp_path):
+        # The % row template against the str.format template it replaced.
+        parts = [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, 0.1, -2.5e-300]
+        big = 2**59
+        cols = (
+            np.array([big, -big, 0, 1, -1, big - 1, 3, -7]),
+            np.array([1, -1] * 4),
+            np.array([-big, 0, -3, big, 0, -1, 2, -big + 1]),
+            np.array([big, -big, 7, 0, -2, 1, -big, 5]),
+            np.array(parts),
+            np.array(parts[::-1]),
+        )
+        old = "{} {:+d} {} {} {!r} {!r}".format
+        for header in (("# a", "# b"), ()):
+            for n in (8, 0):
+                path = tmp_path / "rows.txt"
+                write_rows(str(path), header, "%d %+d %d %d %r %r", [c[:n] for c in cols])
+                rows = map(old, *(c[:n].tolist() for c in cols))
+                assert path.read_bytes() == ("\n".join((*header, *rows)) + "\n").encode()
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "state.txt"

@@ -44,7 +44,6 @@ from qeuclid.smooth import (
     probe_function,
     smooth_apply,
     smooth_names,
-    write_convergence_csv,
 )
 
 P2 = DeformationParams(q=2.0)
@@ -182,6 +181,28 @@ class TestDomainTracking:
         with pytest.raises(QeuclidError, match="derivative"):
             classical_apply("Lplus", f).modes[1](np.float64(1.0), np.float64(0.3))
 
+    def test_modes_with_their_own_constraints(self):
+        # Mode 0 and mode 2 record different constraints: the image keeps
+        # each mode's own, in order, and the interval intersects them all.
+        a = smooth.XiConstraint(0.1, 0.9, "a")
+        b = smooth.XiConstraint(0.0, 0.5, "b", strict=True)
+        value = _const_mode().value
+        f = SmoothFunction(
+            {2: ModeFunction(value, None, (b, a)), 0: ModeFunction(value, None, (a,))}
+        )
+        g = smooth_apply("tminus", f, P2)
+        base = smooth.XiConstraint(0.0, 1.0, "xi inside (0, 1)", strict=True)
+        root = smooth.XiConstraint(0.0, 0.5, "sqrt(1 - q^2*xi^2)")
+        scaled_a = smooth.XiConstraint(0.025, 0.225, "a at argument q^2*xi")
+        scaled_b = smooth.XiConstraint(0.0, 0.125, "b at argument q^2*xi", strict=True)
+        assert g.mode_indices() == [-1, 1]
+        assert g.modes[-1].constraints == (scaled_a, base, root)
+        assert g.modes[1].constraints == (scaled_b, scaled_a, base, root)
+        assert common_xi_interval([g]) == (0.025, 0.125)
+        with pytest.raises(DomainError, match="factor b at argument"):
+            g.modes[1](np.float64(1.0), np.float64(0.125))  # strict bound
+        assert g.modes[-1](np.float64(1.0), np.float64(0.2)).dtype == float
+
     def test_xi_domain_intersects_constraints(self):
         f = SmoothFunction({0: _const_mode()})
         g = smooth_apply("tminus", f, P2)
@@ -304,16 +325,13 @@ class TestClassicalLimits:
         with pytest.raises(ValueError):
             limit_grid("X3", f, [0.1, -0.05])
 
-    def test_csv_is_byte_stable(self, tmp_path):
+    def test_csv_is_byte_stable(self):
         f = probe_function(range(-1, 2))
         grid = limit_grid("Torb3", f, [0.1, 0.05])
         res = limit_convergence(grid, "L3")
         body = convergence_csv(res)
         assert body.splitlines()[0] == "h,error,slope"
         assert body == convergence_csv(limit_convergence(grid, "L3"))
-        path = tmp_path / "limit.csv"
-        write_convergence_csv(str(path), res)
-        assert path.read_text() == body
 
 
 class TestFeasibleGrid:
@@ -441,6 +459,35 @@ class TestStackedEvaluation:
         with pytest.raises(DomainError, match="xi = 1.5") as exc_info:
             limit_convergence(bad, "Xplus_cl")
         assert "q^-2*xi" in exc_info.value.factor
+
+    @pytest.mark.parametrize(
+        "modes, deformed, classical, xi, factor, text",
+        [
+            # The classical image's mode -1 lies below the deformed modes 1, 2.
+            ([0, 1], "Xplus", "Lminus", [0.5, 1.5], "xi inside (0, 1)",
+             "xi = 1.5 is outside [0.0, 1.0] required by factor xi inside (0, 1)"),
+            # The deformed mode -1 breaks its square root, recorded after (0, 1).
+            ([-2, -1], "Kplus", "Lplus", [0.2, 0.8], "sqrt(1 - q^6*xi^2)",
+             "xi = 0.8 is outside [0.0, 0.7408182206817175] required by factor "
+             "sqrt(1 - q^6*xi^2)"),
+            # Both break (0, 1) at mode -1, which Kplus records first.
+            ([-2, -1], "Kplus", "Lplus", [0.2, 1.0], "xi inside (0, 1)",
+             "xi = 1.0 is outside [0.0, 1.0] required by factor xi inside (0, 1)"),
+        ],
+    )
+    def test_domain_error_names_the_first_offender(
+        self, modes, deformed, classical, xi, factor, text
+    ):
+        # Texts recorded from the per-mode constraint check this table replaced.
+        f = probe_function(modes)
+        grid = limit_grid(deformed, f, [0.1, 0.05])
+        bad = smooth.LimitGrid(
+            grid.deformed, f, grid.theta_phase, grid.h_values, grid.images, np.array(xi)
+        )
+        with pytest.raises(DomainError) as exc_info:
+            limit_convergence(bad, classical)
+        assert str(exc_info.value) == text
+        assert exc_info.value.factor == factor
 
 
 class TestNonFiniteAndRange:
