@@ -399,25 +399,38 @@ def spectrum_csv(ix: BasisIndex, vals: np.ndarray) -> str:
     return "M,sigma,mt,m,eigenvalue\n" + format_rows("%d,%d,%d,%d,%s", (*ix, eig))
 
 
+def _json_number(x: float) -> str:
+    return json.dumps(x) if math.isfinite(x) else "null"
+
+
 def _json_eigenvalue(v: float | complex) -> str:
     if isinstance(v, complex):
-        return "[\n      %s,\n      %s\n    ]" % (json.dumps(v.real), json.dumps(v.imag))
-    return json.dumps(v)
+        return "[\n      %s,\n      %s\n    ]" % (_json_number(v.real), _json_number(v.imag))
+    return _json_number(v)
 
 
 def spectrum_json(ix: BasisIndex, vals: np.ndarray) -> str:
     """The JSON of ``qeuclid spectrum``: the bytes of
     ``json.dumps(rows, sort_keys=True, indent=2)`` over one object per
     index, a real eigenvalue as a float and any other as ``[re, im]``,
-    written from a fixed row template."""
+    written from a fixed row template.
+
+    Strict JSON has no NaN or Infinity: a non-finite value, or a non-finite
+    part of one, reads null, and the row gains ``"non_finite"``, the
+    eigenvalue as ``repr`` writes it (as in the CSV)."""
     if not len(vals):
         return "[]\n"
     eig = _eigenvalue_texts(vals, _json_eigenvalue)
+    off = ~np.isfinite(vals)
+    bad = np.full(len(vals), "", dtype=object)
+    bad[off] = [
+        '\n    "non_finite": %s,' % json.dumps(text) for text in _eigenvalue_texts(vals[off], repr)
+    ]
     row = (
-        '  {\n    "M": %d,\n    "eigenvalue": %s,\n    "m": %d,\n    "mt": %d,\n'
+        '  {\n    "M": %d,\n    "eigenvalue": %s,\n    "m": %d,\n    "mt": %d,%s\n'
         '    "sigma": %d\n  },'
     )
-    body = format_rows(row, (ix.M, eig, ix.m, ix.mt, ix.sigma))
+    body = format_rows(row, (ix.M, eig, ix.m, ix.mt, bad, ix.sigma))
     return "[\n" + body[:-2] + "\n]\n"
 
 

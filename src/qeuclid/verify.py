@@ -34,12 +34,18 @@ lost letter or entry), and raises:
 * On windows of any size, the letters are applied one at a time to one
   seeded real Gaussian probe vector, and the result must match the composed
   word times the same vector (Freivalds' randomized product check).
-* On windows of at most 2^9 states, every entry of the word is recomputed
-  from the (row, col, value) triples of the letters' stored entries and
-  compared on every key that either side stores.  Each step forms every
-  term A[i,k]*X[k,j], sorts the terms by (i, j) and sums each run (expand,
-  sort, compress; Dalton, Olson and Bell, ACM TOMS 2015), in time linear
-  in the number of terms.
+* On windows of at most 2^9 states, every entry of every word of a
+  ``check_relations`` call is recomputed from the (row, col, value) triples
+  of the letters' stored entries, which the table exports once per letter,
+  and compared on every key that either side stores.  The words of one
+  length are joined at once, each entry keyed by its word's number as well
+  as (i, j).  Each step forms every term A[i,k]*X[k,j], sorts the terms by
+  key and sums each run (expand, sort, compress; Dalton, Olson and Bell,
+  ACM TOMS 2015); the composed entries are then found among the summed
+  keys by binary search.  Each word's gap is reduced on its own, with its
+  own scale, so one word never changes another's gap.  The first word, in
+  spec, side and term order, that fails either path raises; a word that
+  fails both reports the probe.
 """
 
 from __future__ import annotations
@@ -106,6 +112,9 @@ RECURSION_TOL = 1e-13
 
 Coeff = Callable[[DeformationParams], float]
 
+#: The (rows, cols, values) of a matrix's stored entries.
+Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class Term:
@@ -142,7 +151,8 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_interior_residual <= self.tolerance
+        """The residual is within tolerance and the leakage is finite."""
+        return self.max_interior_residual <= self.tolerance and math.isfinite(self.leakage_norm)
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -314,7 +324,9 @@ class LetterTable:
     ``letters[name]`` is the operator at the run's phase and
     ``letters.at(name, phase)`` at another ladder phase; each distinct
     (name, phase) is materialized once, on first read, and only read after.
-    The table also holds the run's seeded probe vector.
+    The table also holds the run's seeded probe vector and, exported once on
+    first read, the stored entries of each letter at the run's phase
+    (``letters.triples(name)``).
     """
 
     def __init__(self, w: TruncationWindow, p: DeformationParams, capacity: int | None = None):
@@ -322,6 +334,7 @@ class LetterTable:
         self.n = check_capacity(w, capacity)
         self.probe = np.random.default_rng(0).standard_normal(self.n)
         self._made: dict[tuple[str, complex], OperatorMatrix] = {}
+        self._triples: dict[str, Triples] = {}
 
     def __getitem__(self, name: str) -> OperatorMatrix:
         return self.at(name, self.p.theta_phase)
@@ -333,6 +346,13 @@ class LetterTable:
             # The window passed the caller's capacity above; n is a cap it meets.
             self._made[key] = materialize(name, self.w, p, self.n)
         return self._made[key]
+
+    def triples(self, name: str) -> Triples:
+        """Rows, columns and values of the stored entries of ``self[name]``,
+        row-major."""
+        if name not in self._triples:
+            self._triples[name] = self[name].entries.triples()
+        return self._triples[name]
 
 
 def _report(
@@ -436,73 +456,150 @@ def _balanced_residual(L: Diagonals, R: Diagonals, mask: np.ndarray) -> float:
     return _relative_norm(*(A.values.T[mask].ravel() for A in (L - R, L, R)))
 
 
-Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 def _sum_by_key(keys: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sorted distinct keys and, for each value array, its sum per key."""
-    order = np.argsort(keys)
+    """Sorted distinct keys and, for each value array, its sum per key, in
+    the order the values are given."""
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     # Keys are >= 0, so a leading -1 marks the first key as a start.
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     return (keys[starts], *(np.add.reduceat(v[order], starts) for v in values))
 
 
-def _product_terms(mats: Sequence[Triples], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every term A[i,k]*X[k,j] of the last step of the product
-    mats[0] @ ... @ mats[-1] of n x n matrices, keyed by i*n + j and not
-    yet summed.
+def _stack(mats: Sequence[Triples], n: int) -> Triples:
+    """The stored entries of B n x n matrices as those of one block-diagonal
+    (B*n) x (B*n) matrix: the rows and columns of matrix b move by b*n."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*mats))
+    move = np.repeat(np.arange(len(mats)) * n, [len(m[0]) for m in mats])
+    return rows + move, cols + move, vals
 
-    Each matrix is given by the (rows, cols, values) of its stored entries.
-    Rightmost first, the product so far is summed per key (sort, compress),
-    and each entry (i, k) of the next letter is repeated once per stored
-    entry (k, j) of it, found through its row pointers (expand).
+
+def _terms(
+    keys: np.ndarray, prod: np.ndarray, letter: Triples, n: int, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every term A[I,K]*X[K,j] of A @ X, keyed by I*n + j and not yet
+    summed.  X has ``rows`` rows, sorted distinct keys K*n + j and values
+    ``prod``; A is the ``letter`` (I, K, value).
+
+    Each entry (I, K) of A is repeated once per stored entry (K, j) of X,
+    found through the row pointers of X (expand).
     """
-    rows, cols, terms = mats[-1]
-    keys = rows * n + cols
-    for i, k, a in reversed(mats[:-1]):
-        keys, val = _sum_by_key(keys, terms)
-        ptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        lo = ptr[k]
-        count = ptr[k + 1] - lo
-        # Position in X of each term's (k, j): lo of its A entry plus its
-        # rank among that entry's terms.
-        first = np.cumsum(count) - count
-        pick = np.arange(int(count.sum())) + np.repeat(lo - first, count)
-        keys = np.repeat(i * n, count) + keys[pick] % n
-        terms = np.repeat(a, count) * val[pick]
-    return keys, terms
+    i, k, a = letter
+    # Row K of X starts at ptr[K].
+    ptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=rows), out=ptr[1:])
+    lo = ptr[k]
+    count = ptr[k + 1] - lo
+    # Position in X of each term's (K, j): lo of its entry (I, K) plus its
+    # rank among that entry's terms.
+    pick = np.repeat(lo - np.cumsum(count) + count, count)
+    pick += np.arange(len(pick))
+    return np.repeat(i * n, count) + keys[pick] % n, np.repeat(a, count) * prod[pick]
 
 
-def _entrywise_gap(mats: Sequence[Triples], word: Triples, n: int) -> float:
-    """Gap between the product of ``mats`` recomputed entry by entry and the
-    composed word, relative to max(1, |product|).
+def _products(words: Sequence[Sequence[Triples]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys b*n^2 + i*n + j and values of the stored entries
+    of the product of each word's n x n letters, all words of one length.
 
-    The product terms and the word's negated stored entries are summed per
-    key on the union of both key sets, so a stored entry on either side is
-    compared; ``_relative_norm`` keeps an overflowing norm comparable.
+    The rightmost letters' keys are already sorted and distinct; then,
+    leftwards, each next letter's terms are summed per key (sort,
+    compress).
     """
-    rows, cols, vals = word
+    rows, cols, prod = _stack([letters[-1] for letters in words], n)
+    # Block row I and column J have key I*n + J % n, that is b*n^2 + i*n + j.
+    keys = rows * n + cols % n
+    for step in range(len(words[0]) - 2, -1, -1):
+        # Rebinding rows and cols frees the rightmost letters' before the expand.
+        rows, cols, vals = _stack([letters[step] for letters in words], n)
+        keys, prod = _sum_by_key(*_terms(keys, prod, (rows, cols, vals), n, len(words) * n))
+    return keys, prod
+
+
+def _entries(mats: Sequence[Diagonals], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys b*n^2 + i*n + j and values of the stored entries of B n x n
+    matrices, read at once: values[d, c] sits in column c and row
+    c + offsets[d] of the matrix that owns diagonal d."""
+    offsets = np.concatenate([m.offsets for m in mats])
+    values = np.concatenate([m.values for m in mats])
+    block = np.repeat(np.arange(len(mats)) * n * n, [len(m.offsets) for m in mats])
+    flat = np.flatnonzero(values)
+    d, c = np.divmod(flat, n)
+    return block[d] + (c + offsets[d]) * n + c, values.ravel()[flat]
+
+
+def _relative_norms(
+    count: int, gaps: Sequence[tuple[np.ndarray, np.ndarray]], ref: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """For each word b < ``count``, the norm of its entries of the ``gaps``
+    parts over max(1, the norm of its entries of ``ref``); each part is
+    (values, word of each value).  As in ``_relative_norm``, each word's
+    entries are scaled by 2^-e, with 2^e just above its largest entry
+    (e >= 0), and left unscaled when one of them is not finite."""
+    big = np.zeros(count)
+    for v, b in (*gaps, ref):
+        np.maximum.at(big, b, np.abs(v))
+    scale = np.ldexp(1.0, -np.where(np.isfinite(big), np.maximum(np.frexp(big)[1], 0), 0))
+
+    def squares(v: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per word, the sum of the squared parts of v times its scale."""
+        halves = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+        return np.bincount(b, sum(np.square(x * scale[b]) for x in halves), count)
+
+    gap_norm = np.sqrt(sum(squares(*part) for part in gaps))
+    return gap_norm / np.fmax(scale, np.sqrt(squares(*ref)))
+
+
+def _join_gaps(
+    words: Sequence[Sequence[Triples]], composed: Sequence[Diagonals], n: int
+) -> np.ndarray:
+    """Gap of each composed n x n word from the product of its letters,
+    recomputed entry by entry, relative to max(1, |product|); every word has
+    the same number of letters.
+
+    Each letter is given by the (rows, cols, values) of its stored entries,
+    row-major and distinct.  Word b's entry (i, j) is keyed by
+    b*n^2 + i*n + j, so the products of all words are formed as one
+    (``_products``).  The composed words' stored entries are found among
+    the products' keys by binary search, so a stored entry on either side
+    is compared, and each word's gap is reduced on its own.
+    """
+    nn = n * n
     # Terms may overflow; a non-finite gap is read by the caller.
     with np.errstate(all="ignore"):
-        keys, terms = _product_terms(mats, n)
-        _, gap, product = _sum_by_key(
-            np.concatenate([keys, rows * n + cols]),
-            np.concatenate([terms, -vals]),
-            np.concatenate([terms, np.zeros(vals.size, dtype=terms.dtype)]),
-        )
-    return _relative_norm(gap, product)
+        keys, prod = _products(words, n)
+        word_keys, vals = _entries(composed, n)
+        pos = np.searchsorted(keys, word_keys)
+        # Keys are >= 0, so a trailing -1 stands past the last and matches none.
+        hit = np.append(keys, -1)[pos] == word_keys
+        # A complex word checked against a real product compares in complex.
+        gap = prod.astype(np.result_type(prod, vals))
+        gap[pos[hit]] -= vals[hit]
+        word = keys // nn
+        only = (vals[~hit], word_keys[~hit] // nn)
+        return _relative_norms(len(words), [(gap, word), only], (prod, word))
+
+
+def _entrywise_gaps(batch: Sequence[tuple[Sequence[Triples], Diagonals]], n: int) -> np.ndarray:
+    """``_join_gaps`` of each (letters, composed word) of ``batch``: one join
+    per distinct word length."""
+    gaps = np.empty(len(batch))
+    for length in {len(letters) for letters, _ in batch}:
+        group = [k for k, (letters, _) in enumerate(batch) if len(letters) == length]
+        gaps[group] = _join_gaps([batch[k][0] for k in group], [batch[k][1] for k in group], n)
+    return gaps
 
 
 def _require_entrywise_agreement(
-    spec_id: str, word: tuple[str, ...], mat: Diagonals, letters: LetterTable
+    words: Sequence[tuple[str, tuple[str, ...], Diagonals]], letters: LetterTable
 ) -> None:
-    """Recompute every entry of a word from its letters' stored entries and
-    require 1e-13 agreement with the composed word.  A gap that reads NaN,
-    from non-finite values on both sides, is left to the residual."""
-    mats = [letters[name].entries.triples() for name in word]
-    diff = _entrywise_gap(mats, mat.triples(), letters.n)
-    _require_close(diff, spec_id, word, "entrywise product")
+    """Recompute every entry of each (relation id, word, composed matrix) of
+    ``words`` from its letters' stored entries and require 1e-13 agreement;
+    the first word that disagrees, in the given order, raises.  A gap that
+    reads NaN, from non-finite values on both sides, is left to the
+    residual."""
+    batch = [([letters.triples(name) for name in word], mat) for _, word, mat in words]
+    for (spec_id, word, _), diff in zip(words, _entrywise_gaps(batch, letters.n).tolist()):
+        _require_close(diff, spec_id, word, "entrywise product")
 
 
 def _require_close(diff: float, spec_id: str, word: tuple[str, ...], path: str) -> None:
@@ -551,10 +648,14 @@ def check_relations(
     Every word is composed once from the table's letters.  That word matrix
     is checked against the letters applied one at a time to the table's
     probe vector and, on windows of at most DENSE_ORACLE_LIMIT states,
-    against the product recomputed entry by entry from the letters.
+    against the product recomputed entry by entry from the letters, for
+    every word of the call at once.  The first word, in spec, side and term
+    order, that fails either check raises; a word that fails both reports
+    the probe.
     """
     w, p, n = letters.w, letters.p, letters.n
     entrywise = n <= DENSE_ORACLE_LIMIT
+    composed: list[tuple[str, tuple[str, ...], Diagonals]] = []
     reports = []
     for spec in specs:
         sums, leaks = [], []
@@ -563,9 +664,15 @@ def check_relations(
             leak = 0.0
             for t in terms:
                 mat, lk = word_matrix(t.word, letters)
-                _require_probe_agreement(spec.id, t.word, mat, letters)
+                try:
+                    _require_probe_agreement(spec.id, t.word, mat, letters)
+                except QeuclidError:
+                    # An earlier word that fails the entrywise check comes first.
+                    if entrywise:
+                        _require_entrywise_agreement(composed, letters)
+                    raise
                 if entrywise:
-                    _require_entrywise_agreement(spec.id, t.word, mat, letters)
+                    composed.append((spec.id, t.word, mat))
                 # An overflowing word reads inf or NaN and fails the residual.
                 c = float(t.coeff(p))
                 total = total + c * mat
@@ -577,6 +684,8 @@ def check_relations(
             letters, spec.id, _balanced_residual(*sums, interior), tol, asserted,
             boundary_rows_excluded=n - int(interior.sum()), leakage_norm=math.sqrt(sum(leaks)),
         ))
+    if entrywise:
+        _require_entrywise_agreement(composed, letters)
     return reports
 
 

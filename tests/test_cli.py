@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver and its exit-code contract."""
 
+import cmath
 import json
 import math
 import os
@@ -26,6 +27,11 @@ from qeuclid.core import BasisIndex, DeformationParams, TruncationWindow
 from qeuclid.lattice import LatticeState, load_state, save_state
 from qeuclid.operators import apply, spectrum_arrays
 from qeuclid.verify import SUITE_NAMES
+
+
+def _refuse(name):
+    """A ``parse_constant`` for ``json.loads`` that refuses NaN and Infinity."""
+    raise ValueError(f"{name} is not strict JSON")
 
 
 class TestVerifyCommand:
@@ -58,20 +64,23 @@ class TestVerifyCommand:
         code = main(["verify", "--q", "40", "--window=24:24,0,0", "--output-dir", str(tmp_path)])
         assert code == EXIT_CHECK_FAILURE
 
-        def refuse(name):
-            raise ValueError(f"{name} is not strict JSON")
-
-        flagged = []
+        flagged, leaky = [], {}
         for name in SUITE_NAMES:
-            doc = json.loads((tmp_path / f"{name}.json").read_text(), parse_constant=refuse)
+            doc = json.loads((tmp_path / f"{name}.json").read_text(), parse_constant=_refuse)
             for check in doc["checks"]:
                 bad = check.get("non_finite", {})
                 assert set(bad) <= {"residual", "leakage"} and set(bad.values()) <= {"nan", "inf"}
                 for key in ("residual", "leakage"):
                     assert (check[key] is None) == (key in bad), check["id"]
                 flagged += [(name, key) for key in bad]
+                if "leakage" in bad:
+                    leaky[check["id"]] = check["pass"]
         assert ("casimir", "leakage") in flagged
         assert ("commutant", "residual") in flagged
+        # A non-finite leakage fails its check, as a non-finite residual does.
+        ids = ("casimir_radius_squared", "x_lower_exchange", "x_ladder_commutator",
+               "xihat_commutes_Xminus")
+        assert leaky == dict.fromkeys(ids, False)
 
     def test_degenerate_q_is_a_usage_error(self, tmp_path):
         code = main(["verify", "--q", "1.0", "--output-dir", str(tmp_path)])
@@ -309,27 +318,49 @@ class TestSpectrumCommand:
             *want[:1], "1,0,-1,-2,(-0+2j)", *want[2:]
         ]
 
-    @pytest.mark.parametrize("case", ["real", "complex", "non-finite", "empty"])
+    @pytest.mark.parametrize(
+        "case", ["real", "complex", "non-finite", "complex-non-finite", "empty"]
+    )
     def test_json_has_the_bytes_of_the_json_encoder(self, case):
+        # A non-finite value, or part of one, reads null, and the row's
+        # "non_finite" holds the value as the CSV writes it.
         ix, vals = spectrum_arrays(
             "K3", TruncationWindow(-1, 1, -3, 3), DeformationParams(q=1.7, r0=0.8)
         )
-        if case == "complex":
+        if case.startswith("complex"):
             vals = vals * np.exp(0.3j)
             vals[::5] = vals[::5].real  # some rows stay real
-        elif case == "non-finite":
+        if case.endswith("non-finite"):
             vals = vals.copy()
             vals[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16]
+        if case == "complex-non-finite":
+            vals[6:9] = [complex(1.5, np.inf), complex(np.nan, -2.0), complex(-np.inf, np.nan)]
         elif case == "empty":
             ix, vals = BasisIndex(*(a[:0] for a in ix)), vals[:0]
-        eig = vals.real.tolist()
-        for k in np.flatnonzero(vals.imag != 0.0).tolist():
-            eig[k] = [vals.real[k].item(), vals.imag[k].item()]
-        rows = [
-            {"M": M, "sigma": sigma, "mt": mt, "m": m, "eigenvalue": e}
-            for M, sigma, mt, m, e in zip(*(a.tolist() for a in ix), eig)
-        ]
-        assert cli.spectrum_json(ix, vals) == json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        finite = lambda x: x if math.isfinite(x) else None
+        rows = []
+        for M, sigma, mt, m, v in zip(*(a.tolist() for a in ix), vals.tolist()):
+            row = {"M": M, "sigma": sigma, "mt": mt, "m": m}
+            if isinstance(v, complex) and v.imag == 0.0:
+                v = v.real
+            row["eigenvalue"] = (
+                [finite(v.real), finite(v.imag)] if isinstance(v, complex) else finite(v)
+            )
+            if not cmath.isfinite(v):
+                row["non_finite"] = repr(v)
+            rows.append(row)
+        text = cli.spectrum_json(ix, vals)
+        assert text == json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        assert json.loads(text, parse_constant=_refuse) == rows
+
+    def test_non_finite_json_is_strict(self, capsys):
+        # At q = 40 on M = 24 the R2 spectrum overflows to inf.
+        code = main(["spectrum", "R2", "--q", "40", "--window=24:24,0,0", "--format", "json"])
+        assert code == EXIT_PASS
+        rows = json.loads(capsys.readouterr().out, parse_constant=_refuse)
+        bad = [row for row in rows if "non_finite" in row]
+        assert bad and all(row["eigenvalue"] is None and row["non_finite"] == "inf" for row in bad)
+        assert all(math.isfinite(row["eigenvalue"]) for row in rows if "non_finite" not in row)
 
     def test_output_is_stable_across_runs(self, capsys):
         main(["spectrum", "R2", "--q", "1.5", "--window", "-1:1,0,0"])
@@ -420,11 +451,7 @@ class TestLimitCommand:
         out = tmp_path / "limit.json"
         args = ["limit", "X3", "X3_cl", "--h", "0.1,0.05", "--format", "json"]
         assert main([*args, "--output", str(out)]) == EXIT_CHECK_FAILURE
-
-        def refuse(name):
-            raise ValueError(f"{name} is not strict JSON")
-
-        doc = json.loads(out.read_text(), parse_constant=refuse)
+        doc = json.loads(out.read_text(), parse_constant=_refuse)
         assert doc["rows"] == [[0.1, None, None], [0.05, None, None]]
         assert doc["non_finite"] == [[0.1, "nan"], [0.05, "nan"]]
 

@@ -8,6 +8,7 @@ otherwise the residual machinery is vacuous.
 import cmath
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -476,7 +477,7 @@ class TestSecondPathsCatchMutations:
 
         monkeypatch.setattr(Diagonals, "__matmul__", refuse)
         verify._require_probe_agreement("k_exchange", word, mat, letters)
-        verify._require_entrywise_agreement("k_exchange", word, mat, letters)
+        verify._require_entrywise_agreement([("k_exchange", word, mat)], letters)
 
     def test_probe_scales_before_taking_norms(self, monkeypatch):
         # At q = 3 on mt >= -60 both words send the probe to about 1e170,
@@ -518,22 +519,25 @@ class TestSecondPathsCatchMutations:
 
 
 def _sparse_letter(draw, n):
-    """A random n x n complex CSR letter, possibly with empty rows and
-    columns, or no stored entry at all."""
+    """A random n x n CSR letter, real or complex, possibly with empty rows
+    and columns, or no stored entry at all."""
     nnz = draw(st.integers(0, 2 * n))
     ij = st.integers(0, n - 1)
     part = st.floats(-1e3, 1e3, allow_nan=False)
+    real = draw(st.booleans())
+    value = part if real else st.builds(complex, part, part)
     rows = draw(st.lists(ij, min_size=nnz, max_size=nnz))
     cols = draw(st.lists(ij, min_size=nnz, max_size=nnz))
-    vals = draw(st.lists(st.builds(complex, part, part), min_size=nnz, max_size=nnz))
+    vals = draw(st.lists(value, min_size=nnz, max_size=nnz))
     return sp.csr_matrix(
-        (np.array(vals, dtype=np.complex128), (rows, cols)), shape=(n, n)
+        (np.array(vals, dtype=np.float64 if real else np.complex128), (rows, cols)), shape=(n, n)
     )
 
 
 def _triples(m):
-    """The (rows, cols, values) of the stored entries of a CSR matrix."""
-    coo = m.tocoo()
+    """The (rows, cols, values) of the stored entries of a CSR matrix,
+    row-major and distinct."""
+    coo = sp.csr_matrix(m).tocoo()
     return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
 
 
@@ -543,41 +547,172 @@ def _csr(A):
     return sp.csr_matrix((vals, (rows, cols)), shape=A.shape)
 
 
+def _diagonals(m):
+    """A scipy matrix as Diagonals: offset o holds the entries (c + o, c)."""
+    a = m.toarray()
+    n = len(a)
+    c = np.arange(n)
+    inside = lambda o: (c + o >= 0) & (c + o < n)
+    return Diagonals.of({o: np.where(inside(o), a[(c + o) % n, c], 0) for o in range(1 - n, n)}, n)
+
+
 @st.composite
-def _words(draw):
+def _batches(draw):
+    """n and 1-6 words of 1-4 random n x n letters each."""
     n = draw(st.integers(1, 9))
-    return [_sparse_letter(draw, n) for _ in range(draw(st.integers(1, 4)))]
+    words = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    return n, [[_sparse_letter(draw, n) for _ in range(length)] for length in words]
 
 
-class TestEntrywiseProduct:
-    @given(mats=_words())
+def _product(mats):
+    word = mats[0]
+    for m in mats[1:]:
+        word = word @ m
+    return sp.csr_matrix(word)
+
+
+class TestBatchedJoin:
+    @given(case=_batches(), k=st.integers(0, 5))
     @settings(max_examples=300, deadline=None)
-    def test_join_matches_dense_product(self, mats):
-        n = mats[0].shape[0]
-        want = np.eye(n, dtype=np.complex128)
-        for m in mats:
-            want = want @ m.toarray()
-        keys, terms = verify._product_terms([_triples(m) for m in mats], n)
-        got = np.zeros(n * n, dtype=np.complex128)
-        np.add.at(got, keys, terms)
-        scale = max(1.0, np.abs(want).max(initial=0.0))
-        np.testing.assert_allclose(got.reshape(n, n), want, rtol=0, atol=1e-12 * scale)
+    def test_each_word_has_its_own_gap(self, case, k):
+        # Every word matches the scipy product of its letters; one entry
+        # added to word k, where the product may store nothing, fails word k
+        # and no other; and word k alone has the gap it has in the batch.
+        n, words = case
+        k %= len(words)
+        letters = [[_triples(m) for m in mats] for mats in words]
+        products = [_product(mats) for mats in words]
+        batch = [(ls, _diagonals(word)) for ls, word in zip(letters, products)]
+        gaps = verify._entrywise_gaps(batch, n)
+        assert (gaps <= 1e-13).all(), gaps
+        assert verify._entrywise_gaps([batch[k]], n)[0] == gaps[k]
+        step = 1e-10 * max(1.0, sparse_norm(products[k]))
+        extra = products[k] + sp.csr_matrix(([step], ([n - 1], [0])), shape=(n, n))
+        batch[k] = (letters[k], _diagonals(extra))
+        marked = verify._entrywise_gaps(batch, n)
+        assert (marked > 1e-13).tolist() == [j == k for j in range(len(words))]
+        assert np.array_equal(np.delete(marked, k), np.delete(gaps, k))
 
-    @given(mats=_words())
-    @settings(max_examples=100, deadline=None)
-    def test_gap_reads_every_stored_key(self, mats):
-        # The composed word passes; the same word with one entry added,
-        # where the product may store nothing, does not.
-        n = mats[0].shape[0]
-        word = mats[0]
-        for m in mats[1:]:
-            word = word @ m
-        word = sp.csr_matrix(word)
-        letters = [_triples(m) for m in mats]
-        assert verify._entrywise_gap(letters, _triples(word), n) <= 1e-13
-        step = 1e-10 * max(1.0, sparse_norm(word))
-        extra = word + sp.csr_matrix(([step], ([n - 1], [0])), shape=(n, n))
-        assert verify._entrywise_gap(letters, _triples(extra.tocsr()), n) > 1e-13
+    def test_a_non_finite_word_leaves_the_others_scaled(self):
+        # Word 0 holds entries near 1e170, whose squares overflow unless
+        # scaled, and one wrong entry; word 1 holds inf.  A scale shared by
+        # the batch would read inf, leave word 0 unscaled and its gap NaN,
+        # and let the wrong entry through.
+        n = 3
+        big = sp.csr_matrix(np.diag([1e85, 2e85, 3e85]))
+        inf = sp.csr_matrix(np.diag([np.inf, 1.0, 1.0]))
+        wrong = big @ big + sp.csr_matrix(([1e160], ([0], [1])), shape=(n, n))
+        batch = [([_triples(m)] * 2, _diagonals(w)) for m, w in [(big, wrong), (inf, inf @ inf)]]
+        assert verify._entrywise_gaps(batch, n)[0] > 1e-13
+
+    @pytest.mark.parametrize(
+        "specs", [X_RELATIONS, K_RELATIONS, COMMUTANT, T_TEMPLATE + TORB_TEMPLATE],
+        ids=["x", "k", "commutant", "templates"],
+    )
+    @pytest.mark.parametrize("w", [W_162, W_SPARSE], ids=["162", "578"])
+    def test_one_join_per_word_length(self, monkeypatch, specs, w):
+        join, lengths = verify._join_gaps, []
+
+        def spy(words, composed, n):
+            lengths.append([len(word) for word in words])
+            return join(words, composed, n)
+
+        monkeypatch.setattr(verify, "_join_gaps", spy)
+        check_relations(specs, LetterTable(w, P2), TOL, asserted=False)
+        words = [t.word for spec in specs for t in spec.lhs + spec.rhs]
+        if w.size > verify.DENSE_ORACLE_LIMIT:
+            assert lengths == []
+            return
+        # One join per distinct length, over every word of that length.
+        assert all(len(set(group)) == 1 for group in lengths)
+        assert sorted(group[0] for group in lengths) == sorted(set(map(len, words)))
+        assert sorted(sum(lengths, [])) == sorted(map(len, words))
+
+    def test_each_letter_is_exported_once(self, monkeypatch):
+        exports = []
+        triples = Diagonals.triples
+
+        def counting(self):
+            exports.append(self)
+            return triples(self)
+
+        monkeypatch.setattr(Diagonals, "triples", counting)
+        letters = LetterTable(W_162, P2)
+        check_relations(X_RELATIONS + K_RELATIONS, letters, TOL)
+        check_relations(COMMUTANT, letters, TOL)
+        specs = X_RELATIONS + K_RELATIONS + COMMUTANT
+        names = {name for spec in specs for word in spec.words() for name in word}
+        assert len(exports) == len(names)
+
+
+#: The words of X_RELATIONS in spec, side and term order, with their spec ids.
+X_WORDS = [(spec.id, t.word) for spec in X_RELATIONS for t in spec.lhs + spec.rhs]
+
+
+def _mutated_at(k, kind):
+    """A word_matrix that composes the k-th word of a call wrongly and every
+    other word right."""
+    wrong, calls = _mutated(kind), []
+
+    def compose(word, letters):
+        calls.append(word)
+        return (wrong if len(calls) == k + 1 else word_matrix)(word, letters)
+
+    return compose
+
+
+def _names(k, path):
+    """A pattern of the error that names the k-th X_RELATIONS word and a path."""
+    spec_id, word = X_WORDS[k]
+    return re.escape(f"on word {word} of {spec_id}: sparse composition vs ") + f".*{path}"
+
+
+class TestFirstError:
+    """The first word, in spec, side and term order, that fails either
+    second path raises; a word that fails both reports the probe."""
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @pytest.mark.parametrize("k", range(len(X_WORDS)))
+    @pytest.mark.parametrize(
+        "path, other",
+        [("entrywise product", "_require_probe_agreement"),
+         ("probe", "_require_entrywise_agreement")],
+        ids=["entrywise", "probe"],
+    )
+    def test_error_names_the_mutated_word(self, monkeypatch, path, other, k, kind):
+        monkeypatch.setattr(verify, "word_matrix", _mutated_at(k, kind))
+        monkeypatch.setattr(verify, other, lambda *args: None)
+        letters = LetterTable(W_162, P2)
+        word = X_WORDS[k][1]
+        if kind == "reversed" and word == word[::-1]:
+            # Reversing X3 X3 leaves it as it is.
+            check_relations(X_RELATIONS, letters, TOL)
+            return
+        with pytest.raises(QeuclidError, match=_names(k, path)):
+            check_relations(X_RELATIONS, letters, TOL)
+
+    @pytest.mark.parametrize("k", range(len(X_WORDS)))
+    def test_a_word_failing_both_paths_reports_the_probe(self, monkeypatch, k):
+        monkeypatch.setattr(verify, "word_matrix", _mutated_at(k, "perturbed_entry"))
+        with pytest.raises(QeuclidError, match=_names(k, "probe")):
+            check_relations(X_RELATIONS, LetterTable(W_162, P2), TOL)
+
+    @pytest.mark.parametrize("j, k", [(1, 4), (4, 1), (0, 6), (6, 0), (3, 3)])
+    def test_the_earlier_word_raises(self, monkeypatch, j, k):
+        # Word j is composed wrongly; the probe rejects word k and nothing
+        # else, so word j fails the entrywise path only, unless j = k.
+        seen = []
+
+        def probe(spec_id, word, mat, letters):
+            seen.append(word)
+            if len(seen) == k + 1:
+                verify._require_close(1.0, spec_id, word, "letter-by-letter probe")
+
+        monkeypatch.setattr(verify, "_require_probe_agreement", probe)
+        monkeypatch.setattr(verify, "word_matrix", _mutated_at(j, "perturbed_entry"))
+        first, path = (j, "entrywise product") if j < k else (k, "probe")
+        with pytest.raises(QeuclidError, match=_names(first, path)):
+            check_relations(X_RELATIONS, LetterTable(W_162, P2), TOL)
 
 
 class TestLetterMatrices:
