@@ -1,8 +1,8 @@
 """Command-line driver: run suites, dump spectra and matrices, fit limits.
 
-The driver is a thin batch layer over the library: it parses a run
-configuration, dispatches one subcommand, and maps library errors onto a
-fixed exit-code contract.
+The command line is a thin batch layer over the library: it parses the options,
+dispatches one subcommand, and maps library errors onto a fixed exit-code
+contract.
 
 Exit codes
 ----------
@@ -27,7 +27,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +53,6 @@ from .smooth import (
 from .verify import SUITE_NAMES, run_all_suites, window_label
 
 __all__ = [
-    "RunConfig",
     "EXIT_PASS",
     "EXIT_CHECK_FAILURE",
     "EXIT_USAGE",
@@ -62,7 +60,6 @@ __all__ = [
     "EXIT_OPERATOR_MISUSE",
     "EXIT_DOMAIN",
     "SLOPE_BAND",
-    "build_parser",
     "main",
 ]
 
@@ -80,63 +77,25 @@ DEFAULT_WINDOW = "0:0,-8,8"
 DEFAULT_H_LIST = "0.1,0.05,0.025,0.0125"
 
 
-@dataclass
-class RunConfig:
-    """Resolved run configuration shared by every subcommand."""
-
-    q: float = 1.5
-    r0: float = 1.0
-    theta_phase_choice: str = "-1"
-    window: TruncationWindow = field(
-        default_factory=lambda: _window_arg(DEFAULT_WINDOW)
-    )
-    tolerance: float = 1e-12
-    output_dir: Path = field(default_factory=lambda: Path("."))
-    format: str = "json"
-
-    def theta_phase(self) -> complex:
-        return _resolve_theta(self.theta_phase_choice)
-
-    def params(self) -> DeformationParams:
-        return DeformationParams(
-            q=self.q, r0=self.r0, theta_phase=self.theta_phase()
-        )
-
-
 # --- argument parsing ----------------------------------------------------------
 
-def _q_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"q must be a real number, got {text!r}")
-    if not value > 1.0:
-        raise argparse.ArgumentTypeError(
-            f"q must be > 1 (q = 1 is degenerate: lam = q - 1/q vanishes), got {text}"
-        )
-    return value
+def _number_arg(name: str, kind: type, bound=0.0, rule="positive", finite=False):
+    """An argparse type: text read as ``kind`` that must exceed ``bound``
+    (and, if asked, be finite); each error message names ``name``."""
+    noun = "an integer" if kind is int else "a real number"
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be {noun}, got {text!r}")
+        if not value > bound:
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text}")
+        if finite and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {rule} and finite, got {text}")
+        return value
 
-def _r0_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"r0 must be a real number, got {text!r}")
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"r0 must be positive, got {text}")
-    return value
-
-
-def _tol_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a real number, got {text!r}"
-        )
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text}")
-    return value
+    return parse
 
 
 def _window_arg(text: str) -> TruncationWindow:
@@ -151,26 +110,20 @@ def _window_arg(text: str) -> TruncationWindow:
         ) from exc
 
 
-def _theta_arg(text: str) -> str:
+def _theta_arg(text: str) -> complex:
     choice = text.strip()
-    if choice in ("-1", "minus_one", "+1", "1", "plus_one"):
-        return choice
+    if choice in ("-1", "minus_one"):
+        return complex(-1.0)
+    if choice in ("+1", "1", "plus_one"):
+        return complex(1.0)
     try:
-        float(choice)
+        angle = float(choice)
     except ValueError:
         raise argparse.ArgumentTypeError(
             "theta-phase must be '-1', '+1', or a real angle in radians, "
             f"got {text!r}"
         )
-    return choice
-
-
-def _resolve_theta(choice: str) -> complex:
-    if choice in ("-1", "minus_one"):
-        return complex(-1.0)
-    if choice in ("+1", "1", "plus_one"):
-        return complex(1.0)
-    return cmath.exp(1j * float(choice))
+    return cmath.exp(1j * angle)
 
 
 def _h_list_arg(text: str) -> tuple[float, ...]:
@@ -182,7 +135,7 @@ def _h_list_arg(text: str) -> tuple[float, ...]:
         )
     if not values:
         raise argparse.ArgumentTypeError("--h needs at least one scale")
-    if any(h <= 0 for h in values):
+    if any(not h > 0 for h in values):
         raise argparse.ArgumentTypeError("every h must be positive")
     return tuple(sorted(values, reverse=True))
 
@@ -200,23 +153,18 @@ def _modes_arg(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _capacity_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"capacity must be an integer, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"capacity must be positive, got {text}")
-    return value
-
-
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of a process and then reused."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--q", type=_q_arg, default=1.5, help="deformation parameter, must be > 1"
+        "--q",
+        type=_number_arg("q", float, 1.0, "> 1 (q = 1 is degenerate: lam = q - 1/q vanishes)"),
+        default=1.5,
+        help="deformation parameter, must be > 1",
     )
     common.add_argument(
-        "--r0", type=_r0_arg, default=1.0, help="radial scale of the lattice"
+        "--r0", type=_number_arg("r0", float), default=1.0, help="radial scale of the lattice"
     )
     common.add_argument(
         "--theta-phase",
@@ -234,7 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"truncation window 'Mmin:Mmax,mtmin,kmax' (default {DEFAULT_WINDOW})",
     )
     common.add_argument(
-        "--tolerance", type=_tol_arg, default=1e-12, help="asserted residual bound"
+        "--tolerance",
+        type=_number_arg("tolerance", float, finite=True),
+        default=1e-12,
+        help="asserted residual bound",
     )
     common.add_argument(
         "--output-dir",
@@ -251,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--capacity",
-        type=_capacity_arg,
+        type=_number_arg("capacity", int),
         default=None,
         metavar="N",
         help="override the window state-count limit",
@@ -305,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_limit.add_argument(
         "--samples",
-        type=_capacity_arg,
+        type=_number_arg("samples", int),
         default=25,
         help="number of xi grid points (default 25); r is fixed at 0.5, 1.0, 1.5",
     )
@@ -340,30 +291,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        q=args.q,
-        r0=args.r0,
-        theta_phase_choice=args.theta_phase,
-        window=args.window,
-        tolerance=args.tolerance,
-        output_dir=args.output_dir,
-        format=args.format,
-    )
-
-
 # --- subcommands ----------------------------------------------------------------
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    p = cfg.params()
-    reports = run_all_suites(
-        cfg.window, p, cfg.tolerance, capacity=args.capacity
-    )
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+def _params(args: argparse.Namespace) -> DeformationParams:
+    return DeformationParams(q=args.q, r0=args.r0, theta_phase=args.theta_phase)
+
+
+def _emit(text: str, path: Path | None) -> None:
+    """Write text to path, making its directory, or to stdout without one."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    p = _params(args)
+    reports = run_all_suites(args.window, p, args.tolerance, capacity=args.capacity)
+    args.output_dir.mkdir(parents=True, exist_ok=True)
     all_pass = True
     for name in SUITE_NAMES:
         report = reports[name]
-        path = cfg.output_dir / f"{name}.json"
+        path = args.output_dir / f"{name}.json"
         path.write_text(report.to_json(), encoding="utf-8")
         asserted = [c for c in report.checks if c.asserted]
         # np.max, unlike the builtin max, propagates a NaN residual.
@@ -373,7 +323,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"{name:<14} {status:<4}  worst asserted residual {worst:.3e}  {path}")
     print(
         f"verify: {'all suites pass' if all_pass else 'FAILURES detected'} "
-        f"(q={p.q}, window={window_label(cfg.window)}, tol={cfg.tolerance})"
+        f"(q={p.q}, window={window_label(args.window)}, tol={args.tolerance})"
     )
     return EXIT_PASS if all_pass else EXIT_CHECK_FAILURE
 
@@ -434,26 +384,23 @@ def spectrum_json(ix: BasisIndex, vals: np.ndarray) -> str:
     return "[\n" + body[:-2] + "\n]\n"
 
 
-def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
-    p = cfg.params()
-    ix, vals = spectrum_arrays(args.operator, cfg.window, p, capacity=args.capacity)
-    text = (spectrum_json if cfg.format == "json" else spectrum_csv)(ix, vals)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    p = _params(args)
+    ix, vals = spectrum_arrays(args.operator, args.window, p, capacity=args.capacity)
+    text = (spectrum_json if args.format == "json" else spectrum_csv)(ix, vals)
+    _emit(text, args.output)
     if args.output is not None:
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(text, encoding="utf-8")
         print(f"wrote {len(vals)} eigenvalues to {args.output}")
-    else:
-        sys.stdout.write(text)
     return EXIT_PASS
 
 
-def cmd_limit(cfg: RunConfig, args: argparse.Namespace) -> int:
-    theta = cfg.theta_phase()
+def cmd_limit(args: argparse.Namespace) -> int:
+    theta = args.theta_phase
     f = probe_function(args.modes)
     grid = limit_grid(args.deformed, f, args.h, n=args.samples, theta_phase=theta)
     result = limit_convergence(grid, args.classical)
     bad = [(h, err) for h, err, _ in result.rows if not math.isfinite(err)]
-    if cfg.format == "json":
+    if args.format == "json":
         # Strict JSON has no NaN or Infinity: such an error reads null in
         # rows, and "non_finite" spells it out.
         doc = {
@@ -472,11 +419,7 @@ def cmd_limit(cfg: RunConfig, args: argparse.Namespace) -> int:
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
         text = convergence_csv(result)
-    if args.output is not None:
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.output)
 
     if bad:
         print(
@@ -505,8 +448,8 @@ def cmd_limit(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILURE
 
 
-def cmd_apply(cfg: RunConfig, args: argparse.Namespace) -> int:
-    p = cfg.params()
+def cmd_apply(args: argparse.Namespace) -> int:
+    p = _params(args)
     state = load_state(args.input)
     image = apply(args.operator, state, p)
     args.output.parent.mkdir(parents=True, exist_ok=True)
@@ -518,14 +461,14 @@ def cmd_apply(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def cmd_matrix(cfg: RunConfig, args: argparse.Namespace) -> int:
-    p = cfg.params()
-    mat = materialize(args.operator, cfg.window, p, capacity=args.capacity)
+def cmd_matrix(args: argparse.Namespace) -> int:
+    p = _params(args)
+    mat = materialize(args.operator, args.window, p, capacity=args.capacity)
     args.output.parent.mkdir(parents=True, exist_ok=True)
     save_matrix(args.output, mat)
     n = mat.entries.shape[0]
     print(
-        f"{args.operator} on window {window_label(cfg.window)}: "
+        f"{args.operator} on window {window_label(args.window)}: "
         f"{n}x{n}, {mat.entries.nnz} entries, "
         f"{int(mat.boundary.sum())} boundary columns, wrote {args.output}"
     )
@@ -534,10 +477,17 @@ def cmd_matrix(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 # --- entry point -----------------------------------------------------------------
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call of a process and then reused."""
-    return build_parser()
+#: Exit code of each error a command may raise; the first matching row wins.
+_ERROR_EXITS = (
+    (CapacityError, EXIT_CAPACITY),
+    (UnknownOperatorError, EXIT_OPERATOR_MISUSE),
+    (NotDiagonalError, EXIT_OPERATOR_MISUSE),
+    (DomainError, EXIT_DOMAIN),
+    (RangeError, EXIT_USAGE),
+    (QeuclidError, EXIT_CHECK_FAILURE),
+    (OSError, EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -546,27 +496,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
-    cfg = _config_from_args(args)
     try:
-        return args.func(cfg, args)
-    except CapacityError as exc:
+        return args.func(args)
+    except tuple(kind for kind, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (UnknownOperatorError, NotDiagonalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPERATOR_MISUSE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QeuclidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILURE
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

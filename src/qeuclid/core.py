@@ -31,15 +31,9 @@ __all__ = [
     "DomainError",
     "RangeError",
     "DEFAULT_WINDOW_CAPACITY",
-    "LABEL_LIMIT",
-    "ALIASES",
     "qpow",
-    "qpow_array",
     "DeformationParams",
     "BasisIndex",
-    "stack_indices",
-    "unstack_indices",
-    "invalid_indices",
     "TruncationWindow",
     "canonical_key",
     "lattice_coordinates",

@@ -31,12 +31,9 @@ from .core import (
 __all__ = [
     "LatticeState",
     "build_window",
-    "check_capacity",
     "inner_product",
     "save_state",
     "load_state",
-    "format_rows",
-    "write_rows",
 ]
 
 

@@ -65,7 +65,6 @@ __all__ = [
     "catalogue_names",
     "get_operator",
     "resolve_name",
-    "images",
     "operator_action",
     "apply",
     "materialize",

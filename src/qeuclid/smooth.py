@@ -48,7 +48,6 @@ __all__ = [
     "XiConstraint",
     "ModeFunction",
     "SmoothFunction",
-    "SmoothBranch",
     "smooth_names",
     "classical_names",
     "smooth_apply",
@@ -685,7 +684,7 @@ def deformed_images(
     normal double range, or at which e^h rounds to 1, raises
     :class:`RangeError` naming that h.
     """
-    if any(float(h) <= 0.0 for h in h_values):
+    if any(not float(h) > 0.0 for h in h_values):
         raise ValueError("h values must be positive")
     top = max((abs(m) for m in f.mode_indices()), default=0)
     reach = 4 * top + 2

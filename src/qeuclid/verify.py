@@ -87,7 +87,6 @@ __all__ = [
     "TORB_TEMPLATE",
     "ADJOINT_PAIRS",
     "window_label",
-    "LetterTable",
     "word_matrix",
     "interior_positions",
     "check_relations",

@@ -90,6 +90,15 @@ class TestVerifyCommand:
         code = main(["verify", "--window", "nope", "--output-dir", str(tmp_path)])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("tol", ["inf", "1e999"])
+    def test_infinite_tolerance_is_a_usage_error(self, tol, tmp_path, capsys):
+        # An infinite bound would make every residual pass and write a bare
+        # Infinity into reports that must be strict JSON.
+        args = ["verify", "--q", "40", "--window=24:24,0,0", "--tolerance", tol]
+        assert main([*args, "--output-dir", str(tmp_path)]) == EXIT_USAGE
+        assert f"tolerance must be positive and finite, got {tol}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_window_beyond_label_limit_is_a_usage_error(self, tmp_path):
         window = "--window=10000000000000000000:10000000000000000000,0,0"
         assert main(["verify", window, "--output-dir", str(tmp_path)]) == EXIT_USAGE
@@ -415,6 +424,20 @@ class TestLimitCommand:
     def test_nonpositive_h_is_a_usage_error(self):
         assert main(["limit", "Torb3", "L3", "--h", "0.1,-0.1"]) == EXIT_USAGE
 
+    def test_nan_h_is_a_usage_error_naming_h(self, capsys):
+        assert main(["limit", "Torb3", "L3", "--h", "0.1,nan"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --h: every h must be positive" in err
+        assert "q must be" not in err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("0", "samples must be positive, got 0"), ("x", "samples must be an integer, got 'x'")],
+    )
+    def test_bad_samples_names_samples(self, value, message, capsys):
+        assert main(["limit", "X3", "X3_cl", "--samples", value]) == EXIT_USAGE
+        assert f"argument --samples: {message}" in capsys.readouterr().err
+
     def test_rule_is_applied_once_per_h(self, monkeypatch, capsys):
         # The xi grid and the error table read the same per-h applications.
         calls = []
@@ -596,3 +619,20 @@ class TestUsageErrors:
 
     def test_bad_theta_phase(self):
         assert main(["verify", "--theta-phase", "maybe"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--q", "x", "q must be a real number, got 'x'"),
+            ("--q", "1", "q must be > 1 (q = 1 is degenerate: lam = q - 1/q vanishes), got 1"),
+            ("--r0", "x", "r0 must be a real number, got 'x'"),
+            ("--r0", "0", "r0 must be positive, got 0"),
+            ("--tolerance", "x", "tolerance must be a real number, got 'x'"),
+            ("--tolerance", "nan", "tolerance must be positive, got nan"),
+            ("--capacity", "1.5", "capacity must be an integer, got '1.5'"),
+            ("--capacity", "0", "capacity must be positive, got 0"),
+        ],
+    )
+    def test_number_errors_name_the_option(self, flag, value, message, capsys):
+        assert main(["verify", flag, value]) == EXIT_USAGE
+        assert f"argument {flag}: {message}\n" in capsys.readouterr().err

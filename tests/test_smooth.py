@@ -504,6 +504,12 @@ class TestNonFiniteAndRange:
         with pytest.raises(RangeError, match=f"h = {h!r} is out of range"):
             limit_grid("Torb3", probe_function(range(-3, 4)), [0.05, h])
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
+    def test_non_positive_h_is_refused(self, h):
+        # A NaN h fails the positivity test too, before any power of q is read.
+        with pytest.raises(ValueError, match="h values must be positive"):
+            deformed_images("Torb3", probe_function([0]), [0.05, h])
+
     def test_range_follows_the_modes(self):
         # q^(4|m| + 2) must stay normal: h = 50 passes on |m| <= 3 only.
         limit_grid("Torb3", probe_function(range(-3, 4)), [50.0])
