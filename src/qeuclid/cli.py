@@ -156,57 +156,46 @@ def _modes_arg(text: str) -> tuple[int, ...]:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call of a process and then reused."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--q",
-        type=_number_arg("q", float, 1.0, "> 1 (q = 1 is degenerate: lam = q - 1/q vanishes)"),
-        default=1.5,
-        help="deformation parameter, must be > 1",
-    )
-    common.add_argument(
-        "--r0", type=_number_arg("r0", float), default=1.0, help="radial scale of the lattice"
-    )
-    common.add_argument(
-        "--theta-phase",
-        type=_theta_arg,
-        default="-1",
-        metavar="PHASE",
-        help="unit phase of the mode ladder: '-1' (default), '+1', "
-        "or a real angle in radians",
-    )
-    common.add_argument(
-        "--window",
-        type=_window_arg,
-        default=_window_arg(DEFAULT_WINDOW),
-        metavar="SPEC",
-        help=f"truncation window 'Mmin:Mmax,mtmin,kmax' (default {DEFAULT_WINDOW})",
-    )
-    common.add_argument(
-        "--tolerance",
-        type=_number_arg("tolerance", float, finite=True),
-        default=1e-12,
-        help="asserted residual bound",
-    )
-    common.add_argument(
-        "--output-dir",
-        type=Path,
-        default=Path("."),
-        metavar="DIR",
-        help="directory for report files",
-    )
-    common.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="table format where a command writes tabular data",
-    )
-    common.add_argument(
-        "--capacity",
-        type=_number_arg("capacity", int),
-        default=None,
-        metavar="N",
-        help="override the window state-count limit",
-    )
+    # The options several subcommands share.  Each subcommand takes only
+    # those it reads, so an option it would ignore is a usage error.
+    options = {
+        "--q": dict(
+            type=_number_arg("q", float, 1.0, "> 1 (q = 1 is degenerate: lam = q - 1/q vanishes)"),
+            default=1.5,
+            help="deformation parameter, must be > 1",
+        ),
+        "--r0": dict(
+            type=_number_arg("r0", float), default=1.0, help="radial scale of the lattice"
+        ),
+        "--theta-phase": dict(
+            type=_theta_arg,
+            default="-1",
+            metavar="PHASE",
+            help="unit phase of the mode ladder: '-1' (default), '+1', "
+            "or a real angle in radians",
+        ),
+        "--window": dict(
+            type=_window_arg,
+            default=_window_arg(DEFAULT_WINDOW),
+            metavar="SPEC",
+            help=f"truncation window 'Mmin:Mmax,mtmin,kmax' (default {DEFAULT_WINDOW})",
+        ),
+        "--tolerance": dict(
+            type=_number_arg("tolerance", float, finite=True),
+            default=1e-12,
+            help="asserted residual bound",
+        ),
+        "--output-dir": dict(
+            type=Path, default=Path("."), metavar="DIR", help="directory for report files"
+        ),
+        "--format": dict(choices=("json", "csv"), default="csv", help="format of the table"),
+        "--capacity": dict(
+            type=_number_arg("capacity", int),
+            default=None,
+            metavar="N",
+            help="override the window state-count limit",
+        ),
+    }
 
     parser = argparse.ArgumentParser(
         prog="qeuclid",
@@ -215,27 +204,35 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p_verify = sub.add_parser(
+    def command(name: str, func, takes: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in takes.split():
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(func=func)
+        return p
+
+    command(
         "verify",
-        parents=[common],
+        cmd_verify,
+        "--q --r0 --theta-phase --window --tolerance --output-dir --capacity",
         help="run every verification suite and write one JSON report per suite",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_spectrum = sub.add_parser(
+    p_spectrum = command(
         "spectrum",
-        parents=[common],
+        cmd_spectrum,
+        "--q --r0 --theta-phase --window --format --capacity",
         help="tabulate the eigenvalues of a diagonal operator over the window",
     )
     p_spectrum.add_argument("operator", help="diagonal catalogue operator name")
     p_spectrum.add_argument(
         "--output", type=Path, default=None, help="write the table here (default stdout)"
     )
-    p_spectrum.set_defaults(func=cmd_spectrum, format="csv")
 
-    p_limit = sub.add_parser(
+    p_limit = command(
         "limit",
-        parents=[common],
+        cmd_limit,
+        "--theta-phase --format",
         help="compare a deformed rule against its classical counterpart as q -> 1",
     )
     p_limit.add_argument("deformed", help="deformed smooth-rule name")
@@ -263,11 +260,11 @@ def _parser() -> argparse.ArgumentParser:
     p_limit.add_argument(
         "--output", type=Path, default=None, help="write the table here (default stdout)"
     )
-    p_limit.set_defaults(func=cmd_limit, format="csv")
 
-    p_apply = sub.add_parser(
+    p_apply = command(
         "apply",
-        parents=[common],
+        cmd_apply,
+        "--q --r0 --theta-phase",
         help="apply a catalogue operator to a state file",
     )
     p_apply.add_argument("operator", help="catalogue operator name")
@@ -275,18 +272,17 @@ def _parser() -> argparse.ArgumentParser:
     p_apply.add_argument(
         "--output", type=Path, required=True, help="state file to write"
     )
-    p_apply.set_defaults(func=cmd_apply)
 
-    p_matrix = sub.add_parser(
+    p_matrix = command(
         "matrix",
-        parents=[common],
+        cmd_matrix,
+        "--q --r0 --theta-phase --window --capacity",
         help="materialize an operator over the window and dump its entries",
     )
     p_matrix.add_argument("operator", help="catalogue operator name")
     p_matrix.add_argument(
         "--output", type=Path, required=True, help="matrix file to write"
     )
-    p_matrix.set_defaults(func=cmd_matrix)
 
     return parser
 

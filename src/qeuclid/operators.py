@@ -308,6 +308,19 @@ def apply(name: str, state: LatticeState, p: DeformationParams) -> LatticeState:
     return LatticeState.from_arrays(tgt, amps)
 
 
+def _times(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a * b entrywise, into ``out`` if given.  A complex product is
+    (ac - bd) + (ad + bc)i with every operation rounded on its own, as
+    compressed sparse rows form it; numpy's complex loops may fuse them.  A
+    real operand's imaginary part reads 0."""
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return np.multiply(a, b, out=out)
+    term = np.empty(len(a), dtype=np.complex128) if out is None else out
+    term.real = a.real * b.real - a.imag * b.imag
+    term.imag = a.real * b.imag + a.imag * b.real
+    return term
+
+
 def _shift(v: np.ndarray, s: int) -> np.ndarray:
     """u[i] = v[i + s] where i + s indexes v, else 0."""
     u = np.zeros_like(v)
@@ -329,6 +342,12 @@ class Diagonals:
     of present entries only, from 0 and in ascending inner index, and a
     scalar multiple keeps absent entries absent.  Overflow reads inf or
     NaN without a warning.
+
+    A product keeps one zero-started sum per output offset and adds the
+    terms of each pair of diagonals into the slice of columns where the
+    inner index and the row exist (``sum[lo:hi] += term``), each term formed
+    in a reused scratch buffer; it never makes a shifted copy of a
+    diagonal, and never writes into an operand.
 
     ``values`` is float64 when every operand it was built from is real and
     complex128 otherwise: a catalogue letter at a real phase, and any sum,
@@ -368,26 +387,34 @@ class Diagonals:
         return rows, cols, self.values.ravel()[(d - 1 - j) * n + cols]
 
     def __matmul__(self, other: "Diagonals") -> "Diagonals":
+        n = self.shape[0]
+        dtype = np.result_type(self.values, other.values)
         sums: dict[int, np.ndarray] = {}
-        real = not (np.iscomplexobj(self.values) or np.iscomplexobj(other.values))
+        # Each term and its absent-entry masks live in length-n scratch
+        # buffers, so no array of a varying length reaches the allocator,
+        # whose heap would otherwise keep growing over many products.
+        buf, in_a, in_b = np.empty(n, dtype), np.empty(n, bool), np.empty(n, bool)
         # The term of A's offset oa and B's ob in column c has inner index
-        # c + ob, so ascending ob adds each entry's terms in that order.
+        # c + ob, so ascending ob adds each entry's terms in that order.  It
+        # exists where the inner index and the row c + oa + ob are in range;
+        # elsewhere it would add an exact 0 to a sum that started at +0.0.
         with np.errstate(over="ignore", invalid="ignore"):
             for ob, b in zip(other.offsets.tolist(), other.values):
                 for oa, a in zip(self.offsets.tolist(), self.values):
-                    a = _shift(a, ob)
-                    if real:
-                        term = a * b
-                    else:
-                        # (ac - bd) + (ad + bc)i with every operation rounded
-                        # on its own; numpy's complex loops may fuse them.  A
-                        # real operand's imaginary part reads 0.
-                        term = np.empty(len(b), dtype=np.complex128)
-                        term.real = a.real * b.real - a.imag * b.imag
-                        term.imag = a.real * b.imag + a.imag * b.real
-                    term[(a == 0) | (b == 0)] = 0
-                    sums[oa + ob] = sums.get(oa + ob, 0) + term
-        return Diagonals.of(sums, self.shape[0])
+                    o = oa + ob
+                    # Every pair opens its diagonal, so the dtype is the
+                    # operands' even where no term exists; ``of`` drops it.
+                    if o not in sums:
+                        sums[o] = np.zeros(n, dtype)
+                    lo, hi = max(-ob, -o, 0), min(n, n - ob, n - o)
+                    if lo < hi:
+                        a_in, b_in, k = a[lo + ob : hi + ob], b[lo:hi], hi - lo
+                        term = _times(a_in, b_in, buf[:k])
+                        absent = np.equal(a_in, 0, out=in_a[:k])
+                        absent |= np.equal(b_in, 0, out=in_b[:k])
+                        np.copyto(term, 0, where=absent)
+                        sums[o][lo:hi] += term
+        return Diagonals.of(sums, n)
 
     def _combine(self, other: "Diagonals", op: np.ufunc) -> "Diagonals":
         mine = dict(zip(self.offsets.tolist(), self.values))

@@ -33,7 +33,9 @@ lost letter or entry), and raises:
 
 * On windows of any size, the letters are applied one at a time to one
   seeded real Gaussian probe vector, and the result must match the composed
-  word times the same vector (Freivalds' randomized product check).
+  word times the same vector (Freivalds' randomized product check).  Each
+  application adds every diagonal into its slice of rows, in the order of
+  a compressed-sparse-row product with a vector.
 * On windows of at most 2^9 states, every entry of every word of a
   ``check_relations`` call is recomputed from the (row, col, value) triples
   of the letters' stored entries, which the table exports once per letter,
@@ -67,7 +69,7 @@ from .lattice import check_capacity
 from .operators import (
     Diagonals,
     OperatorMatrix,
-    _shift,
+    _times,
     adjoint_matrix,
     get_operator,
     images,
@@ -325,7 +327,8 @@ class LetterTable:
     (name, phase) is materialized once, on first read, and only read after.
     The table also holds the run's seeded probe vector and, exported once on
     first read, the stored entries of each letter at the run's phase
-    (``letters.triples(name)``).
+    (``letters.triples(name)``).  ``letters.masks`` holds, made once on first
+    use, each composite shift's column mask of ``_interior_mask``.
     """
 
     def __init__(self, w: TruncationWindow, p: DeformationParams, capacity: int | None = None):
@@ -334,6 +337,7 @@ class LetterTable:
         self.probe = np.random.default_rng(0).standard_normal(self.n)
         self._made: dict[tuple[str, complex], OperatorMatrix] = {}
         self._triples: dict[str, Triples] = {}
+        self.masks: dict[tuple[int, int, int], np.ndarray] = {}
 
     def __getitem__(self, name: str) -> OperatorMatrix:
         return self.at(name, self.p.theta_phase)
@@ -372,6 +376,7 @@ def word_matrix(word: Sequence[str], letters: LetterTable) -> tuple[Diagonals, f
     rightmost first; the leakage sums the squared magnitude of every
     amplitude a step carries to a valid index outside the window.
     """
+    n = letters.n
     *rest, first = [letters[name] for name in word]
     prod, leak = first.entries, float(first.leakage.sum())
     for letter in reversed(rest):
@@ -379,8 +384,11 @@ def word_matrix(word: Sequence[str], letters: LetterTable) -> tuple[Diagonals, f
         # row j of the product so far.  Squares may overflow to inf; only
         # rows that are reached and leak count, so no inf meets a 0 (NaN).
         with np.errstate(over="ignore"):
-            squares = (_shift(np.square(np.abs(v)), -o) for o, v in zip(prod.offsets, prod.values))
-            reach = sum(squares, np.zeros(letters.n))
+            reach, buf = np.zeros(n), np.empty(n)
+            for o, v in zip(prod.offsets.tolist(), prod.values):
+                lo, hi = max(-o, 0), min(n, n - o)
+                square = np.square(np.abs(v[lo:hi], out=buf[: hi - lo]), out=buf[: hi - lo])
+                reach[lo + o : hi + o] += square
             hit = (reach != 0.0) & (letter.leakage != 0.0)
             leak += float(np.add.reduce(reach[hit] * letter.leakage[hit]))
         prod = letter.entries @ prod
@@ -398,14 +406,22 @@ def _shift_prefixes(word: Sequence[str]) -> set[tuple[int, int, int]]:
     return prefixes
 
 
-def _interior_mask(words: Iterable[Sequence[str]], w: TruncationWindow) -> np.ndarray:
-    """Boolean mask over canonical positions of the interior columns."""
-    shifts = set().union(*(_shift_prefixes(word) for word in words))
-    ix = w.index_arrays()
+def _interior_mask(
+    words: Iterable[Sequence[str]],
+    w: TruncationWindow,
+    masks: dict[tuple[int, int, int], np.ndarray] | None = None,
+) -> np.ndarray:
+    """Boolean mask over canonical positions of the interior columns: the
+    AND over every prefix shift of the columns that the shift keeps in the
+    window or sends to an invalid index.  ``masks`` keeps each shift's
+    columns for later calls over the same window."""
+    masks = {} if masks is None else masks
     ok = np.ones(w.size, dtype=bool)
-    for shift in shifts:
-        tgt = ix.shifted(*shift)
-        ok &= w.contains(tgt) | ~tgt.is_valid()
+    for shift in set().union(*(_shift_prefixes(word) for word in words)):
+        if shift not in masks:
+            tgt = w.index_arrays().shifted(*shift)
+            masks[shift] = w.contains(tgt) | ~tgt.is_valid()
+        ok &= masks[shift]
     return ok
 
 
@@ -447,12 +463,20 @@ def _balanced_residual(L: Diagonals, R: Diagonals, mask: np.ndarray) -> float:
     whose row falls outside the matrix, is an exact 0.
 
     The entries are gathered in a named order, whatever the layout of
-    ``values``: column by column, ascending offset within a column.  That
-    order fixes the bits of each sum.
+    ``values``: column by column, ascending offset within a column, by one
+    ``np.compress`` of the masked columns (no gather at all when every
+    column is masked) and a C-order ravel of its transpose.  That order
+    fixes the bits of each sum.
     """
     if not mask.any():
         return 0.0
-    return _relative_norm(*(A.values.T[mask].ravel() for A in (L - R, L, R)))
+    every = mask.all()
+
+    def columns(A: Diagonals) -> np.ndarray:
+        return (A.values if every else np.compress(mask, A.values, axis=1)).T.ravel()
+
+    # L - R is freed once its columns are gathered.
+    return _relative_norm(columns(L - R), columns(L), columns(R))
 
 
 def _sum_by_key(keys: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -611,11 +635,21 @@ def _require_close(diff: float, spec_id: str, word: tuple[str, ...], path: str) 
 
 def _apply(A: Diagonals, x: np.ndarray) -> np.ndarray:
     """A @ x, one stored diagonal at a time: the entry in column c on
-    offset o adds its product with x[c] to row c + o."""
-    terms = A.values * x
-    # An absent entry never meets a non-finite x.
-    terms[A.values == 0] = 0
-    return sum((_shift(t, -o) for o, t in zip(A.offsets, terms)), np.zeros(len(x), terms.dtype))
+    offset o adds its product with x[c] to row c + o.  Each row adds its
+    terms from 0 in ascending column, that is descending offset, as
+    compressed sparse rows do."""
+    n = len(x)
+    y = np.zeros(n, np.result_type(A.values, x))
+    # Length-n scratch buffers, as in ``Diagonals.__matmul__``.
+    buf, absent = np.empty_like(y), np.empty(n, bool)
+    for o, a in zip(A.offsets.tolist()[::-1], A.values[::-1]):
+        lo, hi = max(-o, 0), min(n, n - o)
+        a_in, k = a[lo:hi], hi - lo
+        term = _times(a_in, x[lo:hi], buf[:k])
+        # An absent entry never meets a non-finite x.
+        np.copyto(term, 0, where=np.equal(a_in, 0, out=absent[:k]))
+        y[lo + o : hi + o] += term
+    return y
 
 
 def _require_probe_agreement(
@@ -678,7 +712,7 @@ def check_relations(
                 leak += abs(c) ** 2 * lk
             sums.append(total)
             leaks.append(leak)
-        interior = _interior_mask(spec.words(), w)
+        interior = _interior_mask(spec.words(), w, letters.masks)
         reports.append(_report(
             letters, spec.id, _balanced_residual(*sums, interior), tol, asserted,
             boundary_rows_excluded=n - int(interior.sum()), leakage_norm=math.sqrt(sum(leaks)),

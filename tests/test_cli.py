@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver and its exit-code contract."""
 
+import argparse
 import cmath
 import json
 import math
@@ -200,6 +201,9 @@ class TestGoldenReports:
     were last rewritten when the residual norms became fixed-order sums,
     which moved some residuals in their last bits and no verdict.  They
     kept their bytes when the values at a real phase became float64.
+    q1.5-window17298 is the 17,298-state window of the benchmark; it was
+    written by the code whose diagonal kernels still built a shifted,
+    zero-filled copy of every diagonal.
     """
 
     @pytest.mark.parametrize(
@@ -212,6 +216,7 @@ class TestGoldenReports:
                 EXIT_CHECK_FAILURE,
             ),
             ("q3.0-sparse", ["--q", "3.0", "--window=-2:2,-16,16"], EXIT_PASS),
+            ("q1.5-window17298", ["--q", "1.5", "--window=-4:4,-30,30"], EXIT_PASS),
             (
                 "q1.1-phase0.7",
                 ["--q", "1.1", "--theta-phase", "0.7", "--window=0:2,-8,8"],
@@ -610,9 +615,56 @@ class TestMatrixCommand:
         assert code == EXIT_CAPACITY
 
 
+#: The options several subcommands share, and which of them each reads.
+SHARED_OPTIONS = {
+    "--q": "2.0", "--r0": "1.0", "--theta-phase": "+1", "--window": "0:0,-1,1",
+    "--tolerance": "1", "--output-dir": "d", "--format": "json", "--capacity": "5",
+}
+OPTIONS_READ = {
+    "verify": {"--q", "--r0", "--theta-phase", "--window", "--tolerance", "--output-dir",
+               "--capacity"},
+    "spectrum": {"--q", "--r0", "--theta-phase", "--window", "--format", "--capacity"},
+    "limit": {"--theta-phase", "--format"},
+    "apply": {"--q", "--r0", "--theta-phase"},
+    "matrix": {"--q", "--r0", "--theta-phase", "--window", "--capacity"},
+}
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, read in OPTIONS_READ.items() for f in SHARED_OPTIONS if f not in read],
+    )
+    def test_an_option_the_command_ignores_is_an_error(
+        self, command, flag, tmp_path, monkeypatch, capsys
+    ):
+        # Each subcommand takes only the options it reads, so a flag that
+        # would change nothing stops the run before it writes anything.
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out.txt"
+        state = POINTWISE / "state.txt"
+        argv = {
+            "verify": ["verify"],
+            "spectrum": ["spectrum", "X3"],
+            "limit": ["limit", "Torb3", "L3", "--output", str(out)],
+            "apply": ["apply", "X3", "--input", str(state), "--output", str(out)],
+            "matrix": ["matrix", "X3", "--output", str(out)],
+        }[command]
+        assert main([*argv, flag, SHARED_OPTIONS[flag]]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {SHARED_OPTIONS[flag]}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_command_takes_the_options_it_reads(self):
+        sub = next(
+            a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command, read in OPTIONS_READ.items():
+            flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
+            assert flags & SHARED_OPTIONS.keys() == read, command
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == EXIT_USAGE

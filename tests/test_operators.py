@@ -37,7 +37,7 @@ from qeuclid.operators import (
     spectrum_diagonal,
 )
 
-from dense import outside_slots, to_dense
+from dense import outside_slots, random_diagonals, to_dense
 from oracle import ORACLE_NAMES, oracle_action
 
 P2 = DeformationParams(q=2.0)
@@ -247,21 +247,6 @@ def _clip(v, o):
     return np.where((cols + o >= 0) & (cols + o < len(v)), v, 0)
 
 
-@st.composite
-def _diagonals(draw, n):
-    """A random n x n matrix of up to four diagonals, some entries absent,
-    with float64 or complex128 values."""
-    offsets = sorted(draw(st.sets(st.integers(-(n - 1), n - 1), max_size=4)))
-    part = st.floats(-1e3, 1e3, allow_nan=False)
-    real = draw(st.booleans())
-    values = np.zeros((len(offsets), n), dtype=float if real else complex)
-    for d, o in enumerate(offsets):
-        for c in range(max(0, -o), min(n, n - o)):
-            if draw(st.booleans()):
-                values[d, c] = draw(part) if real else complex(draw(part), draw(part))
-    return Diagonals(np.array(offsets, dtype=np.int64), values)
-
-
 class TestDiagonals:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -271,10 +256,12 @@ class TestDiagonals:
         # operand and scalar is real or complex, so real, mixed and complex
         # pairs are all drawn.
         n = data.draw(st.integers(1, 8))
-        A, B = data.draw(_diagonals(n)), data.draw(_diagonals(n))
+        A, B = data.draw(random_diagonals(n)), data.draw(random_diagonals(n))
         r = data.draw(st.floats(-8, 8))
         c = complex(r, data.draw(st.floats(-8, 8)))
         csr_a, csr_b = (sp.csr_matrix(to_dense(M)) for M in (A, B))
+        # The kernels write into arrays of their own, never into an operand.
+        kept = [M.values.copy() for M in (A, B)]
         for got, want in (
             (A @ B, csr_a @ csr_b),
             (A + B, csr_a + csr_b),
@@ -298,6 +285,10 @@ class TestDiagonals:
             assert got.nnz == want.nnz and got.shape == (n, n)
             # The residual norms read every slot of a masked column.
             assert not outside_slots(got).any()
+            for M, values in zip((A, B), kept):
+                assert np.array_equal(M.values.view(float), values.view(float))
+        # A product diagonal whose offset leaves (-n, n) holds no entry.
+        assert np.all(np.abs((A @ B).offsets) < n)
         if not (np.iscomplexobj(A.values) or np.iscomplexobj(B.values)):
             for got in (A @ B, A + B, A - B, r * A):
                 assert got.values.dtype == np.float64

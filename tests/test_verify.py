@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import norm as sparse_norm
 
-from dense import outside_slots
+from dense import outside_slots, random_diagonals, to_dense
 from oracle import oracle_action
 from qeuclid import cli, lattice, operators, smooth, verify
 from qeuclid.core import DeformationParams, QeuclidError, TruncationWindow
@@ -27,6 +27,7 @@ from qeuclid.lattice import build_window
 from qeuclid.operators import Diagonals, apply, catalogue_names, get_operator
 from qeuclid.verify import (
     ADJOINT_PAIRS,
+    CASIMIR,
     COMMUTANT,
     K_RELATIONS,
     LetterTable,
@@ -298,6 +299,97 @@ class TestWordMatrices:
         assert ("Kplus", "Kminus") in names
         assert ("Lambda", "Lambda_inv") in names
         assert len(ADJOINT_PAIRS) == 10
+
+
+def _same_bits(a, b):
+    """Whether two arrays hold the same bits, every NaN taken as one value
+    (the sign of a NaN depends on which operand a compiled sum reads first)."""
+    a, b = a.view(float), b.view(float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.int64), b[~nan].view(np.int64)
+    )
+
+
+class TestProbeKernel:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_apply_matches_compressed_rows_bit_for_bit(self, data):
+        # scipy's CSR product with a vector is the reference: each row adds
+        # the terms of its stored entries from 0 in ascending column, and an
+        # absent entry forms no term, so an inf or NaN of x beside it stays
+        # out of its row.  A and x are each real or complex.
+        n = data.draw(st.integers(1, 8))
+        A = data.draw(random_diagonals(n))
+        part = st.one_of(
+            st.floats(-1e3, 1e3), st.sampled_from([math.inf, -math.inf, math.nan])
+        )
+        x = np.array([data.draw(part) for _ in range(n)])
+        if data.draw(st.booleans()):
+            x = x.astype(complex)
+            x.imag = [data.draw(part) for _ in range(n)]
+        kept = A.values.copy(), x.copy()
+        # The probe runs under the same errstate.
+        with np.errstate(all="ignore"):
+            got = verify._apply(A, x)
+        want = sp.csr_matrix(to_dense(A)) @ x
+        assert got.dtype == want.dtype
+        assert _same_bits(got, want)
+        assert np.array_equal(A.values.view(float), kept[0].view(float))
+        assert np.array_equal(x.view(float), kept[1].view(float), equal_nan=True)
+
+    def test_rows_add_terms_in_ascending_column(self):
+        # Four terms meet in most rows, so the bits of each sum depend on
+        # its order, and complex terms on an unfused multiply.
+        rng = np.random.default_rng(5)
+        n = 40
+        c = np.arange(n)
+        gauss = lambda: np.array([1, 1j]) @ rng.standard_normal((2, n))  # noqa: E731
+        inside = lambda o: (c + o >= 0) & (c + o < n)  # noqa: E731
+        A = Diagonals.of({o: np.where(inside(o), gauss(), 0) for o in (-2, -1, 0, 3)}, n)
+        x = gauss()
+        assert _same_bits(verify._apply(A, x), sp.csr_matrix(to_dense(A)) @ x)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, complex(math.inf, math.nan)])
+    def test_one_state_with_an_absent_entry(self, x):
+        # n = 1: a stored diagonal whose one entry is absent keeps y = 0
+        # whatever x holds; a present entry meets it.
+        absent = Diagonals(np.array([0]), np.array([[0.0]]))
+        present = Diagonals(np.array([0]), np.array([[2.0]]))
+        with np.errstate(all="ignore"):
+            for A in (absent, present):
+                got = verify._apply(A, np.array([x]))
+                want = sp.csr_matrix(to_dense(A)) @ np.array([x])
+                assert _same_bits(got, want)
+            assert verify._apply(absent, np.array([x])).tolist() == [0.0]
+
+
+class TestInteriorMasks:
+    @pytest.mark.parametrize(
+        "w", [W, TruncationWindow(-1, 0, -3, 0), TruncationWindow(0, 0, 0, 0)],
+        ids=["98", "k_max=0", "2"],
+    )
+    def test_shared_table_masks_match_fresh_positions(self, w):
+        # One table serves every relation set of every suite in run order;
+        # each mask it gives equals the interior columns computed afresh.
+        letters = LetterTable(w, P2)
+        for specs in (X_RELATIONS, K_RELATIONS, CASIMIR, COMMUTANT, T_TEMPLATE + TORB_TEMPLATE):
+            for spec in specs:
+                mask = verify._interior_mask(spec.words(), w, letters.masks)
+                assert np.flatnonzero(mask).tolist() == interior_positions(spec.words(), w)
+        assert letters.masks
+
+    def test_each_table_has_its_own_masks(self):
+        # Masks belong to one run's table: another table, over the same
+        # window or another, starts from none.
+        a, b = LetterTable(W, P2), LetterTable(W, P2)
+        assert a.masks is not b.masks
+        run_suite("x_relations", a, TOL)
+        assert a.masks and not b.masks
+        c = LetterTable(W_SPARSE, P2)
+        run_suite("x_relations", c, TOL)
+        assert c.masks.keys() == a.masks.keys()
+        assert all(len(c.masks[s]) == W_SPARSE.size for s in c.masks)
 
 
 class TestRecursions:
