@@ -489,9 +489,9 @@ def adjoint_matrix(A: OperatorMatrix, p: DeformationParams) -> OperatorMatrix:
     (windowed entries of a single catalogue operator are exact).
     """
     ix = A.window.index_arrays()
-    wgt = qpow_array(p.q, 4 * ix.M) * qpow_array(p.q, 2 * ix.mt)
-    # A weight that underflows to 0 or overflows inverts to inf or 0.
-    with np.errstate(divide="ignore", over="ignore"):
+    # A weight may overflow, underflow to 0 or meet inf * 0 (NaN); its inverse follows.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        wgt = qpow_array(p.q, 4 * ix.M) * qpow_array(p.q, 2 * ix.mt)
         inv = 1.0 / wgt
     a, n = A.entries, len(wgt)
     flipped = {-o: _shift(np.conj(v), -o) for o, v in zip(a.offsets.tolist(), a.values)}

@@ -19,10 +19,11 @@ A function is arrays over its modes.  It evaluates all of them in one call,
 with a leading mode axis: the probe by one Horner pass, a rule image by one
 array pass per branch, summed in table order.  It records the xi-intervals
 on which it is evaluable (square-root factors must stay nonnegative, scaled
-arguments inside (0, 1)) as a table of constraints over its modes.
-Evaluating outside raises :class:`DomainError` naming the offending factor;
-square roots never go complex.  ``f.modes[m]`` is a per-mode view, built on
-first use, whose call reads one row of the stacked pass.
+arguments inside (0, 1)) as a table of constraints over its modes, which
+one predicate checks whole.  Evaluating outside raises :class:`DomainError`
+naming the offending factor; square roots never go complex.  ``f.modes[m]``
+is a per-mode view, built on first use, whose call reads one row of the
+stacked pass.
 
 The classical rules (q = 1 counterparts) consume the analytic xi-derivative
 supplied with each mode function; :func:`limit_convergence` drives the
@@ -67,34 +68,21 @@ Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class XiConstraint:
-    """One admissible xi-interval with the factor that imposes it."""
+    """One admissible xi-interval (open when strict) and the factor imposing it."""
 
     lo: float
     hi: float
     source: str
     strict: bool = False
 
-    def violations(self, xi: np.ndarray) -> np.ndarray:
-        if self.strict:
-            return (xi <= self.lo) | (xi >= self.hi)
-        return (xi < self.lo) | (xi > self.hi)
-
-    def excludes(self, lo: float, hi: float) -> bool:
-        """Whether a sample whose extremes are lo and hi has a violation."""
-        if self.strict:
-            return lo <= self.lo or hi >= self.hi
-        return lo < self.lo or hi > self.hi
-
 
 _BASE = XiConstraint(0.0, 1.0, "xi inside (0, 1)", strict=True)
 
 
-def _span(xi: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest xi, skipping NaN (which violates no constraint)."""
-    return (
-        float(np.fmin.reduce(xi, axis=None, initial=math.inf)),
-        float(np.fmax.reduce(xi, axis=None, initial=-math.inf)),
-    )
+def _outside(a, b, lo, hi, strict):
+    """Whether samples whose extremes are a and b leave [lo, hi] (open where
+    strict), elementwise over arrays; a NaN sample or bound leaves none."""
+    return (a < lo) | (b > hi) | (strict & ((a == lo) | (b == hi)))
 
 
 def _sqrt_nonneg(arg: np.ndarray) -> np.ndarray:
@@ -120,16 +108,10 @@ class ModeFunction:
 
     def check_domain(self, xi) -> None:
         """Raise for the first recorded constraint that xi violates."""
-        xi = np.asarray(xi, dtype=float)
-        lo, hi = _span(xi)
-        for c in self.constraints:
-            if c.excludes(lo, hi):
-                offender = float(xi[c.violations(xi)].flat[0])
-                raise DomainError(
-                    f"xi = {offender!r} is outside [{c.lo!r}, {c.hi!r}] "
-                    f"required by factor {c.source}",
-                    factor=c.source,
-                )
+        # The table check of a function with this one mode.
+        hit = SmoothFunction({0: self})._violation(np.asarray(xi, dtype=float))
+        if hit is not None:
+            raise hit[1]
 
     def _eval(self, fn: Evaluator, r, xi) -> np.ndarray:
         self.check_domain(xi)
@@ -147,13 +129,6 @@ class ModeFunction:
         return self._eval(self.dxi, r, xi)
 
 
-def _source_text(parts: tuple, k: int) -> str | None:
-    """A constraint row's source at mode column k: its parts joined, a
-    per-mode part read at k; None where that mode has no constraint there."""
-    texts = [part if isinstance(part, str) else part[k] for part in parts]
-    return None if None in texts else "".join(map(str, texts))
-
-
 class SmoothFunction:
     """Finite Fourier sum over integer modes with :class:`ModeFunction` coefficients.
 
@@ -165,8 +140,10 @@ class SmoothFunction:
 
     The constraints are a table: ``_lo`` and ``_hi`` of shape (C, K) hold
     constraint c's bounds at mode column k (NaN where that mode has none),
-    ``_strict`` one flag and ``_sources`` the parts of the source (see
-    :func:`_source_text`) per constraint.  Rule images and the probe build
+    ``_strict`` one flag and ``_sources`` the parts of the source per
+    constraint.  A part is a string or a per-mode sequence read at column k
+    (:meth:`_constraint`).  One table check (:meth:`_violation`) finds the
+    lowest mode that a sample leaves.  Rule images and the probe build
     ``modes`` on first use.
     """
 
@@ -180,10 +157,8 @@ class SmoothFunction:
         lo, hi = np.full((2, len(cells), len(ms)), np.nan)
         for row, (k, c) in enumerate(cells):
             lo[row, k], hi[row, k] = c.lo, c.hi
-        blank = (None,) * len(ms)
         self._table(
-            ms, lo, hi, [c.strict for _, c in cells],
-            [(blank[:k] + (c.source,) + blank[k + 1:],) for k, c in cells],
+            ms, lo, hi, [c.strict for _, c in cells], [(c.source,) for _, c in cells],
             [given[m].dxi is not None for m in ms], given,
         )
 
@@ -204,14 +179,15 @@ class SmoothFunction:
 
     def _view(self, k: int) -> ModeFunction:
         """Mode column k as a ModeFunction reading row k of the stacked pass."""
-        lo, hi, strict = self._lo[:, k].tolist(), self._hi[:, k].tolist(), self._strict.tolist()
-        cons = [
-            XiConstraint(lo[c], hi[c], text, strict[c])
-            for c, parts in enumerate(self._sources)
-            if (text := _source_text(parts, k)) is not None
-        ]
+        cons = [self._constraint(c, k) for c in np.flatnonzero(~np.isnan(self._lo[:, k]))]
         dxi = partial(self._row, k, True) if self._dxi[k] else None
         return ModeFunction(partial(self._row, k, False), dxi, cons)
+
+    def _constraint(self, c: int, k: int) -> XiConstraint:
+        """Constraint row c at mode column k."""
+        text = "".join(p if isinstance(p, str) else str(p[k]) for p in self._sources[c])
+        lo, hi = float(self._lo[c, k]), float(self._hi[c, k])
+        return XiConstraint(lo, hi, text, bool(self._strict[c]))
 
     def _row(self, k: int, d: bool, r, x) -> np.ndarray:
         return self._stack(np.asarray(r, dtype=float), np.asarray(x, dtype=float), d)[k]
@@ -225,15 +201,25 @@ class SmoothFunction:
     def __contains__(self, m: int) -> bool:
         return m in self._ms
 
-    def _excluded(self, lo: float, hi: float) -> int | None:
-        """The lowest mode with a constraint that a sample whose extremes are
-        lo and hi violates (as :meth:`XiConstraint.excludes` decides), if any."""
-        if self._domain[0] < lo and hi < self._domain[1]:
+    def _violation(self, xi: np.ndarray) -> tuple[int, DomainError] | None:
+        """The lowest mode with a constraint that xi leaves, if any, and the
+        error naming that mode's first such constraint and the first such xi.
+        A NaN xi leaves none."""
+        a = float(np.fmin.reduce(xi, axis=None, initial=math.inf))
+        b = float(np.fmax.reduce(xi, axis=None, initial=-math.inf))
+        if self._domain[0] < a and b < self._domain[1]:
             return None
-        L, H = self._lo, self._hi
-        bad = (lo < L) | (hi > H) | (self._strict[:, None] & ((lo == L) | (hi == H)))
+        bad = _outside(a, b, self._lo, self._hi, self._strict[:, None])
         hit = np.flatnonzero(bad.any(axis=0))
-        return self._ms[hit[0]] if len(hit) else None
+        if not len(hit):
+            return None
+        k = int(hit[0])
+        c = self._constraint(int(np.flatnonzero(bad[:, k])[0]), k)
+        offender = float(xi[_outside(xi, xi, c.lo, c.hi, c.strict)].flat[0])
+        return self._ms[k], DomainError(
+            f"xi = {offender!r} is outside [{c.lo!r}, {c.hi!r}] required by factor {c.source}",
+            factor=c.source,
+        )
 
     def _stack(self, r: np.ndarray, x: np.ndarray, d: bool) -> np.ndarray:
         shape = np.broadcast_shapes(r.shape, x.shape)
@@ -315,9 +301,10 @@ class _Image(SmoothFunction):
         self._m = np.array(src._ms, dtype=np.int64)
         one = np.ones((1, len(src._ms)))
         zero = 0.0 * one
-        # Per branch: the argument scale and the square root's q^n, if any.
-        self._passes: list[tuple[SmoothBranch, float | None, float | np.ndarray | None]] = []
-        lo, hi, strict, sources = [], [], [], []
+        # Per branch: the argument scale and the square root's q^n per mode, if any.
+        self._passes: list[tuple[SmoothBranch, float | None, np.ndarray | None]] = []
+        # Blocks of constraint rows: (lo, hi, strict, sources).
+        rows: list[tuple] = []
         for br in branches:
             scale = None
             if br.arg:
@@ -327,34 +314,25 @@ class _Image(SmoothFunction):
                         f"q^{br.arg} = {scale!r} leaves the double range at q = {p.q!r}"
                     )
                 tail = f" at argument q^{br.arg}*xi"
-                lo += [src._lo / scale, zero]
-                hi += [src._hi / scale, one]
-                strict += [src._strict, [True]]
-                sources += [parts + (tail,) for parts in src._sources] + [(_BASE.source,)]
+                rows.append((src._lo / scale, src._hi / scale, src._strict,
+                             [parts + (tail,) for parts in src._sources]))
+                rows.append((zero, one, [True], [(_BASE.source,)]))
             else:
-                lo.append(src._lo)
-                hi.append(src._hi)
-                strict.append(src._strict)
-                sources += src._sources
+                rows.append((src._lo, src._hi, src._strict, src._sources))
             root_scale = None
             if br.root is not None:
-                n = br.root(self._m)
+                n = np.full(self._m.shape, br.root(self._m))
                 root_scale = p.qpow(n)
-                if np.ndim(n):
-                    ns, rs = n.tolist(), root_scale.tolist()
-                else:
-                    ns, rs = [n] * len(src._ms), [root_scale]
                 # xi <= q^(-n/2); a q^n that underflows to 0 bounds nothing.
-                bound = [math.inf if x <= 0.0 else 1.0 / math.sqrt(x) for x in rs]
-                lo.append(zero)
-                hi.append(bound * one)
-                strict.append([False])
-                sources.append(("sqrt(1 - q^", ns, "*xi^2)"))
+                bound = [math.inf if x <= 0.0 else 1.0 / math.sqrt(x) for x in root_scale.tolist()]
+                rows.append((zero, bound * one, [False], [("sqrt(1 - q^", n.tolist(), "*xi^2)")]))
             self._passes.append((br, scale, root_scale))
+        lo, hi, strict, sources = zip(*rows)
         has_dxi = all(br.dxi is not None for br in branches)
         self._table(
             [m + branches[0].dm for m in src._ms], np.concatenate(lo), np.concatenate(hi),
-            np.concatenate(strict), sources, [has_dxi and d for d in src._dxi],
+            np.concatenate(strict), [s for block in sources for s in block],
+            [has_dxi and d for d in src._dxi],
         )
 
     def _stack(self, r: np.ndarray, x: np.ndarray, d: bool) -> np.ndarray:
@@ -370,8 +348,7 @@ class _Image(SmoothFunction):
                 if scale is not None:
                     dv = scale * dv
             if rs is not None:
-                rs = _mode_axis(rs, r, x) if np.ndim(rs) else rs
-                root = _sqrt_nonneg(1.0 - rs * x * x)
+                root = _sqrt_nonneg(1.0 - _mode_axis(rs, r, x) * x * x)
             s = SmoothPoint(r, x, m, self._p, v, dv, root, sin)
             term = br.dxi(s) if d else br.value(s)
             total = term if total is None else total + term
@@ -534,22 +511,25 @@ def classical_apply(name: str, f: SmoothFunction) -> SmoothFunction:
 
 # --- test corpus -------------------------------------------------------------
 
+#: Centre of the probe's Gaussian in r.
+_R_CENTER = 1.0
+
+
 class _Probe(SmoothFunction):
     """The modes of :func:`probe_function`, each kept to xi inside (0, 1):
     one Horner pass (numpy's ``polyval``, operation for operation) over the
     coefficients of every mode stacked along a leading axis, times the
     Gaussian, computed once per call."""
 
-    __slots__ = ("_c", "_dc", "_rc")
+    __slots__ = ("_c", "_dc")
 
-    def __init__(self, modes: Iterable[int], degree: int, r_center: float):
+    def __init__(self, modes: Iterable[int], degree: int):
         ms = sorted({int(m) for m in modes})
         # Row k holds the x^k coefficients of every mode (columns in mode order).
         self._c = np.array(
             [[3.0 ** (-abs(m)) / (1 + k) for m in ms] for k in range(degree + 1)]
         ).reshape(degree + 1, len(ms))
         self._dc = self._c[1:] * np.arange(1, degree + 1)[:, None]
-        self._rc = r_center
         one = np.ones((1, len(ms)))
         self._table(ms, 0.0 * one, one, [True], [(_BASE.source,)], [True] * len(ms))
 
@@ -558,22 +538,29 @@ class _Probe(SmoothFunction):
         v = c[-1] + x * 0
         for i in range(2, len(c) + 1):
             v = c[-i] + v * x
-        return v * np.exp(-((r - self._rc) ** 2))
+        return v * np.exp(-((r - _R_CENTER) ** 2))
 
 
-def probe_function(modes: Iterable[int], degree: int = 3, r_center: float = 1.0) -> SmoothFunction:
+def probe_function(modes: Iterable[int], degree: int = 3) -> SmoothFunction:
     """Polynomial-in-xi times Gaussian-in-r probe with analytic derivatives.
 
-    Mode m carries c_m(r, xi) = 3^-|m| * P_m(xi) * exp(-(r - r_center)^2)
+    Mode m carries c_m(r, xi) = 3^-|m| * P_m(xi) * exp(-(r - 1)^2)
     with P_m(xi) = sum_k xi^k / (1 + k); the geometric mode decay emulates a
     test function analytic in the angle, whose Fourier amplitudes decay at
     least geometrically.  All coefficients are deterministic so convergence
     measurements are reproducible.
     """
-    return _Probe(modes, degree, r_center)
+    return _Probe(modes, degree)
 
 
 # --- q -> 1 convergence -------------------------------------------------------
+
+#: The radii at which :func:`limit_convergence` compares; the xi range that
+#: :func:`limit_grid` samples before the common domain shrinks it, and the
+#: factor that pulls in a top cut by a square-root bound.
+_R_GRID = (0.5, 1.0, 1.5)
+_XI_LO, _XI_HI, _MARGIN = 0.1, 0.9, 0.75
+
 
 @dataclass
 class ConvergenceResult:
@@ -614,32 +601,30 @@ def _spread(v: np.ndarray, have: list[int], modes: list[int]) -> np.ndarray:
     return out
 
 
-def limit_convergence(
-    grid: LimitGrid, classical_name: str, r_grid: Sequence[float] = (0.5, 1.0, 1.5)
-) -> ConvergenceResult:
+def limit_convergence(grid: LimitGrid, classical_name: str) -> ConvergenceResult:
     """Max-error table of D_{q=e^h} f versus the classical operator on a grid.
 
     ``grid`` (from :func:`limit_grid`) holds the deformed images and the xi
-    samples; no rescaling is applied.  The classical image is evaluated once
-    and each deformed image once, every mode in one stacked pass.  A grid
-    outside a recorded xi-interval raises :class:`DomainError` for the
-    lowest such mode, the deformed image's before the classical one's.
+    samples, compared at the radii ``_R_GRID``; no rescaling is applied.
+    The classical image is evaluated once and each deformed image once,
+    every mode in one stacked pass.  A grid outside a recorded xi-interval
+    raises :class:`DomainError` for the lowest such mode, the deformed
+    image's on a tie with the classical one's.
     """
-    r = np.asarray(list(r_grid), dtype=float)
+    r = np.array(_R_GRID)
     _, xi_mesh = np.meshgrid(r, grid.xi, indexing="ij")
     # A column of r against one row of xi: what depends on xi alone runs once per xi.
     r_col, xi_row = r[:, None], xi_mesh[:1]
-    lo, hi = _span(xi_mesh)
     fcl = classical_apply(classical_name, grid.f)
     cl: np.ndarray | None = None
     rows: list[tuple[float, float, float]] = []
     prev: tuple[float, float] | None = None
     for h, fq in zip(grid.h_values, grid.images):
-        hits = [(m, g) for g in ((fq,) if cl is not None else (fq, fcl))
-                if (m := g._excluded(lo, hi)) is not None]
+        hits = [hit for g in ((fq,) if cl is not None else (fq, fcl))
+                if (hit := g._violation(xi_mesh)) is not None]
         if hits:
-            m, g = min(hits, key=lambda hit: hit[0])
-            g.modes[m].check_domain(xi_mesh)
+            # min keeps the first of equal modes: the deformed image's.
+            raise min(hits, key=lambda hit: hit[0])[1]
         if cl is None:
             cl = fcl._stack(r_col, xi_row, False)
         err = _max_error(fq, fq._stack(r_col, xi_row, False), fcl, cl)
@@ -723,19 +708,19 @@ class LimitGrid:
 
 def limit_grid(
     deformed_name: str, f: SmoothFunction, h_values: Sequence[float], n: int = 25,
-    lo: float = 0.1, hi: float = 0.9, margin: float = 0.75, theta_phase: complex = -1.0,
+    theta_phase: complex = -1.0,
 ) -> LimitGrid:
     """Apply the deformed rule per h and sample xi inside their common domain.
 
-    The samples lie inside [lo, hi] shrunk to the feasible common
-    xi-interval.  When a square-root domain bound cuts below ``hi``, the top
-    is pulled in by ``margin`` so the grid stays clear of the degenerate edge
-    where the deformed/classical comparison loses its cancellation structure.
+    The samples lie inside [0.1, 0.9] shrunk to the feasible common
+    xi-interval.  A square-root bound that cuts below 0.9 pulls the top in to
+    0.75 of it, so the grid stays clear of the degenerate edge where the
+    deformed/classical comparison loses its cancellation structure.
     """
     images = deformed_images(deformed_name, f, h_values, theta_phase)
     dlo, dhi = common_xi_interval(images)
-    top = hi if dhi >= hi else margin * dhi
-    bottom = max(lo, dlo)
+    top = _XI_HI if dhi >= _XI_HI else _MARGIN * dhi
+    bottom = max(_XI_LO, dlo)
     if not (bottom < top):
         raise DomainError(
             f"no feasible xi interval: [{bottom}, {top}] is empty for "

@@ -26,16 +26,12 @@ and the number of excluded columns is reported.
 Two evaluation paths
 --------------------
 Every word is composed by multiplying the shifted diagonals of the table's
-letters (:class:`operators.Diagonals`).  Two second paths recompute each
-word from the same letters without that product, so a disagreement beyond
-1e-13 can only mean a defect in the composition (order, association, a
-lost letter or entry), and raises:
+letters (:class:`operators.Diagonals`).  One second path, chosen by the
+window's size, recomputes each word from the same letters without that
+product, so a disagreement beyond 1e-13 can only mean a defect in the
+composition (order, association, a lost letter or entry), and raises; the
+first failing word, in spec, side and term order, names the error.
 
-* On windows of any size, the letters are applied one at a time to one
-  seeded real Gaussian probe vector, and the result must match the composed
-  word times the same vector (Freivalds' randomized product check).  Each
-  application adds every diagonal into its slice of rows, in the order of
-  a compressed-sparse-row product with a vector.
 * On windows of at most 2^9 states, every entry of every word of a
   ``check_relations`` call is recomputed from the (row, col, value) triples
   of the letters' stored entries, which the table exports once per letter,
@@ -45,9 +41,13 @@ lost letter or entry), and raises:
   key and sums each run (expand, sort, compress; Dalton, Olson and Bell,
   ACM TOMS 2015); the composed entries are then found among the summed
   keys by binary search.  Each word's gap is reduced on its own, with its
-  own scale, so one word never changes another's gap.  The first word, in
-  spec, side and term order, that fails either path raises; a word that
-  fails both reports the probe.
+  own scale, so one word never changes another's gap.
+* On larger windows, the letters are applied one at a time to one seeded
+  real Gaussian probe vector, and the result must match the composed word
+  times the same vector (Freivalds' randomized product check), whose
+  expected squared gap is the Frobenius gap the join measures.  Each
+  application adds every diagonal into its slice of rows, in the order of
+  a compressed-sparse-row product with a vector.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ __all__ = [
     "run_all_suites",
 ]
 
-#: Window size up to which the entrywise second evaluation path is enforced.
+#: Largest window whose second evaluation path is the entrywise join, not the probe.
 DENSE_ORACLE_LIMIT = 2**9
 
 #: Fixed tolerance of the two recursion identities and the closed-form checks.
@@ -325,10 +325,11 @@ class LetterTable:
     ``letters[name]`` is the operator at the run's phase and
     ``letters.at(name, phase)`` at another ladder phase; each distinct
     (name, phase) is materialized once, on first read, and only read after.
-    The table also holds the run's seeded probe vector and, exported once on
-    first read, the stored entries of each letter at the run's phase
-    (``letters.triples(name)``).  ``letters.masks`` holds, made once on first
-    use, each composite shift's column mask of ``_interior_mask``.
+    The table also holds the probe's seeded vector and, exported once on
+    first read for the entrywise join, the stored entries of each letter at
+    the run's phase (``letters.triples(name)``).  ``letters.masks`` holds,
+    made once on first use, each composite shift's column mask of
+    ``_interior_mask``.
     """
 
     def __init__(self, w: TruncationWindow, p: DeformationParams, capacity: int | None = None):
@@ -659,17 +660,16 @@ def _require_probe_agreement(
     first, and require 1e-13 agreement with the composed word times the
     same vector.
 
-    Both norms (``_norm``) take vectors divided by the largest magnitude on
-    either side, so finite vectors never overflow them; a non-finite value
-    reads NaN and is left to the residual.
+    The gap is ``_relative_norm`` of the two vectors, the norm every
+    residual takes: finite vectors never overflow it, and a non-finite
+    value reads NaN and is left to the residual.
     """
     with np.errstate(all="ignore"):
         y = letters.probe
         for name in reversed(word):
             y = _apply(letters[name].entries, y)
         z = _apply(mat, letters.probe)
-        big = np.maximum(np.abs(y).max(initial=0.0), np.abs(z).max(initial=0.0))
-        diff = _norm((y - z) / big) / max(1.0 / big, _norm(y / big))
+        diff = _relative_norm(y - z, y, z)
     _require_close(diff, spec_id, word, "letter-by-letter probe")
 
 
@@ -678,13 +678,12 @@ def check_relations(
 ) -> list[ResidualReport]:
     """Interior relative residual of each relation over the table's window.
 
-    Every word is composed once from the table's letters.  That word matrix
-    is checked against the letters applied one at a time to the table's
-    probe vector and, on windows of at most DENSE_ORACLE_LIMIT states,
+    Every word is composed once from the table's letters and checked on
+    one second path: on windows of at most DENSE_ORACLE_LIMIT states,
     against the product recomputed entry by entry from the letters, for
-    every word of the call at once.  The first word, in spec, side and term
-    order, that fails either check raises; a word that fails both reports
-    the probe.
+    every word of the call at once after the residuals; above it, against
+    the letters applied one at a time to the table's probe vector, word by
+    word.  The first failing word, in spec, side and term order, raises.
     """
     w, p, n = letters.w, letters.p, letters.n
     entrywise = n <= DENSE_ORACLE_LIMIT
@@ -697,19 +696,17 @@ def check_relations(
             leak = 0.0
             for t in terms:
                 mat, lk = word_matrix(t.word, letters)
-                try:
-                    _require_probe_agreement(spec.id, t.word, mat, letters)
-                except QeuclidError:
-                    # An earlier word that fails the entrywise check comes first.
-                    if entrywise:
-                        _require_entrywise_agreement(composed, letters)
-                    raise
                 if entrywise:
                     composed.append((spec.id, t.word, mat))
+                else:
+                    _require_probe_agreement(spec.id, t.word, mat, letters)
                 # An overflowing word reads inf or NaN and fails the residual.
                 c = float(t.coeff(p))
                 total = total + c * mat
-                leak += abs(c) ** 2 * lk
+                # A word that leaks nothing adds nothing (no inf * 0).  From
+                # |c| = 2^512, where a float's ** raises, |c|^2 reads inf.
+                if lk:
+                    leak += (math.inf if abs(c) >= 2.0**512 else abs(c) ** 2) * lk
             sums.append(total)
             leaks.append(leak)
         interior = _interior_mask(spec.words(), w, letters.masks)
@@ -850,14 +847,16 @@ def check_recursions(
     if w is None:
         w = TruncationWindow(0, 0, 0, 0)
     x = _midpoints()
-    phi_lhs = phi_solution(x, p) - phi_solution(p.qpow(-2) * x, p)
-    phi_rhs = p.lam * x * x
-    phi_res = _balanced_max(phi_lhs, phi_rhs)
-    zero_res = abs(float(phi_solution(0.0, p)) - (-p.q / (1.0 + p.qpow(2))))
-    sign_pts = phi_solution(x * p.qpow(-1), p)
-    # np.max, unlike the builtin max, propagates a NaN.
-    sign_res = float(np.max(sign_pts, initial=0.0))
-    j_res = j_recursion_residual(p, beta=0.0)
+    # Where q^2 overflows, the closed forms and their residuals read inf or NaN.
+    with np.errstate(all="ignore"):
+        phi_lhs = phi_solution(x, p) - phi_solution(p.qpow(-2) * x, p)
+        phi_rhs = p.lam * x * x
+        phi_res = _balanced_max(phi_lhs, phi_rhs)
+        zero_res = abs(float(phi_solution(0.0, p)) - (-p.q / (1.0 + p.qpow(2))))
+        sign_pts = phi_solution(x * p.qpow(-1), p)
+        # np.max, unlike the builtin max, propagates a NaN.
+        sign_res = float(np.max(sign_pts, initial=0.0))
+        j_res = j_recursion_residual(p, beta=0.0)
     return [
         ResidualReport("phi_recursion_midpoints", w, p.q, phi_res, tol),
         ResidualReport("phi_value_at_zero", w, p.q, zero_res, 0.0),

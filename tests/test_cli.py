@@ -137,6 +137,27 @@ class TestVerifyCommand:
         assert check["residual"] is None and check["non_finite"]["residual"] == "nan"
         assert check["pass"] is False
 
+    @pytest.mark.parametrize("q", ["1.2e77", "1.7e308"])
+    def test_astronomical_q_ends_in_strict_reports(self, q, tmp_path, capsys):
+        # From q = 1.16e77 the square of the q^2 coefficient overflows, and
+        # beyond 1.34e154 q^2 itself: the run must end in failing reports
+        # that are strict JSON, not in a traceback or a library warning.
+        # Below q^2 overflowing, such a square reads inf, and a word that
+        # leaks nothing adds nothing, so no leakage reads NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["verify", "--q", q, "--output-dir", str(tmp_path)])
+        assert code == EXIT_CHECK_FAILURE
+        assert "FAILURES detected" in capsys.readouterr().out
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"{name}.json" for name in SUITE_NAMES
+        )
+        for name in SUITE_NAMES:
+            doc = json.loads((tmp_path / f"{name}.json").read_text(), parse_constant=_refuse)
+            assert doc["suite"] == name
+            if q == "1.2e77":
+                assert all(c.get("non_finite", {}).get("leakage") != "nan" for c in doc["checks"])
+
     def test_nan_residual_reaches_the_stdout_verdict(self, tmp_path, capsys):
         # At q = 40 on M = 24 the commutant words overflow and a residual
         # reads NaN; the printed worst residual must say so, with no library

@@ -118,9 +118,8 @@ class TestFrozenSmoothValues:
         assert complex(val) == pytest.approx(expected, rel=1e-15)
 
     def test_diagonal_polar_generator(self):
-        # t3 multiplies mode m by (1/lam)(xi^-2 something)? No: t3 acts as
-        # the diagonal polar function (1 + q^2 xi^-2 ... ) recorded by the
-        # rule; here just pin the q = 2, xi = 0.5 lattice value 10/3.
+        # t3 multiplies every mode by (1 + 1/xi^2)/lam: at q = 2 (lam = 3/2)
+        # and xi = 0.5 that is 5/(3/2) = 10/3.
         f = SmoothFunction({0: _const_mode()})
         g = smooth_apply("t3", f, P2)
         val = g.modes[0](np.float64(1.0), np.float64(0.5))

@@ -31,6 +31,7 @@ from qeuclid.core import DeformationParams, DomainError, QeuclidError
 from qeuclid.smooth import (
     ModeFunction,
     SmoothFunction,
+    _outside,
     classical_apply,
     classical_names,
     probe_function,
@@ -52,7 +53,8 @@ def _digest(a) -> str:
 
 
 def _mode_record(mf: ModeFunction) -> dict:
-    inside = ~np.logical_or.reduce([c.violations(XI_MESH) for c in mf.constraints])
+    outside = [_outside(XI_MESH, XI_MESH, c.lo, c.hi, c.strict) for c in mf.constraints]
+    inside = ~np.logical_or.reduce(outside)
     r, xi = R_MESH[inside], XI_MESH[inside]
     try:
         mf(R_MESH, XI_MESH)

@@ -540,22 +540,43 @@ class TestSecondPathsCatchMutations:
     def test_entrywise_path_raises(self, monkeypatch, specs, p, w, kind):
         assert w.size <= verify.DENSE_ORACLE_LIMIT
         monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
-        monkeypatch.setattr(verify, "_require_probe_agreement", lambda *args: None)
         with pytest.raises(QeuclidError, match="entrywise product"):
             check_relations(specs, LetterTable(w, p), TOL)
 
     @pytest.mark.parametrize("kind", MUTATIONS)
-    @pytest.mark.parametrize(
-        "w", [W_162, W_486, W_17298], ids=["162", "486", "17298"]
-    )
+    @pytest.mark.parametrize("w", [W_SPARSE, W_17298], ids=["578", "17298"])
     @pytest.mark.parametrize(
         "specs, p", [(X_RELATIONS, P2), (K_RELATIONS, P_COMPLEX)], ids=["real", "complex"]
     )
     def test_probe_raises(self, monkeypatch, specs, p, w, kind):
+        assert w.size > verify.DENSE_ORACLE_LIMIT
         monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
-        monkeypatch.setattr(verify, "_require_entrywise_agreement", lambda *args: None)
         with pytest.raises(QeuclidError, match="probe"):
             check_relations(specs, LetterTable(w, p), TOL)
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @pytest.mark.parametrize("w", [W_162, W_486], ids=["162", "486"])
+    @pytest.mark.parametrize(
+        "specs, p", [(X_RELATIONS, P2), (K_RELATIONS, P_COMPLEX)], ids=["real", "complex"]
+    )
+    def test_probe_raises_on_small_windows(self, specs, p, w, kind):
+        # check_relations runs the entrywise join here; the probe, called on
+        # its own, must still reject every word that the mutation changes
+        # and accept every word that it leaves as it is.
+        letters = LetterTable(w, p)
+        for spec in specs:
+            for word in spec.words():
+                mat, wrong = word_matrix(word, letters)[0], _mutated(kind)(word, letters)[0]
+                if mat.offsets.tolist() == wrong.offsets.tolist() and np.array_equal(
+                    mat.values, wrong.values
+                ):
+                    # Only reversing a palindrome, or dropping the one letter
+                    # of a word, leaves the word as it is.
+                    assert word == word[::-1] if kind == "reversed" else len(word) == 1
+                    verify._require_probe_agreement(spec.id, word, wrong, letters)
+                    continue
+                with pytest.raises(QeuclidError, match="probe"):
+                    verify._require_probe_agreement(spec.id, word, wrong, letters)
 
     def test_second_paths_do_not_call_the_diagonal_product(self, monkeypatch):
         # Both second paths recompute the word without the product kernel
@@ -587,27 +608,22 @@ class TestSecondPathsCatchMutations:
 
     @pytest.mark.parametrize("kind", MUTATIONS)
     @pytest.mark.parametrize(
-        "message, other",
-        [("entrywise product", "_require_probe_agreement"),
-         ("probe", "_require_entrywise_agreement")],
+        "message, check",
+        [("entrywise product", lambda spec_id, word, mat, letters:
+          verify._require_entrywise_agreement([(spec_id, word, mat)], letters)),
+         ("probe", verify._require_probe_agreement)],
         ids=["entrywise", "probe"],
     )
-    def test_overflowing_words_are_compared(self, monkeypatch, message, other, kind):
-        # At q = 3 on 0:0,-60,1 (244 states, entrywise path on) both words
-        # hold entries near 1e170, so the squares in an unscaled product
-        # norm overflow: the bound max(1, |product|) would read inf and let
-        # any word through.
-        one = lambda p: 1.0
-        spec = RelationSpec(
-            "t_order", (Term(one, ("t3", "tplus")),), (Term(one, ("tplus", "t3")),)
-        )
+    def test_overflowing_words_are_compared(self, message, check, kind):
+        # At q = 3 on 0:0,-60,1 (244 states) the word t3 tplus holds entries
+        # near 1e170, so the squares in an unscaled product norm overflow:
+        # the bound max(1, |product|) would read inf and let any word
+        # through.  Each path's check is called on its own.
         letters = LetterTable(TruncationWindow(0, 0, -60, 1), DeformationParams(q=3.0))
-        assert letters.n <= verify.DENSE_ORACLE_LIMIT
-        check_relations([spec], letters, TOL, asserted=False)
-        monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
-        monkeypatch.setattr(verify, other, lambda *args: None)
+        word = ("t3", "tplus")
+        check("t_order", word, word_matrix(word, letters)[0], letters)
         with pytest.raises(QeuclidError, match=message):
-            check_relations([spec], letters, TOL, asserted=False)
+            check("t_order", word, _mutated(kind)(word, letters)[0], letters)
 
 
 def _sparse_letter(draw, n):
@@ -760,21 +776,18 @@ def _names(k, path):
 
 
 class TestFirstError:
-    """The first word, in spec, side and term order, that fails either
-    second path raises; a word that fails both reports the probe."""
+    """Each window has one second path, and the first failing word, in
+    spec, side and term order, names its error."""
 
     @pytest.mark.parametrize("kind", MUTATIONS)
     @pytest.mark.parametrize("k", range(len(X_WORDS)))
     @pytest.mark.parametrize(
-        "path, other",
-        [("entrywise product", "_require_probe_agreement"),
-         ("probe", "_require_entrywise_agreement")],
+        "path, w", [("entrywise product", W_162), ("probe", W_SPARSE)],
         ids=["entrywise", "probe"],
     )
-    def test_error_names_the_mutated_word(self, monkeypatch, path, other, k, kind):
+    def test_error_names_the_mutated_word(self, monkeypatch, path, w, k, kind):
         monkeypatch.setattr(verify, "word_matrix", _mutated_at(k, kind))
-        monkeypatch.setattr(verify, other, lambda *args: None)
-        letters = LetterTable(W_162, P2)
+        letters = LetterTable(w, P2)
         word = X_WORDS[k][1]
         if kind == "reversed" and word == word[::-1]:
             # Reversing X3 X3 leaves it as it is.
@@ -783,28 +796,28 @@ class TestFirstError:
         with pytest.raises(QeuclidError, match=_names(k, path)):
             check_relations(X_RELATIONS, letters, TOL)
 
-    @pytest.mark.parametrize("k", range(len(X_WORDS)))
-    def test_a_word_failing_both_paths_reports_the_probe(self, monkeypatch, k):
-        monkeypatch.setattr(verify, "word_matrix", _mutated_at(k, "perturbed_entry"))
-        with pytest.raises(QeuclidError, match=_names(k, "probe")):
-            check_relations(X_RELATIONS, LetterTable(W_162, P2), TOL)
+    @pytest.mark.parametrize("w", [W_162, W_486, W_SPARSE], ids=["162", "486", "578"])
+    def test_one_second_path_per_window(self, monkeypatch, w):
+        # The probe runs only above DENSE_ORACLE_LIMIT, once per word in
+        # spec, side and term order; the entrywise join only up to it.
+        probed, joins = [], []
+        probe, join = verify._require_probe_agreement, verify._join_gaps
 
-    @pytest.mark.parametrize("j, k", [(1, 4), (4, 1), (0, 6), (6, 0), (3, 3)])
-    def test_the_earlier_word_raises(self, monkeypatch, j, k):
-        # Word j is composed wrongly; the probe rejects word k and nothing
-        # else, so word j fails the entrywise path only, unless j = k.
-        seen = []
+        def probe_spy(spec_id, word, mat, letters):
+            probed.append((spec_id, word))
+            probe(spec_id, word, mat, letters)
 
-        def probe(spec_id, word, mat, letters):
-            seen.append(word)
-            if len(seen) == k + 1:
-                verify._require_close(1.0, spec_id, word, "letter-by-letter probe")
+        def join_spy(*args):
+            joins.append(args)
+            return join(*args)
 
-        monkeypatch.setattr(verify, "_require_probe_agreement", probe)
-        monkeypatch.setattr(verify, "word_matrix", _mutated_at(j, "perturbed_entry"))
-        first, path = (j, "entrywise product") if j < k else (k, "probe")
-        with pytest.raises(QeuclidError, match=_names(first, path)):
-            check_relations(X_RELATIONS, LetterTable(W_162, P2), TOL)
+        monkeypatch.setattr(verify, "_require_probe_agreement", probe_spy)
+        monkeypatch.setattr(verify, "_join_gaps", join_spy)
+        check_relations(X_RELATIONS, LetterTable(w, P2), TOL)
+        if w.size <= verify.DENSE_ORACLE_LIMIT:
+            assert probed == [] and joins
+        else:
+            assert joins == [] and probed == X_WORDS
 
 
 class TestLetterMatrices:
