@@ -122,12 +122,15 @@ def qpow_array(q: float, n) -> np.ndarray:
     only exponents spread far wider than n has entries (labels may reach
     2^59) get one value per distinct exponent, found by sorting.  A short
     array (at most 64 entries, fewer than its span) is not tabled at all:
-    each entry gets its own :func:`qpow`.
+    each entry gets its own :func:`qpow`.  An array of one distinct exponent
+    is filled with its one :func:`qpow`.
     """
     n = np.asarray(n)
     if n.size == 0:
         return np.zeros(n.shape)
     lo, hi = int(n.min()), int(n.max())
+    if lo == hi:
+        return np.full(n.shape, qpow(q, lo))
     if n.size <= min(hi - lo, 64):
         return np.array([qpow(q, k) for k in n.ravel().tolist()]).reshape(n.shape)
     if hi - lo <= max(n.size // 16, 64):

@@ -26,28 +26,22 @@ and the number of excluded columns is reported.
 Two evaluation paths
 --------------------
 Every word is composed by multiplying the shifted diagonals of the table's
-letters (:class:`operators.Diagonals`).  One second path, chosen by the
-window's size, recomputes each word from the same letters without that
+letters (:class:`operators.Diagonals`).  One second path, the same at every
+window size, recomputes each word from the same letters without that
 product, so a disagreement beyond 1e-13 can only mean a defect in the
 composition (order, association, a lost letter or entry), and raises; the
 first failing word, in spec, side and term order, names the error.
 
-* On windows of at most 2^9 states, every entry of every word of a
-  ``check_relations`` call is recomputed from the (row, col, value) triples
-  of the letters' stored entries, which the table exports once per letter,
-  and compared on every key that either side stores.  The words of one
-  length are joined at once, each entry keyed by its word's number as well
-  as (i, j).  Each step forms every term A[i,k]*X[k,j], sorts the terms by
-  key and sums each run (expand, sort, compress; Dalton, Olson and Bell,
-  ACM TOMS 2015); the composed entries are then found among the summed
-  keys by binary search.  Each word's gap is reduced on its own, with its
-  own scale, so one word never changes another's gap.
-* On larger windows, the letters are applied one at a time to one seeded
-  real Gaussian probe vector, and the result must match the composed word
-  times the same vector (Freivalds' randomized product check), whose
-  expected squared gap is the Frobenius gap the join measures.  Each
-  application adds every diagonal into its slice of rows, in the order of
-  a compressed-sparse-row product with a vector.
+The second path is a per-column path sum.  A letter stores at most two
+diagonals, so a word of k letters has at most 2^k paths from each column.
+Starting from the rightmost letter's diagonals, each next letter's stored
+value is gathered at every path's current row by index arrays, multiplied
+into the path's value, and paths that reach the same total offset add, in
+the product's term order.  It needs no sort, no random vector and no n x n
+array, and it checks the product kernel's indexing and slice bounds with
+different code.  With the same term order and the same complex multiply,
+a correct word is bit for bit equal to its path sum; only a word that is
+not is reduced to a relative Frobenius gap.
 """
 
 from __future__ import annotations
@@ -105,16 +99,10 @@ __all__ = [
     "run_all_suites",
 ]
 
-#: Largest window whose second evaluation path is the entrywise join, not the probe.
-DENSE_ORACLE_LIMIT = 2**9
-
 #: Fixed tolerance of the two recursion identities and the closed-form checks.
 RECURSION_TOL = 1e-13
 
 Coeff = Callable[[DeformationParams], float]
-
-#: The (rows, cols, values) of a matrix's stored entries.
-Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -325,19 +313,14 @@ class LetterTable:
     ``letters[name]`` is the operator at the run's phase and
     ``letters.at(name, phase)`` at another ladder phase; each distinct
     (name, phase) is materialized once, on first read, and only read after.
-    The table also holds the probe's seeded vector and, exported once on
-    first read for the entrywise join, the stored entries of each letter at
-    the run's phase (``letters.triples(name)``).  ``letters.masks`` holds,
-    made once on first use, each composite shift's column mask of
-    ``_interior_mask``.
+    ``letters.masks`` holds, made once on first use, each composite shift's
+    column mask of ``_interior_mask``.
     """
 
     def __init__(self, w: TruncationWindow, p: DeformationParams, capacity: int | None = None):
         self.w, self.p = w, p
         self.n = check_capacity(w, capacity)
-        self.probe = np.random.default_rng(0).standard_normal(self.n)
         self._made: dict[tuple[str, complex], OperatorMatrix] = {}
-        self._triples: dict[str, Triples] = {}
         self.masks: dict[tuple[int, int, int], np.ndarray] = {}
 
     def __getitem__(self, name: str) -> OperatorMatrix:
@@ -350,13 +333,6 @@ class LetterTable:
             # The window passed the caller's capacity above; n is a cap it meets.
             self._made[key] = materialize(name, self.w, p, self.n)
         return self._made[key]
-
-    def triples(self, name: str) -> Triples:
-        """Rows, columns and values of the stored entries of ``self[name]``,
-        row-major."""
-        if name not in self._triples:
-            self._triples[name] = self[name].entries.triples()
-        return self._triples[name]
 
 
 def _report(
@@ -480,197 +456,61 @@ def _balanced_residual(L: Diagonals, R: Diagonals, mask: np.ndarray) -> float:
     return _relative_norm(columns(L - R), columns(L), columns(R))
 
 
-def _sum_by_key(keys: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sorted distinct keys and, for each value array, its sum per key, in
-    the order the values are given."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    # Keys are >= 0, so a leading -1 marks the first key as a start.
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return (keys[starts], *(np.add.reduceat(v[order], starts) for v in values))
+def _path_sum(mats: Sequence[Diagonals]) -> Diagonals:
+    """The product of ``mats``, rightmost first, summed path by path from
+    their stored values.
 
-
-def _stack(mats: Sequence[Triples], n: int) -> Triples:
-    """The stored entries of B n x n matrices as those of one block-diagonal
-    (B*n) x (B*n) matrix: the rows and columns of matrix b move by b*n."""
-    rows, cols, vals = (np.concatenate(part) for part in zip(*mats))
-    move = np.repeat(np.arange(len(mats)) * n, [len(m[0]) for m in mats])
-    return rows + move, cols + move, vals
-
-
-def _terms(
-    keys: np.ndarray, prod: np.ndarray, letter: Triples, n: int, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every term A[I,K]*X[K,j] of A @ X, keyed by I*n + j and not yet
-    summed.  X has ``rows`` rows, sorted distinct keys K*n + j and values
-    ``prod``; A is the ``letter`` (I, K, value).
-
-    Each entry (I, K) of A is repeated once per stored entry (K, j) of X,
-    found through the row pointers of X (expand).
+    Starting from the rightmost matrix's diagonals, each next matrix's value
+    is gathered at each path's current row by index arrays (``np.take``
+    under a mask of the rows that exist), not by the slice bounds of the
+    diagonal product, and multiplied into the path's value by ``_times``.
+    Paths that reach the same total offset add, in the product's term
+    order: ascending right offset, then ascending left offset.  An absent
+    entry on either side contributes nothing, so no 0 * inf appears.
     """
-    i, k, a = letter
-    # Row K of X starts at ptr[K].
-    ptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=rows), out=ptr[1:])
-    lo = ptr[k]
-    count = ptr[k + 1] - lo
-    # Position in X of each term's (K, j): lo of its entry (I, K) plus its
-    # rank among that entry's terms.
-    pick = np.repeat(lo - np.cumsum(count) + count, count)
-    pick += np.arange(len(pick))
-    return np.repeat(i * n, count) + keys[pick] % n, np.repeat(a, count) * prod[pick]
+    *rest, prod = mats
+    n = prod.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for A in reversed(rest):
+            sums: dict[int, np.ndarray] = {}
+            for ob, x in zip(prod.offsets.tolist(), prod.values):
+                # Column c's path stands at row c + ob of the product so far.
+                inner = np.arange(ob, n + ob)
+                x_absent = x == 0
+                for oa, a in zip(A.offsets.tolist(), A.values):
+                    gathered = np.take(a, inner, mode="clip")
+                    term = _times(gathered, x)
+                    # No term unless both rows c + ob and c + ob + oa exist
+                    # and both entries are present.
+                    absent = (inner < max(0, -oa)) | (inner >= min(n, n - oa)) | x_absent
+                    absent |= gathered == 0
+                    np.copyto(term, 0, where=absent)
+                    # Each total offset's sum starts at +0.0, as the product's does.
+                    sums[oa + ob] = sums.get(oa + ob, 0.0) + term
+            prod = Diagonals.of(sums, n)
+    return prod
 
 
-def _products(words: Sequence[Sequence[Triples]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys b*n^2 + i*n + j and values of the stored entries
-    of the product of each word's n x n letters, all words of one length.
-
-    The rightmost letters' keys are already sorted and distinct; then,
-    leftwards, each next letter's terms are summed per key (sort,
-    compress).
-    """
-    rows, cols, prod = _stack([letters[-1] for letters in words], n)
-    # Block row I and column J have key I*n + J % n, that is b*n^2 + i*n + j.
-    keys = rows * n + cols % n
-    for step in range(len(words[0]) - 2, -1, -1):
-        # Rebinding rows and cols frees the rightmost letters' before the expand.
-        rows, cols, vals = _stack([letters[step] for letters in words], n)
-        keys, prod = _sum_by_key(*_terms(keys, prod, (rows, cols, vals), n, len(words) * n))
-    return keys, prod
-
-
-def _entries(mats: Sequence[Diagonals], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keys b*n^2 + i*n + j and values of the stored entries of B n x n
-    matrices, read at once: values[d, c] sits in column c and row
-    c + offsets[d] of the matrix that owns diagonal d."""
-    offsets = np.concatenate([m.offsets for m in mats])
-    values = np.concatenate([m.values for m in mats])
-    block = np.repeat(np.arange(len(mats)) * n * n, [len(m.offsets) for m in mats])
-    flat = np.flatnonzero(values)
-    d, c = np.divmod(flat, n)
-    return block[d] + (c + offsets[d]) * n + c, values.ravel()[flat]
-
-
-def _relative_norms(
-    count: int, gaps: Sequence[tuple[np.ndarray, np.ndarray]], ref: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """For each word b < ``count``, the norm of its entries of the ``gaps``
-    parts over max(1, the norm of its entries of ``ref``); each part is
-    (values, word of each value).  As in ``_relative_norm``, each word's
-    entries are scaled by 2^-e, with 2^e just above its largest entry
-    (e >= 0), and left unscaled when one of them is not finite."""
-    big = np.zeros(count)
-    for v, b in (*gaps, ref):
-        np.maximum.at(big, b, np.abs(v))
-    scale = np.ldexp(1.0, -np.where(np.isfinite(big), np.maximum(np.frexp(big)[1], 0), 0))
-
-    def squares(v: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per word, the sum of the squared parts of v times its scale."""
-        halves = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-        return np.bincount(b, sum(np.square(x * scale[b]) for x in halves), count)
-
-    gap_norm = np.sqrt(sum(squares(*part) for part in gaps))
-    return gap_norm / np.fmax(scale, np.sqrt(squares(*ref)))
-
-
-def _join_gaps(
-    words: Sequence[Sequence[Triples]], composed: Sequence[Diagonals], n: int
-) -> np.ndarray:
-    """Gap of each composed n x n word from the product of its letters,
-    recomputed entry by entry, relative to max(1, |product|); every word has
-    the same number of letters.
-
-    Each letter is given by the (rows, cols, values) of its stored entries,
-    row-major and distinct.  Word b's entry (i, j) is keyed by
-    b*n^2 + i*n + j, so the products of all words are formed as one
-    (``_products``).  The composed words' stored entries are found among
-    the products' keys by binary search, so a stored entry on either side
-    is compared, and each word's gap is reduced on its own.
-    """
-    nn = n * n
-    # Terms may overflow; a non-finite gap is read by the caller.
-    with np.errstate(all="ignore"):
-        keys, prod = _products(words, n)
-        word_keys, vals = _entries(composed, n)
-        pos = np.searchsorted(keys, word_keys)
-        # Keys are >= 0, so a trailing -1 stands past the last and matches none.
-        hit = np.append(keys, -1)[pos] == word_keys
-        # A complex word checked against a real product compares in complex.
-        gap = prod.astype(np.result_type(prod, vals))
-        gap[pos[hit]] -= vals[hit]
-        word = keys // nn
-        only = (vals[~hit], word_keys[~hit] // nn)
-        return _relative_norms(len(words), [(gap, word), only], (prod, word))
-
-
-def _entrywise_gaps(batch: Sequence[tuple[Sequence[Triples], Diagonals]], n: int) -> np.ndarray:
-    """``_join_gaps`` of each (letters, composed word) of ``batch``: one join
-    per distinct word length."""
-    gaps = np.empty(len(batch))
-    for length in {len(letters) for letters, _ in batch}:
-        group = [k for k, (letters, _) in enumerate(batch) if len(letters) == length]
-        gaps[group] = _join_gaps([batch[k][0] for k in group], [batch[k][1] for k in group], n)
-    return gaps
-
-
-def _require_entrywise_agreement(
-    words: Sequence[tuple[str, tuple[str, ...], Diagonals]], letters: LetterTable
+def _require_path_agreement(
+    spec_id: str, word: tuple[str, ...], mat: Diagonals, letters: LetterTable
 ) -> None:
-    """Recompute every entry of each (relation id, word, composed matrix) of
-    ``words`` from its letters' stored entries and require 1e-13 agreement;
-    the first word that disagrees, in the given order, raises.  A gap that
-    reads NaN, from non-finite values on both sides, is left to the
-    residual."""
-    batch = [([letters.triples(name) for name in word], mat) for _, word, mat in words]
-    for (spec_id, word, _), diff in zip(words, _entrywise_gaps(batch, letters.n).tolist()):
-        _require_close(diff, spec_id, word, "entrywise product")
+    """Require the composed word ``mat`` to match the path sum of its
+    letters: equal entry for entry (a gap of 0), or else within 1e-13 by
+    ``_relative_norm``, the norm every residual takes.  A gap that reads
+    NaN, from non-finite values on both sides, is left to the residual."""
+    ref = _path_sum([letters[name].entries for name in word])
+    if ref.offsets.tolist() == mat.offsets.tolist() and (ref.values == mat.values).all():
+        return
+    gap = _relative_norm((ref - mat).values, ref.values, mat.values)
+    _require_close(gap, spec_id, word)
 
 
-def _require_close(diff: float, spec_id: str, word: tuple[str, ...], path: str) -> None:
+def _require_close(diff: float, spec_id: str, word: tuple[str, ...]) -> None:
     if diff > 1e-13:
         raise QeuclidError(
             f"evaluation paths disagree on word {word} of {spec_id}: "
-            f"sparse composition vs {path} differ by {diff:.3e}"
+            f"sparse composition vs path sum differ by {diff:.3e}"
         )
-
-
-def _apply(A: Diagonals, x: np.ndarray) -> np.ndarray:
-    """A @ x, one stored diagonal at a time: the entry in column c on
-    offset o adds its product with x[c] to row c + o.  Each row adds its
-    terms from 0 in ascending column, that is descending offset, as
-    compressed sparse rows do."""
-    n = len(x)
-    y = np.zeros(n, np.result_type(A.values, x))
-    # Length-n scratch buffers, as in ``Diagonals.__matmul__``.
-    buf, absent = np.empty_like(y), np.empty(n, bool)
-    for o, a in zip(A.offsets.tolist()[::-1], A.values[::-1]):
-        lo, hi = max(-o, 0), min(n, n - o)
-        a_in, k = a[lo:hi], hi - lo
-        term = _times(a_in, x[lo:hi], buf[:k])
-        # An absent entry never meets a non-finite x.
-        np.copyto(term, 0, where=np.equal(a_in, 0, out=absent[:k]))
-        y[lo + o : hi + o] += term
-    return y
-
-
-def _require_probe_agreement(
-    spec_id: str, word: tuple[str, ...], mat: Diagonals, letters: LetterTable
-) -> None:
-    """Apply the letters to the table's probe vector one at a time, rightmost
-    first, and require 1e-13 agreement with the composed word times the
-    same vector.
-
-    The gap is ``_relative_norm`` of the two vectors, the norm every
-    residual takes: finite vectors never overflow it, and a non-finite
-    value reads NaN and is left to the residual.
-    """
-    with np.errstate(all="ignore"):
-        y = letters.probe
-        for name in reversed(word):
-            y = _apply(letters[name].entries, y)
-        z = _apply(mat, letters.probe)
-        diff = _relative_norm(y - z, y, z)
-    _require_close(diff, spec_id, word, "letter-by-letter probe")
 
 
 def check_relations(
@@ -678,16 +518,12 @@ def check_relations(
 ) -> list[ResidualReport]:
     """Interior relative residual of each relation over the table's window.
 
-    Every word is composed once from the table's letters and checked on
-    one second path: on windows of at most DENSE_ORACLE_LIMIT states,
-    against the product recomputed entry by entry from the letters, for
-    every word of the call at once after the residuals; above it, against
-    the letters applied one at a time to the table's probe vector, word by
-    word.  The first failing word, in spec, side and term order, raises.
+    Every word is composed once from the table's letters and checked, as it
+    is composed, against the path sum of the same letters
+    (``_require_path_agreement``), so the first failing word, in spec, side
+    and term order, raises.
     """
     w, p, n = letters.w, letters.p, letters.n
-    entrywise = n <= DENSE_ORACLE_LIMIT
-    composed: list[tuple[str, tuple[str, ...], Diagonals]] = []
     reports = []
     for spec in specs:
         sums, leaks = [], []
@@ -696,10 +532,7 @@ def check_relations(
             leak = 0.0
             for t in terms:
                 mat, lk = word_matrix(t.word, letters)
-                if entrywise:
-                    composed.append((spec.id, t.word, mat))
-                else:
-                    _require_probe_agreement(spec.id, t.word, mat, letters)
+                _require_path_agreement(spec.id, t.word, mat, letters)
                 # An overflowing word reads inf or NaN and fails the residual.
                 c = float(t.coeff(p))
                 total = total + c * mat
@@ -714,8 +547,6 @@ def check_relations(
             letters, spec.id, _balanced_residual(*sums, interior), tol, asserted,
             boundary_rows_excluded=n - int(interior.sum()), leakage_norm=math.sqrt(sum(leaks)),
         ))
-    if entrywise:
-        _require_entrywise_agreement(composed, letters)
     return reports
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver and its exit-code contract."""
 
 import argparse
+import ast
 import cmath
 import json
 import math
@@ -189,6 +190,23 @@ class TestVerifyCommand:
         )
         assert out.stdout == "False\n[]\n"
 
+    def test_package_draws_no_random_numbers(self):
+        # Every check is deterministic, so verify needs no seed: no module
+        # of the package imports a random module or reads an attribute
+        # ``random`` (``np.random``, ``numpy.random``).
+        root = Path(qeuclid.__file__).resolve().parent
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = (node.module or "").split(".") + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [part for a in node.names for part in a.name.split(".")]
+                else:
+                    continue
+                assert "random" not in names, f"{path.name}:{node.lineno}"
+
     def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # A BLAS dot splits a long vector across its threads and so changes
         # the order of the sum; at 17,298 states the reports must not move.
@@ -215,7 +233,7 @@ GOLDEN = Path(__file__).parent / "golden"
 class TestGoldenReports:
     """Reports and stdout must match checked-in bytes, not only themselves.
 
-    q3.0-sparse holds 2,890 states, so the entrywise second path is off;
+    q3.0-sparse holds 2,890 states.
     q1.1-phase0.7 runs at a complex phase, while the direct operators of
     the tensor suite stay at phase -1.  Every stdout.txt was written by the
     code that still materialized every letter once per check; the reports

@@ -51,6 +51,8 @@ class TestQpow:
             # Far apart: labels may reach 2^59.
             np.array([-(2**61), -(2**59), -1, 0, 1, 2**59, 2**61 + 3]),
             np.array([[5, 5], [5, 5]]),
+            # One distinct exponent, as the smooth rules pass for every mode.
+            np.full(13, -2),
             np.array(-7),
             np.zeros(0, dtype=np.int64),
         ],

@@ -54,7 +54,7 @@ from qeuclid.verify import (
 
 P2 = DeformationParams(q=2.0)
 W = TruncationWindow(0, 0, -6, 6)
-#: 578 states: above DENSE_ORACLE_LIMIT, so the entrywise second path is off.
+#: 578 states.
 W_SPARSE = TruncationWindow(0, 0, -16, 16)
 TOL = 1e-12
 
@@ -311,59 +311,6 @@ def _same_bits(a, b):
     )
 
 
-class TestProbeKernel:
-    @given(data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_apply_matches_compressed_rows_bit_for_bit(self, data):
-        # scipy's CSR product with a vector is the reference: each row adds
-        # the terms of its stored entries from 0 in ascending column, and an
-        # absent entry forms no term, so an inf or NaN of x beside it stays
-        # out of its row.  A and x are each real or complex.
-        n = data.draw(st.integers(1, 8))
-        A = data.draw(random_diagonals(n))
-        part = st.one_of(
-            st.floats(-1e3, 1e3), st.sampled_from([math.inf, -math.inf, math.nan])
-        )
-        x = np.array([data.draw(part) for _ in range(n)])
-        if data.draw(st.booleans()):
-            x = x.astype(complex)
-            x.imag = [data.draw(part) for _ in range(n)]
-        kept = A.values.copy(), x.copy()
-        # The probe runs under the same errstate.
-        with np.errstate(all="ignore"):
-            got = verify._apply(A, x)
-        want = sp.csr_matrix(to_dense(A)) @ x
-        assert got.dtype == want.dtype
-        assert _same_bits(got, want)
-        assert np.array_equal(A.values.view(float), kept[0].view(float))
-        assert np.array_equal(x.view(float), kept[1].view(float), equal_nan=True)
-
-    def test_rows_add_terms_in_ascending_column(self):
-        # Four terms meet in most rows, so the bits of each sum depend on
-        # its order, and complex terms on an unfused multiply.
-        rng = np.random.default_rng(5)
-        n = 40
-        c = np.arange(n)
-        gauss = lambda: np.array([1, 1j]) @ rng.standard_normal((2, n))  # noqa: E731
-        inside = lambda o: (c + o >= 0) & (c + o < n)  # noqa: E731
-        A = Diagonals.of({o: np.where(inside(o), gauss(), 0) for o in (-2, -1, 0, 3)}, n)
-        x = gauss()
-        assert _same_bits(verify._apply(A, x), sp.csr_matrix(to_dense(A)) @ x)
-
-    @pytest.mark.parametrize("x", [math.inf, math.nan, complex(math.inf, math.nan)])
-    def test_one_state_with_an_absent_entry(self, x):
-        # n = 1: a stored diagonal whose one entry is absent keeps y = 0
-        # whatever x holds; a present entry meets it.
-        absent = Diagonals(np.array([0]), np.array([[0.0]]))
-        present = Diagonals(np.array([0]), np.array([[2.0]]))
-        with np.errstate(all="ignore"):
-            for A in (absent, present):
-                got = verify._apply(A, np.array([x]))
-                want = sp.csr_matrix(to_dense(A)) @ np.array([x])
-                assert _same_bits(got, want)
-            assert verify._apply(absent, np.array([x])).tolist() == [0.0]
-
-
 class TestInteriorMasks:
     @pytest.mark.parametrize(
         "w", [W, TruncationWindow(-1, 0, -3, 0), TruncationWindow(0, 0, 0, 0)],
@@ -477,8 +424,8 @@ class TestSuiteDriver:
 
 class TestSinglePass:
     def test_each_word_is_composed_once(self, monkeypatch):
-        # The entrywise second path reuses the composed word instead of
-        # composing it again.
+        # The second path reuses the composed word instead of composing it
+        # again.
         calls = []
 
         def counting(word, *args, **kwargs):
@@ -486,14 +433,13 @@ class TestSinglePass:
             return word_matrix(word, *args, **kwargs)
 
         monkeypatch.setattr(verify, "word_matrix", counting)
-        assert len(build_window(W)) <= verify.DENSE_ORACLE_LIMIT
         check_relations(X_RELATIONS, LetterTable(W, P2), TOL)
         terms = [t.word for spec in X_RELATIONS for t in spec.lhs + spec.rhs]
         assert len(terms) == 7
         assert calls == terms
 
 
-#: Windows of 162 and 486 states (entrywise path on) and 17,298 states (off).
+#: Windows of 162, 486 and 17,298 states.
 W_162 = TruncationWindow(0, 0, -8, 8)
 W_486 = TruncationWindow(0, 2, -8, 8)
 W_17298 = TruncationWindow(-4, 4, -30, 30)
@@ -529,29 +475,19 @@ def _mutated(kind):
     return wrong
 
 
-class TestSecondPathsCatchMutations:
-    """Each second path on its own must reject a wrongly composed word."""
+class TestSecondPathCatchesMutations:
+    """The path sum must reject a wrongly composed word at every window size."""
 
     @pytest.mark.parametrize("kind", MUTATIONS)
-    @pytest.mark.parametrize("w", [W_162, W_486], ids=["162", "486"])
+    @pytest.mark.parametrize(
+        "w", [W_162, W_486, W_SPARSE, W_17298], ids=["162", "486", "578", "17298"]
+    )
     @pytest.mark.parametrize(
         "specs, p", [(X_RELATIONS, P2), (K_RELATIONS, P_COMPLEX)], ids=["real", "complex"]
     )
-    def test_entrywise_path_raises(self, monkeypatch, specs, p, w, kind):
-        assert w.size <= verify.DENSE_ORACLE_LIMIT
+    def test_path_sum_raises(self, monkeypatch, specs, p, w, kind):
         monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
-        with pytest.raises(QeuclidError, match="entrywise product"):
-            check_relations(specs, LetterTable(w, p), TOL)
-
-    @pytest.mark.parametrize("kind", MUTATIONS)
-    @pytest.mark.parametrize("w", [W_SPARSE, W_17298], ids=["578", "17298"])
-    @pytest.mark.parametrize(
-        "specs, p", [(X_RELATIONS, P2), (K_RELATIONS, P_COMPLEX)], ids=["real", "complex"]
-    )
-    def test_probe_raises(self, monkeypatch, specs, p, w, kind):
-        assert w.size > verify.DENSE_ORACLE_LIMIT
-        monkeypatch.setattr(verify, "word_matrix", _mutated(kind))
-        with pytest.raises(QeuclidError, match="probe"):
+        with pytest.raises(QeuclidError, match="path sum"):
             check_relations(specs, LetterTable(w, p), TOL)
 
     @pytest.mark.parametrize("kind", MUTATIONS)
@@ -559,10 +495,10 @@ class TestSecondPathsCatchMutations:
     @pytest.mark.parametrize(
         "specs, p", [(X_RELATIONS, P2), (K_RELATIONS, P_COMPLEX)], ids=["real", "complex"]
     )
-    def test_probe_raises_on_small_windows(self, specs, p, w, kind):
-        # check_relations runs the entrywise join here; the probe, called on
-        # its own, must still reject every word that the mutation changes
-        # and accept every word that it leaves as it is.
+    def test_path_sum_judges_each_word(self, specs, p, w, kind):
+        # Called on each word on its own, the path sum must reject every
+        # word that the mutation changes and accept every word that it
+        # leaves as it is.
         letters = LetterTable(w, p)
         for spec in specs:
             for word in spec.words():
@@ -573,14 +509,14 @@ class TestSecondPathsCatchMutations:
                     # Only reversing a palindrome, or dropping the one letter
                     # of a word, leaves the word as it is.
                     assert word == word[::-1] if kind == "reversed" else len(word) == 1
-                    verify._require_probe_agreement(spec.id, word, wrong, letters)
+                    verify._require_path_agreement(spec.id, word, wrong, letters)
                     continue
-                with pytest.raises(QeuclidError, match="probe"):
-                    verify._require_probe_agreement(spec.id, word, wrong, letters)
+                with pytest.raises(QeuclidError, match="path sum"):
+                    verify._require_path_agreement(spec.id, word, wrong, letters)
 
-    def test_second_paths_do_not_call_the_diagonal_product(self, monkeypatch):
-        # Both second paths recompute the word without the product kernel
-        # that composed it.
+    def test_path_sum_does_not_call_the_diagonal_product(self, monkeypatch):
+        # The path sum recomputes the word without the product kernel that
+        # composed it.
         letters = LetterTable(W_162, P_COMPLEX)
         word = ("Kminus", "Kplus")
         mat, _ = word_matrix(word, letters)
@@ -589,13 +525,12 @@ class TestSecondPathsCatchMutations:
             raise AssertionError("diagonal product called")
 
         monkeypatch.setattr(Diagonals, "__matmul__", refuse)
-        verify._require_probe_agreement("k_exchange", word, mat, letters)
-        verify._require_entrywise_agreement([("k_exchange", word, mat)], letters)
+        verify._require_path_agreement("k_exchange", word, mat, letters)
 
-    def test_probe_scales_before_taking_norms(self, monkeypatch):
-        # At q = 3 on mt >= -60 both words send the probe to about 1e170,
-        # whose square overflows: unscaled, the comparison would read
-        # inf/inf = NaN and let a perturbed word through.
+    def test_gap_scales_before_taking_norms(self, monkeypatch):
+        # At q = 3 on mt >= -60 both words hold entries near 1e170, whose
+        # squares overflow: unscaled, the comparison would read inf/inf =
+        # NaN and let a perturbed word through.
         one = lambda p: 1.0
         spec = RelationSpec(
             "t_order", (Term(one, ("t3", "tplus")),), (Term(one, ("tplus", "t3")),)
@@ -603,154 +538,119 @@ class TestSecondPathsCatchMutations:
         letters = LetterTable(TruncationWindow(0, 0, -60, 60), DeformationParams(q=3.0))
         check_relations([spec], letters, TOL, asserted=False)
         monkeypatch.setattr(verify, "word_matrix", _mutated("perturbed_entry"))
-        with pytest.raises(QeuclidError, match="probe"):
+        with pytest.raises(QeuclidError, match="path sum"):
             check_relations([spec], letters, TOL, asserted=False)
 
     @pytest.mark.parametrize("kind", MUTATIONS)
-    @pytest.mark.parametrize(
-        "message, check",
-        [("entrywise product", lambda spec_id, word, mat, letters:
-          verify._require_entrywise_agreement([(spec_id, word, mat)], letters)),
-         ("probe", verify._require_probe_agreement)],
-        ids=["entrywise", "probe"],
-    )
-    def test_overflowing_words_are_compared(self, message, check, kind):
+    def test_overflowing_words_are_compared(self, kind):
         # At q = 3 on 0:0,-60,1 (244 states) the word t3 tplus holds entries
-        # near 1e170, so the squares in an unscaled product norm overflow:
-        # the bound max(1, |product|) would read inf and let any word
-        # through.  Each path's check is called on its own.
+        # near 1e170, so the squares in an unscaled norm overflow: the bound
+        # max(1, |path sum|, |word|) would read inf and let any word through.
         letters = LetterTable(TruncationWindow(0, 0, -60, 1), DeformationParams(q=3.0))
         word = ("t3", "tplus")
-        check("t_order", word, word_matrix(word, letters)[0], letters)
-        with pytest.raises(QeuclidError, match=message):
-            check("t_order", word, _mutated(kind)(word, letters)[0], letters)
+        verify._require_path_agreement("t_order", word, word_matrix(word, letters)[0], letters)
+        with pytest.raises(QeuclidError, match="path sum"):
+            verify._require_path_agreement(
+                "t_order", word, _mutated(kind)(word, letters)[0], letters
+            )
 
-
-def _sparse_letter(draw, n):
-    """A random n x n CSR letter, real or complex, possibly with empty rows
-    and columns, or no stored entry at all."""
-    nnz = draw(st.integers(0, 2 * n))
-    ij = st.integers(0, n - 1)
-    part = st.floats(-1e3, 1e3, allow_nan=False)
-    real = draw(st.booleans())
-    value = part if real else st.builds(complex, part, part)
-    rows = draw(st.lists(ij, min_size=nnz, max_size=nnz))
-    cols = draw(st.lists(ij, min_size=nnz, max_size=nnz))
-    vals = draw(st.lists(value, min_size=nnz, max_size=nnz))
-    return sp.csr_matrix(
-        (np.array(vals, dtype=np.float64 if real else np.complex128), (rows, cols)), shape=(n, n)
+    @pytest.mark.parametrize("w", [W_162, W_486, W_17298], ids=["162", "486", "17298"])
+    @pytest.mark.parametrize(
+        "p",
+        [DeformationParams(q=q, theta_phase=phase) for q in (1.5, 3.0)
+         for phase in (-1.0, 1.0, cmath.exp(0.7j))],
+        ids=[f"q{q}-{label}" for q in (1.5, 3.0) for label in ("minus", "plus", "0.7")],
     )
+    def test_catalogue_words_equal_their_path_sums_bit_for_bit(self, w, p):
+        # The path sum adds each offset's terms in the product's order and
+        # multiplies complex values as the product does, so every word of
+        # every relation table matches it exactly, at a complex phase too.
+        letters = LetterTable(w, p)
+        specs = X_RELATIONS + K_RELATIONS + CASIMIR + COMMUTANT + T_TEMPLATE + TORB_TEMPLATE
+        for word in {word for spec in specs for word in spec.words()}:
+            mat, _ = word_matrix(word, letters)
+            ref = verify._path_sum([letters[name].entries for name in word])
+            assert ref.offsets.tolist() == mat.offsets.tolist(), word
+            assert _same_bits(ref.values, mat.values), word
 
 
-def _triples(m):
-    """The (rows, cols, values) of the stored entries of a CSR matrix,
-    row-major and distinct."""
-    coo = sp.csr_matrix(m).tocoo()
-    return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
+@st.composite
+def _words(draw):
+    """A word of 1-3 random n x n letters, each real or complex, with absent
+    entries, present ones that may be +-inf, and possibly a nonzero value
+    in the slots whose row falls outside the matrix, which stay absent."""
+    n = draw(st.integers(1, 8))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        A = draw(random_diagonals(n))
+        values = A.values.copy()
+        present = np.argwhere(values)
+        if len(present):
+            picks = draw(st.lists(st.integers(0, len(present) - 1), max_size=2))
+            for d, c in present[picks]:
+                values[d, c] = draw(st.sampled_from([math.inf, -math.inf]))
+        if draw(st.booleans()):
+            rows = np.arange(n) + A.offsets[:, None]
+            values[(rows < 0) | (rows >= n)] = draw(st.sampled_from([1.5, math.inf]))
+        mats.append(Diagonals(A.offsets, values))
+    return mats
+
+
+class TestPathSum:
+    @given(mats=_words())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_compressed_rows_bit_for_bit(self, mats):
+        # scipy's CSR product is the reference: each entry adds the terms of
+        # present entries only, from 0 in ascending inner index, and forms a
+        # complex term as (ac - bd) + (ad + bc)i; an absent entry next to an
+        # inf forms no term, so it reads no NaN.  The word applies
+        # rightmost first.
+        kept = [A.values.copy() for A in mats]
+        got = verify._path_sum(mats)
+        want = sp.csr_matrix(to_dense(mats[-1]))
+        for A in reversed(mats[:-1]):
+            want = sp.csr_matrix(to_dense(A)) @ want
+        # Compared entry by entry, not as dense arrays, whose zero fill
+        # would turn a stored -0.0 into +0.0.
+        want.sort_indices()
+        rows, cols, vals = got.triples()
+        n = got.shape[0]
+        assert np.array_equal(rows, np.repeat(np.arange(n), np.diff(want.indptr)))
+        assert np.array_equal(cols, want.indices)
+        # A product without diagonals holds no values to promote.
+        assert vals.dtype == want.dtype or got.offsets.size == 0
+        assert _same_bits(vals.astype(want.dtype), want.data)
+        # A one-letter word is the letter as stored; a product holds 0 there.
+        assert len(mats) == 1 or not outside_slots(got).any()
+        for A, values in zip(mats, kept):
+            assert np.array_equal(A.values.view(float), values.view(float))
+
+    def test_terms_add_in_the_products_order(self):
+        # Three terms meet on every inner entry of each step of a word of
+        # three complex tridiagonal letters, so the bits of each sum depend
+        # on its order, and on an unfused complex multiply.
+        rng = np.random.default_rng(3)
+        n = 40
+        c = np.arange(n)
+        inside = lambda o: (c + o >= 0) & (c + o < n)  # noqa: E731
+        mats = [
+            Diagonals.of(
+                {o: np.where(inside(o), rng.standard_normal(n) + 1j * rng.standard_normal(n), 0)
+                 for o in (-1, 0, 1)},
+                n,
+            )
+            for _ in range(3)
+        ]
+        want = sp.csr_matrix(to_dense(mats[2]))
+        for A in (mats[1], mats[0]):
+            want = sp.csr_matrix(to_dense(A)) @ want
+        assert _same_bits(to_dense(verify._path_sum(mats)), want.toarray())
 
 
 def _csr(A):
     """A matrix with a ``triples()`` export, as a scipy CSR matrix."""
     rows, cols, vals = A.triples()
     return sp.csr_matrix((vals, (rows, cols)), shape=A.shape)
-
-
-def _diagonals(m):
-    """A scipy matrix as Diagonals: offset o holds the entries (c + o, c)."""
-    a = m.toarray()
-    n = len(a)
-    c = np.arange(n)
-    inside = lambda o: (c + o >= 0) & (c + o < n)
-    return Diagonals.of({o: np.where(inside(o), a[(c + o) % n, c], 0) for o in range(1 - n, n)}, n)
-
-
-@st.composite
-def _batches(draw):
-    """n and 1-6 words of 1-4 random n x n letters each."""
-    n = draw(st.integers(1, 9))
-    words = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
-    return n, [[_sparse_letter(draw, n) for _ in range(length)] for length in words]
-
-
-def _product(mats):
-    word = mats[0]
-    for m in mats[1:]:
-        word = word @ m
-    return sp.csr_matrix(word)
-
-
-class TestBatchedJoin:
-    @given(case=_batches(), k=st.integers(0, 5))
-    @settings(max_examples=300, deadline=None)
-    def test_each_word_has_its_own_gap(self, case, k):
-        # Every word matches the scipy product of its letters; one entry
-        # added to word k, where the product may store nothing, fails word k
-        # and no other; and word k alone has the gap it has in the batch.
-        n, words = case
-        k %= len(words)
-        letters = [[_triples(m) for m in mats] for mats in words]
-        products = [_product(mats) for mats in words]
-        batch = [(ls, _diagonals(word)) for ls, word in zip(letters, products)]
-        gaps = verify._entrywise_gaps(batch, n)
-        assert (gaps <= 1e-13).all(), gaps
-        assert verify._entrywise_gaps([batch[k]], n)[0] == gaps[k]
-        step = 1e-10 * max(1.0, sparse_norm(products[k]))
-        extra = products[k] + sp.csr_matrix(([step], ([n - 1], [0])), shape=(n, n))
-        batch[k] = (letters[k], _diagonals(extra))
-        marked = verify._entrywise_gaps(batch, n)
-        assert (marked > 1e-13).tolist() == [j == k for j in range(len(words))]
-        assert np.array_equal(np.delete(marked, k), np.delete(gaps, k))
-
-    def test_a_non_finite_word_leaves_the_others_scaled(self):
-        # Word 0 holds entries near 1e170, whose squares overflow unless
-        # scaled, and one wrong entry; word 1 holds inf.  A scale shared by
-        # the batch would read inf, leave word 0 unscaled and its gap NaN,
-        # and let the wrong entry through.
-        n = 3
-        big = sp.csr_matrix(np.diag([1e85, 2e85, 3e85]))
-        inf = sp.csr_matrix(np.diag([np.inf, 1.0, 1.0]))
-        wrong = big @ big + sp.csr_matrix(([1e160], ([0], [1])), shape=(n, n))
-        batch = [([_triples(m)] * 2, _diagonals(w)) for m, w in [(big, wrong), (inf, inf @ inf)]]
-        assert verify._entrywise_gaps(batch, n)[0] > 1e-13
-
-    @pytest.mark.parametrize(
-        "specs", [X_RELATIONS, K_RELATIONS, COMMUTANT, T_TEMPLATE + TORB_TEMPLATE],
-        ids=["x", "k", "commutant", "templates"],
-    )
-    @pytest.mark.parametrize("w", [W_162, W_SPARSE], ids=["162", "578"])
-    def test_one_join_per_word_length(self, monkeypatch, specs, w):
-        join, lengths = verify._join_gaps, []
-
-        def spy(words, composed, n):
-            lengths.append([len(word) for word in words])
-            return join(words, composed, n)
-
-        monkeypatch.setattr(verify, "_join_gaps", spy)
-        check_relations(specs, LetterTable(w, P2), TOL, asserted=False)
-        words = [t.word for spec in specs for t in spec.lhs + spec.rhs]
-        if w.size > verify.DENSE_ORACLE_LIMIT:
-            assert lengths == []
-            return
-        # One join per distinct length, over every word of that length.
-        assert all(len(set(group)) == 1 for group in lengths)
-        assert sorted(group[0] for group in lengths) == sorted(set(map(len, words)))
-        assert sorted(sum(lengths, [])) == sorted(map(len, words))
-
-    def test_each_letter_is_exported_once(self, monkeypatch):
-        exports = []
-        triples = Diagonals.triples
-
-        def counting(self):
-            exports.append(self)
-            return triples(self)
-
-        monkeypatch.setattr(Diagonals, "triples", counting)
-        letters = LetterTable(W_162, P2)
-        check_relations(X_RELATIONS + K_RELATIONS, letters, TOL)
-        check_relations(COMMUTANT, letters, TOL)
-        specs = X_RELATIONS + K_RELATIONS + COMMUTANT
-        names = {name for spec in specs for word in spec.words() for name in word}
-        assert len(exports) == len(names)
 
 
 #: The words of X_RELATIONS in spec, side and term order, with their spec ids.
@@ -769,23 +669,20 @@ def _mutated_at(k, kind):
     return compose
 
 
-def _names(k, path):
-    """A pattern of the error that names the k-th X_RELATIONS word and a path."""
+def _names(k):
+    """A pattern of the error that names the k-th X_RELATIONS word."""
     spec_id, word = X_WORDS[k]
-    return re.escape(f"on word {word} of {spec_id}: sparse composition vs ") + f".*{path}"
+    return re.escape(f"on word {word} of {spec_id}: sparse composition vs path sum")
 
 
 class TestFirstError:
-    """Each window has one second path, and the first failing word, in
-    spec, side and term order, names its error."""
+    """The first failing word, in spec, side and term order, names the
+    error."""
 
     @pytest.mark.parametrize("kind", MUTATIONS)
     @pytest.mark.parametrize("k", range(len(X_WORDS)))
-    @pytest.mark.parametrize(
-        "path, w", [("entrywise product", W_162), ("probe", W_SPARSE)],
-        ids=["entrywise", "probe"],
-    )
-    def test_error_names_the_mutated_word(self, monkeypatch, path, w, k, kind):
+    @pytest.mark.parametrize("w", [W_162, W_SPARSE], ids=["162", "578"])
+    def test_error_names_the_mutated_word(self, monkeypatch, w, k, kind):
         monkeypatch.setattr(verify, "word_matrix", _mutated_at(k, kind))
         letters = LetterTable(w, P2)
         word = X_WORDS[k][1]
@@ -793,31 +690,23 @@ class TestFirstError:
             # Reversing X3 X3 leaves it as it is.
             check_relations(X_RELATIONS, letters, TOL)
             return
-        with pytest.raises(QeuclidError, match=_names(k, path)):
+        with pytest.raises(QeuclidError, match=_names(k)):
             check_relations(X_RELATIONS, letters, TOL)
 
     @pytest.mark.parametrize("w", [W_162, W_486, W_SPARSE], ids=["162", "486", "578"])
-    def test_one_second_path_per_window(self, monkeypatch, w):
-        # The probe runs only above DENSE_ORACLE_LIMIT, once per word in
-        # spec, side and term order; the entrywise join only up to it.
-        probed, joins = [], []
-        probe, join = verify._require_probe_agreement, verify._join_gaps
+    def test_one_second_path_at_every_size(self, monkeypatch, w):
+        # The path sum sees each word once, in spec, side and term order,
+        # as it is composed, at every window size.
+        checked = []
+        check = verify._require_path_agreement
 
-        def probe_spy(spec_id, word, mat, letters):
-            probed.append((spec_id, word))
-            probe(spec_id, word, mat, letters)
+        def spy(spec_id, word, mat, letters):
+            checked.append((spec_id, word))
+            check(spec_id, word, mat, letters)
 
-        def join_spy(*args):
-            joins.append(args)
-            return join(*args)
-
-        monkeypatch.setattr(verify, "_require_probe_agreement", probe_spy)
-        monkeypatch.setattr(verify, "_join_gaps", join_spy)
+        monkeypatch.setattr(verify, "_require_path_agreement", spy)
         check_relations(X_RELATIONS, LetterTable(w, P2), TOL)
-        if w.size <= verify.DENSE_ORACLE_LIMIT:
-            assert probed == [] and joins
-        else:
-            assert joins == [] and probed == X_WORDS
+        assert checked == X_WORDS
 
 
 class TestLetterMatrices:
@@ -843,7 +732,6 @@ class TestLetterMatrices:
         check_relations(X_RELATIONS, LetterTable(w, P2), TOL)
         assert sorted(made) == ["X3", "Xminus", "Xplus"]
         assert walked == []
-        assert W.size <= verify.DENSE_ORACLE_LIMIT < W_SPARSE.size
 
     @pytest.mark.parametrize(
         "phase, count",
