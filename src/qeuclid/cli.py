@@ -466,7 +466,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     print(
         f"{args.operator} on window {window_label(args.window)}: "
         f"{n}x{n}, {mat.entries.nnz} entries, "
-        f"{int(mat.boundary.sum())} boundary columns, wrote {args.output}"
+        f"{len(mat.boundary_columns)} boundary columns, wrote {args.output}"
     )
     return EXIT_PASS
 

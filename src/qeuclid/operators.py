@@ -134,7 +134,9 @@ class Branch:
         -1) every catalogue coefficient is real.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            c = np.full(src.M.shape, self.coeff(Points(src, p)), dtype=np.float64)
+            c = np.asarray(self.coeff(Points(src, p)), dtype=np.float64)
+            if c.ndim == 0:
+                c = np.full(src.M.shape, c)
             if self.phase:
                 theta = p.theta_phase if self.phase > 0 else p.theta_phase.conjugate()
                 c = c * (theta.real if theta.imag == 0.0 else theta)
@@ -260,18 +262,25 @@ def images(
     Each entry holds the positions in ``src`` whose shifted target is a valid
     index with a nonzero coefficient, those targets, and the coefficients.
     Coefficients are evaluated on valid targets only.  Labels are gathered
-    only where some position drops out; otherwise the arrays pass as they are.
+    only where some position drops out, before they are shifted.
     """
     for br in get_operator(name).branches:
-        tgt = src.shifted(br.dM, br.dmt, br.dm)
-        valid = tgt.is_valid()
-        whole = bool(valid.all())
-        pos = np.arange(len(valid)) if whole else np.flatnonzero(valid)
-        c = br.values(src if whole else _take(src, pos), p)
-        keep = c != 0.0
-        if not keep.all():
-            pos, c, whole = pos[keep], c[keep], False
-        yield pos, tgt if whole else _take(tgt, pos), c
+        yield _image(br, src, p)
+
+
+def _image(
+    br: Branch, src: BasisIndex, p: DeformationParams
+) -> tuple[np.ndarray, BasisIndex, np.ndarray]:
+    """One branch's entry of :func:`images`."""
+    valid = src.shifted(br.dM, br.dmt, br.dm).is_valid()
+    whole = bool(valid.all())
+    pos = np.arange(len(valid)) if whole else np.flatnonzero(valid)
+    at = src if whole else _take(src, pos)
+    c = br.values(at, p)
+    keep = c != 0.0
+    if not keep.all():
+        pos, c, at = pos[keep], c[keep], _take(at, keep)
+    return pos, at.shifted(br.dM, br.dmt, br.dm), c
 
 
 def _take(idx: BasisIndex, pos: np.ndarray) -> BasisIndex:
@@ -321,6 +330,17 @@ def _times(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return term
 
 
+def _pair_rows(a: "Diagonals", b: "Diagonals") -> tuple[np.ndarray, np.ndarray]:
+    """The ascending offsets oa + ob over every pair of a diagonal of ``a``
+    and one of ``b``, and one zero-started row of values per offset, all in
+    one (d, n) array at the pair's dtype, into which a product of a and b
+    adds its terms.  Every pair opens its diagonal, even where no term
+    exists; :meth:`Diagonals.nonempty` drops the empty ones."""
+    offsets = sorted({oa + ob for oa in a.offsets.tolist() for ob in b.offsets.tolist()})
+    values = np.zeros((len(offsets), a.shape[0]), np.result_type(a.values, b.values))
+    return np.array(offsets, dtype=np.int64), values
+
+
 def _shift(v: np.ndarray, s: int) -> np.ndarray:
     """u[i] = v[i + s] where i + s indexes v, else 0."""
     u = np.zeros_like(v)
@@ -367,6 +387,13 @@ class Diagonals:
         vals = np.array([diags[o] for o in keep], dtype=dtype)
         return cls(np.array(keep, dtype=np.int64), vals.reshape(len(keep), n))
 
+    @classmethod
+    def nonempty(cls, offsets: np.ndarray, values: np.ndarray) -> "Diagonals":
+        """The matrix of ascending ``offsets`` and their (d, n) ``values``,
+        less empty diagonals; ``values`` is kept, not copied, if none is."""
+        keep = values.any(axis=1)
+        return cls(offsets, values) if keep.all() else cls(offsets[keep], values[keep])
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.values.shape[1],) * 2
@@ -388,8 +415,9 @@ class Diagonals:
 
     def __matmul__(self, other: "Diagonals") -> "Diagonals":
         n = self.shape[0]
-        dtype = np.result_type(self.values, other.values)
-        sums: dict[int, np.ndarray] = {}
+        offsets, out = _pair_rows(self, other)
+        sums = dict(zip(offsets.tolist(), out))
+        dtype = out.dtype
         # Each term and its absent-entry masks live in length-n scratch
         # buffers, so no array of a varying length reaches the allocator,
         # whose heap would otherwise keep growing over many products.
@@ -402,10 +430,6 @@ class Diagonals:
             for ob, b in zip(other.offsets.tolist(), other.values):
                 for oa, a in zip(self.offsets.tolist(), self.values):
                     o = oa + ob
-                    # Every pair opens its diagonal, so the dtype is the
-                    # operands' even where no term exists; ``of`` drops it.
-                    if o not in sums:
-                        sums[o] = np.zeros(n, dtype)
                     lo, hi = max(-ob, -o, 0), min(n, n - ob, n - o)
                     if lo < hi:
                         a_in, b_in, k = a[lo + ob : hi + ob], b[lo:hi], hi - lo
@@ -414,7 +438,7 @@ class Diagonals:
                         absent |= np.equal(b_in, 0, out=in_b[:k])
                         np.copyto(term, 0, where=absent)
                         sums[o][lo:hi] += term
-        return Diagonals.of(sums, n)
+        return Diagonals.nonempty(offsets, out)
 
     def _combine(self, other: "Diagonals", op: np.ufunc) -> "Diagonals":
         mine = dict(zip(self.offsets.tolist(), self.values))
@@ -438,15 +462,24 @@ class OperatorMatrix:
     """Windowed matrix of a catalogue operator in canonical basis order.
 
     Row j, column i of ``entries`` is the coefficient of window index j in
-    the action on window index i.  ``boundary[i]`` marks a column i that
-    carries nonzero amplitude to a valid index outside the window (absent
-    from the matrix); ``leakage[i]`` sums its squared magnitudes there.
+    the action on window index i.  ``boundary_columns`` holds, ascending,
+    the columns that carry a nonzero amplitude to a valid index outside the
+    window (absent from the matrix), and ``boundary_leakage`` the summed
+    squared magnitudes each of them loses there, in the same order; a
+    column whose square underflows to 0 is still on the boundary.
+    ``total_leakage`` is the letter's whole loss, summed over every column
+    of the window.
+
+    Only the window's edge columns leak, and a diagonal letter leaks
+    nowhere, so a letter stores its diagonals (8 bytes a state each, or 16
+    if complex) and next to nothing per state beside them.
     """
 
     window: TruncationWindow
     entries: Diagonals
-    boundary: np.ndarray
-    leakage: np.ndarray
+    boundary_columns: np.ndarray
+    boundary_leakage: np.ndarray
+    total_leakage: float
 
 
 def materialize(
@@ -456,6 +489,9 @@ def materialize(
 
     Canonical positions are linear in (M, mt, m - mt) within a sign block, so
     an in-window target sits on its branch's diagonal, at a fixed offset.
+    The squared magnitudes the branches lose are added per column over the
+    whole window, summed with ``np.sum`` (whose pairwise order follows the
+    positions) into the total, and kept only at the boundary columns.
     """
     n = check_capacity(w, capacity)
     op = get_operator(name)
@@ -463,8 +499,12 @@ def materialize(
     diags: dict[int, np.ndarray] = {}
     lost = np.zeros(n, dtype=bool)
     leakage = np.zeros(n)
-    for br, (pos, tgt, c) in zip(op.branches, images(name, w.index_arrays(), p)):
+    for br in op.branches:
+        pos, tgt, c = _image(br, w.index_arrays(), p)
         inside = w.contains(tgt)
+        # Each array is dropped once read, so none is left bound while the
+        # next branch is evaluated.
+        del tgt
         offset = (br.dM * (1 - w.mt_min) + br.dmt) * nk + br.dm - br.dmt
         d = np.zeros(n, dtype=c.dtype)
         d[pos[inside]] = c[inside]
@@ -476,15 +516,19 @@ def materialize(
         # Like a Python float product, the square overflows to inf silently.
         with np.errstate(over="ignore"):
             leakage[out] += c.real * c.real + c.imag * c.imag
-    return OperatorMatrix(w, Diagonals.of(diags, n), lost, leakage)
+        del pos, c, inside
+    boundary = np.flatnonzero(lost)
+    total = float(np.sum(leakage))
+    return OperatorMatrix(w, Diagonals.of(diags, n), boundary, leakage[boundary], total)
 
 
 def adjoint_matrix(A: OperatorMatrix, p: DeformationParams) -> OperatorMatrix:
     """Jackson adjoint W^-1 A^H W of a windowed matrix (W = diagonal weights).
 
     W holds the Jackson weights q^(4M) * q^(2*mt) of the window's states;
-    A^H moves offset o to -o.  The operation is involutive.  The basis comes
-    from A's window without a second capacity check: A already passed the
+    A^H moves offset o to -o, each diagonal conjugated by one slice into one
+    preallocated array.  The operation is involutive.  The basis comes from
+    A's window without a second capacity check: A already passed the
     caller's.  No column is on the boundary and the leakage is zero
     (windowed entries of a single catalogue operator are exact).
     """
@@ -494,9 +538,17 @@ def adjoint_matrix(A: OperatorMatrix, p: DeformationParams) -> OperatorMatrix:
         wgt = qpow_array(p.q, 4 * ix.M) * qpow_array(p.q, 2 * ix.mt)
         inv = 1.0 / wgt
     a, n = A.entries, len(wgt)
-    flipped = {-o: _shift(np.conj(v), -o) for o, v in zip(a.offsets.tolist(), a.values)}
-    entries = Diagonals.of({0: inv}, n) @ Diagonals.of(flipped, n) @ Diagonals.of({0: wgt}, n)
-    return OperatorMatrix(A.window, entries, np.zeros(n, dtype=bool), np.zeros(n))
+    # Column c of A's offset o is column c + o of A^H's offset -o; ascending
+    # -o is descending o.
+    flipped = np.zeros_like(a.values)
+    for row, o, v in zip(flipped, a.offsets[::-1].tolist(), a.values[::-1]):
+        lo = max(o, 0)
+        hi = max(min(n, n + o), lo)
+        # A real diagonal's conjugate is itself, copied once into place.
+        np.conjugate(v[lo - o : hi - o], out=row[lo:hi])
+    flip = Diagonals(-a.offsets[::-1], flipped)
+    entries = Diagonals.of({0: inv}, n) @ flip @ Diagonals.of({0: wgt}, n)
+    return OperatorMatrix(A.window, entries, np.zeros(0, dtype=np.int64), np.zeros(0), 0.0)
 
 
 def spectrum_arrays(

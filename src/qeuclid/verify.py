@@ -63,6 +63,7 @@ from .lattice import check_capacity
 from .operators import (
     Diagonals,
     OperatorMatrix,
+    _pair_rows,
     _times,
     adjoint_matrix,
     get_operator,
@@ -351,23 +352,30 @@ def word_matrix(word: Sequence[str], letters: LetterTable) -> tuple[Diagonals, f
 
     The word is the product of its letters' materialized matrices, applied
     rightmost first; the leakage sums the squared magnitude of every
-    amplitude a step carries to a valid index outside the window.
+    amplitude a step carries to a valid index outside the window.  The
+    first letter adds its stored total.  What a later letter drops from
+    column j scales with the squared norm of row j of the product so far,
+    which is formed only at the letter's boundary columns: a letter that
+    leaks nowhere costs nothing, and no array of length n is made.
     """
     n = letters.n
     *rest, first = [letters[name] for name in word]
-    prod, leak = first.entries, float(first.leakage.sum())
+    prod, leak = first.entries, first.total_leakage
     for letter in reversed(rest):
-        # What a letter drops from source j scales with the squared norm of
-        # row j of the product so far.  Squares may overflow to inf; only
-        # rows that are reached and leak count, so no inf meets a 0 (NaN).
-        with np.errstate(over="ignore"):
-            reach, buf = np.zeros(n), np.empty(n)
-            for o, v in zip(prod.offsets.tolist(), prod.values):
-                lo, hi = max(-o, 0), min(n, n - o)
-                square = np.square(np.abs(v[lo:hi], out=buf[: hi - lo]), out=buf[: hi - lo])
-                reach[lo + o : hi + o] += square
-            hit = (reach != 0.0) & (letter.leakage != 0.0)
-            leak += float(np.add.reduce(reach[hit] * letter.leakage[hit]))
+        cols, lost = letter.boundary_columns, letter.boundary_leakage
+        if len(cols):
+            # Row j holds, on offset o, the entry of column j - o; each
+            # row's squares add in ascending offset, as a whole-window sum
+            # would.  Squares may overflow to inf; only rows that are
+            # reached and leak count, so no inf meets a 0 (NaN).
+            reach = np.zeros(len(cols))
+            with np.errstate(over="ignore"):
+                for o, v in zip(prod.offsets.tolist(), prod.values):
+                    src = cols - o
+                    row = (src >= 0) & (src < n)
+                    reach[row] += np.square(np.abs(v[src[row]]))
+                hit = (reach != 0.0) & (lost != 0.0)
+                leak += float(np.add.reduce(reach[hit] * lost[hit]))
         prod = letter.entries @ prod
     return prod, leak
 
@@ -411,9 +419,12 @@ def interior_positions(words: Iterable[Sequence[str]], w: TruncationWindow) -> l
 def _norm(v: np.ndarray, e: int = 0) -> float:
     """Frobenius norm of 2^-e * v: ``np.add.reduce`` of squared parts (a
     real array has no imaginary part to add)."""
-    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-    squares = (np.square(np.ldexp(x, -e)) for x in parts)
-    return math.sqrt(sum(float(np.add.reduce(x, axis=None)) for x in squares))
+    total = 0
+    for x in (v.real, v.imag) if np.iscomplexobj(v) else (v,):
+        # Squared in place: one scratch array per part.
+        y = np.ldexp(x, -e)
+        total += float(np.add.reduce(np.square(y, out=y), axis=None))
+    return math.sqrt(total)
 
 
 def _relative_norm(gap: np.ndarray, *refs: np.ndarray) -> float:
@@ -472,7 +483,8 @@ def _path_sum(mats: Sequence[Diagonals]) -> Diagonals:
     n = prod.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for A in reversed(rest):
-            sums: dict[int, np.ndarray] = {}
+            offsets, out = _pair_rows(A, prod)
+            sums = dict(zip(offsets.tolist(), out))
             for ob, x in zip(prod.offsets.tolist(), prod.values):
                 # Column c's path stands at row c + ob of the product so far.
                 inner = np.arange(ob, n + ob)
@@ -486,8 +498,8 @@ def _path_sum(mats: Sequence[Diagonals]) -> Diagonals:
                     absent |= gathered == 0
                     np.copyto(term, 0, where=absent)
                     # Each total offset's sum starts at +0.0, as the product's does.
-                    sums[oa + ob] = sums.get(oa + ob, 0.0) + term
-            prod = Diagonals.of(sums, n)
+                    sums[oa + ob] += term
+            prod = Diagonals.nonempty(offsets, out)
     return prod
 
 
@@ -513,6 +525,28 @@ def _require_close(diff: float, spec_id: str, word: tuple[str, ...]) -> None:
         )
 
 
+def _add_scaled(total: Diagonals, c: float, mat: Diagonals) -> Diagonals:
+    """``total + c * mat``, bit for bit, added into ``total``'s own values
+    (a sum that only the caller holds) when ``mat`` has diagonals, all of
+    them stored in ``total``, at the sum's dtype; otherwise a new sum.
+
+    In place, each scaled diagonal is formed in one scratch row.  A sum
+    built by ``+`` holds no -0.0, so the +0.0 that ``+`` adds to each
+    diagonal ``mat`` lacks changes no bit there; a diagonal that cancels to
+    all zeros is dropped, as ``+`` drops it.
+    """
+    rows = {o: k for k, o in enumerate(total.offsets.tolist())}
+    mine = [rows.get(o) for o in mat.offsets.tolist()]
+    if not mine or None in mine or np.result_type(total.values, mat.values) != total.values.dtype:
+        return total + c * mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, v in zip(mine, mat.values):
+            term = v * c
+            term[v == 0] = 0
+            total.values[k] += term
+    return Diagonals.nonempty(total.offsets, total.values)
+
+
 def check_relations(
     specs: Sequence[RelationSpec], letters: LetterTable, tol: float, asserted: bool = True
 ) -> list[ResidualReport]:
@@ -535,7 +569,9 @@ def check_relations(
                 _require_path_agreement(spec.id, t.word, mat, letters)
                 # An overflowing word reads inf or NaN and fails the residual.
                 c = float(t.coeff(p))
-                total = total + c * mat
+                total = _add_scaled(total, c, mat)
+                # The next word is composed while this name is still bound.
+                del mat
                 # A word that leaks nothing adds nothing (no inf * 0).  From
                 # |c| = 2^512, where a float's ** raises, |c|^2 reads inf.
                 if lk:
@@ -577,8 +613,15 @@ def check_homomorphism(letters: LetterTable, tol: float) -> list[ResidualReport]
     t3 = (1/lam) * (1 + R2 (X3)^-2), with (X3)^-1 the spectral (diagonal)
     inverse, and compares them entrywise to the direct catalogue rules.
     The ladder-template relations for the hopping and orbital families are
-    appended report-only.
+    appended report-only, once the assembly is freed.
     """
+    worst = _hopping_residual(letters)
+    templates = check_relations(T_TEMPLATE + TORB_TEMPLATE, letters, tol, asserted=False)
+    return [_report(letters, "hopping_from_coordinate_ladder", worst, tol), *templates]
+
+
+def _hopping_residual(letters: LetterTable) -> float:
+    """The worst residual of the three assembled hopping operators."""
     w, p = letters.w, letters.p
     x3 = get_operator("X3").branches[0].values(w.index_arrays(), p)
     lam, root = p.lam, math.sqrt(1.0 + p.qpow(2))
@@ -597,9 +640,7 @@ def check_homomorphism(letters: LetterTable, tol: float) -> list[ResidualReport]
         for name, mat in assembled.items()
     ]
     # np.max, unlike the builtin max, propagates a NaN residual.
-    worst = float(np.max(residuals))
-    templates = check_relations(T_TEMPLATE + TORB_TEMPLATE, letters, tol, asserted=False)
-    return [_report(letters, "hopping_from_coordinate_ladder", worst, tol), *templates]
+    return float(np.max(residuals))
 
 
 def check_tensor_torb(letters: LetterTable, tol: float) -> list[ResidualReport]:

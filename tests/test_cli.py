@@ -30,6 +30,8 @@ from qeuclid.lattice import LatticeState, load_state, save_state
 from qeuclid.operators import apply, spectrum_arrays
 from qeuclid.verify import SUITE_NAMES
 
+from oracle import oracle_action
+
 
 def _refuse(name):
     """A ``parse_constant`` for ``json.loads`` that refuses NaN and Infinity."""
@@ -637,6 +639,27 @@ class TestMatrixCommand:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "# row col re im"
         assert len(lines) > 1
+
+    @pytest.mark.parametrize(
+        "name, window", [("Kplus", "0:0,-2,2"), ("Xminus", "0:0,-2,2"), ("Kplus", "0:0,0,0")]
+    )
+    def test_summary_counts_columns_that_leak(self, name, window, tmp_path, capsys):
+        # The entry and boundary counts come from the pointwise oracle: a
+        # column is on the boundary when some target it reaches is valid
+        # but outside the window.  On 0:0,0,0 every Kplus column leaks.
+        w = TruncationWindow(*(int(x) for x in window.replace(":", ",").split(",")))
+        order = {tuple(idx) for idx in w.iter_indices()}
+        targets = [oracle_action(name, idx, 1.7, r0=1.3) for idx in sorted(order)]
+        entries = sum(t in order for out in targets for t in out)
+        boundary = sum(any(t not in order for t in out) for out in targets)
+        out = tmp_path / "m.txt"
+        argv = ["matrix", name, "--q", "1.7", "--r0", "1.3", f"--window={window}"]
+        assert main([*argv, "--output", str(out)]) == EXIT_PASS
+        n = len(order)
+        assert capsys.readouterr().out == (
+            f"{name} on window {window}: {n}x{n}, {entries} entries, "
+            f"{boundary} boundary columns, wrote {out}\n"
+        )
 
     def test_capacity_override(self, tmp_path, capsys):
         code = main(

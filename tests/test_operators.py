@@ -169,16 +169,19 @@ class TestMaterialize:
         A = materialize("X3", w, P2)
         dense = to_dense(A.entries)
         assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
-        assert np.flatnonzero(A.boundary).tolist() == []
-        assert not A.leakage.any()
+        assert A.boundary_columns.tolist() == []
+        assert A.boundary_leakage.tolist() == []
+        assert A.total_leakage == 0.0
 
     def test_mode_raise_on_degenerate_window_is_all_boundary(self):
         w = TruncationWindow(0, 0, 0, 0)  # two states, both at the mode top
         A = materialize("Kplus", w, P2)
         assert A.entries.nnz == 0
-        assert np.flatnonzero(A.boundary).tolist() == [0, 1]
+        assert A.boundary_columns.tolist() == [0, 1]
+        assert A.boundary_columns.dtype == np.int64
         want = [abs(c) ** 2 for i in w.iter_indices() for _, c in operator_action("Kplus", i, P2)]
-        assert np.allclose(A.leakage, want, rtol=1e-15, atol=0.0)
+        assert np.allclose(A.boundary_leakage, want, rtol=1e-15, atol=0.0)
+        assert A.total_leakage == np.sum(A.boundary_leakage)
 
     def test_default_capacity_is_enforced(self, monkeypatch):
         monkeypatch.setattr(lattice, "DEFAULT_WINDOW_CAPACITY", 100)
@@ -212,8 +215,11 @@ class TestMaterialize:
             got = to_dense(A.entries)
             assert np.array_equal(got != 0, want != 0), name
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), name
-            assert set(np.flatnonzero(A.boundary).tolist()) == mask, name
-            assert np.all(np.abs(A.leakage - leakage) <= 1e-14 * leakage), name
+            cols = A.boundary_columns
+            assert cols.tolist() == sorted(mask), name
+            assert len(A.boundary_leakage) == len(cols), name
+            assert np.all(np.abs(A.boundary_leakage - leakage[cols]) <= 1e-14 * leakage[cols]), name
+            assert abs(A.total_leakage - leakage.sum()) <= 1e-14 * leakage.sum(), name
 
     @pytest.mark.parametrize("theta", [-1.0, 1.0])
     def test_real_phase_stores_real_values(self, theta):
