@@ -1,4 +1,4 @@
-"""Deformation parameters, lattice indexing, and closed-form eigenvalues.
+"""Deformation parameters, lattice indexing, coordinates and Jackson weights.
 
 Everything downstream (operator rules, inner products, verification suites)
 consumes the small set of exact power formulas defined here.  Powers of the
@@ -38,9 +38,6 @@ __all__ = [
     "canonical_key",
     "lattice_coordinates",
     "jackson_weight",
-    "t3_eigenvalue",
-    "tauk_eigenvalue",
-    "torb3_eigenvalue",
 ]
 
 
@@ -326,53 +323,57 @@ class TruncationWindow:
             a.flags.writeable = False
         return ix
 
-    def iter_indices(self) -> Iterator[BasisIndex]:
-        """Yield the window's indices in canonical order."""
-        return unstack_indices(self.index_arrays())
+
+class Points:
+    """Lattice points of an array BasisIndex: labels, powers of q, coordinates.
+
+    r = r0*q^(4M+2) is the radial point, xi = sigma*q^(2mt-1) the polar
+    point, xihat = sigma*q^(2(mt-m)-1) the eigenvalue of the mode-twisted
+    polar coordinate xi*q^(2i d/dphi), and ``weight`` = q^(4M)*q^(2mt) the
+    Jackson weight.  Powers are read from :func:`qpow_array`, so each value
+    equals its scalar :func:`qpow` form bit for bit.
+    """
+
+    def __init__(self, ix: BasisIndex, p: DeformationParams):
+        self.M, self.sigma, self.mt, self.m = ix
+        self.p = p
+
+    def q(self, n: np.ndarray) -> np.ndarray:
+        return qpow_array(self.p.q, n)
+
+    @property
+    def mk(self) -> np.ndarray:
+        return self.m - self.mt
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.p.r0 * self.q(4 * self.M + 2)
+
+    @property
+    def xi(self) -> np.ndarray:
+        return self.sigma * self.q(2 * self.mt - 1)
+
+    @property
+    def xihat(self) -> np.ndarray:
+        return self.sigma * self.q(2 * (self.mt - self.m) - 1)
+
+    @property
+    def weight(self) -> np.ndarray:
+        """Independent of m and sigma, it makes the geometric sums behave
+        like the measures r^3 dr/r and dxi."""
+        return self.q(4 * self.M) * self.q(2 * self.mt)
 
 
 def lattice_coordinates(idx: BasisIndex, p: DeformationParams) -> tuple[float, float, float]:
-    """Coordinate values (r, xi, xihat) carried by a basis state.
-
-    r = r0 * q^(4M+2) is the radial point, xi = sigma * q^(2*mt-1) the polar
-    point, and xihat = sigma * q^(2*(mt-m)-1) the eigenvalue of the
-    mode-twisted polar coordinate xi * q^(2i d/dphi).
-    """
-    idx = validate_index(idx)
-    r = p.r0 * p.qpow(4 * idx.M + 2)
-    xi = idx.sigma * p.qpow(2 * idx.mt - 1)
-    xihat = idx.sigma * p.qpow(2 * (idx.mt - idx.m) - 1)
-    return (r, xi, xihat)
+    """Coordinate values (r, xi, xihat) of one basis state (see :class:`Points`)."""
+    pt = Points(stack_indices([validate_index(idx)]), p)
+    # A coordinate may overflow to inf, as a Python float product does.
+    with np.errstate(over="ignore"):
+        return (float(pt.r[0]), float(pt.xi[0]), float(pt.xihat[0]))
 
 
 def jackson_weight(idx: BasisIndex, p: DeformationParams) -> float:
-    """Jackson summation weight q^(4M) * q^(2*mt) of a basis state.
-
-    The weight is independent of the Fourier mode m and of sigma; it is what
-    makes the geometric sums behave like the measures r^3 dr/r and dxi.
-    """
-    idx = validate_index(idx)
-    return p.qpow(4 * idx.M) * p.qpow(2 * idx.mt)
-
-
-def t3_eigenvalue(mt: int, p: DeformationParams) -> float:
-    """Eigenvalue (1/lambda) * (1 + q^2 * q^(-4*mt)) of t3 at polar level mt <= 0."""
-    if mt > 0:
-        raise ValueError(f"mt must be <= 0 (got {mt})")
-    return (1.0 + p.qpow(2 - 4 * mt)) / p.lam
-
-
-def tauk_eigenvalue(mk: int, p: DeformationParams) -> float:
-    """Eigenvalue -q^(-4*mk-2) of the ladder grading tau_k at depth mk = m - mt >= 0."""
-    if mk < 0:
-        raise ValueError(f"mk must be >= 0 (got {mk})")
-    return -p.qpow(-4 * mk - 2)
-
-
-def torb3_eigenvalue(m: int, p: DeformationParams) -> float:
-    """Eigenvalue (1/lambda) * (1 - q^(-4*m)) of Torb3 at Fourier mode m.
-
-    Expanding q = e^h around h = 0 gives 2*m + O(h), the classical azimuthal
-    angular momentum -2i d/dphi of the doubled mode.
-    """
-    return (1.0 - p.qpow(-4 * m)) / p.lam
+    """Jackson summation weight q^(4M) * q^(2*mt) of one basis state (see :class:`Points`)."""
+    # A weight may overflow or meet inf * 0 (NaN), as a Python float product does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(Points(stack_indices([validate_index(idx)]), p).weight[0])

@@ -20,9 +20,9 @@ from .core import (
     CapacityError,
     DEFAULT_WINDOW_CAPACITY,
     DeformationParams,
+    Points,
     TruncationWindow,
     invalid_indices,
-    qpow_array,
     stack_indices,
     unstack_indices,
     validate_index,
@@ -56,9 +56,9 @@ def _sort(ix: BasisIndex) -> tuple[np.ndarray, BasisIndex, np.ndarray]:
     return order, ix, new
 
 
-def _canonical(index: BasisIndex, amplitudes, floor: float) -> tuple[BasisIndex, np.ndarray]:
+def _canonical(index: BasisIndex, amplitudes) -> tuple[BasisIndex, np.ndarray]:
     """Validated labels in canonical order and their amplitudes: those of a
-    repeated label summed in input order, magnitudes <= floor dropped."""
+    repeated label summed in input order, exact zeros dropped."""
     ix = BasisIndex(*(np.asarray(a, dtype=np.int64) for a in index))
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1 or any(a.shape != amps.shape for a in ix):
@@ -74,7 +74,7 @@ def _canonical(index: BasisIndex, amplitudes, floor: float) -> tuple[BasisIndex,
         for k in range(1, sizes.max(initial=1)):  # the k-th repeat of every label
             sel = np.flatnonzero(sizes > k)
             acc[sel] += amps[starts[sel] + k]
-        keep = np.hypot(acc.real, acc.imag) > floor  # a magnitude past 1.8e308 reads inf
+        keep = np.hypot(acc.real, acc.imag) > 0.0  # a magnitude past 1.8e308 reads inf
     return BasisIndex(*(a[starts[keep]] for a in ix)), acc[keep]
 
 
@@ -84,8 +84,8 @@ class LatticeState:
     ``index`` holds the supporting labels as int64 arrays in canonical order
     and ``values`` their complex128 amplitudes.  Both constructors validate
     the labels, sum the amplitudes of a repeated label in input order and
-    prune amplitudes with magnitude <= ``floor`` (default 0.0: exact zeros
-    only), so boundary zeros produced by the operator rules never linger.
+    prune exact zeros, so boundary zeros produced by the operator rules
+    never linger.
     """
 
     __slots__ = ("index", "values", "_amplitudes")
@@ -93,21 +93,18 @@ class LatticeState:
     def __init__(
         self,
         amplitudes: Mapping[BasisIndex, complex] | Iterable[tuple[BasisIndex, complex]] = (),
-        floor: float = 0.0,
     ):
         items = amplitudes.items() if isinstance(amplitudes, Mapping) else amplitudes
         pairs = list(items)
         amps = [complex(amp) for _, amp in pairs]
-        self.index, self.values = _canonical(stack_indices(i for i, _ in pairs), amps, floor)
+        self.index, self.values = _canonical(stack_indices(i for i, _ in pairs), amps)
         self._amplitudes = None
 
     @classmethod
-    def from_arrays(
-        cls, index: BasisIndex, amplitudes: np.ndarray, floor: float = 0.0
-    ) -> "LatticeState":
+    def from_arrays(cls, index: BasisIndex, amplitudes: np.ndarray) -> "LatticeState":
         """State from equal-length label arrays and amplitudes in any order."""
         state = cls()
-        state.index, state.values = _canonical(index, amplitudes, floor)
+        state.index, state.values = _canonical(index, amplitudes)
         return state
 
     @property
@@ -172,7 +169,7 @@ def build_window(
 ) -> list[BasisIndex]:
     """Ordered basis of a capacity-checked window (sigma=+1 block first, then M, mt, m)."""
     check_capacity(w, capacity)
-    return list(w.iter_indices())
+    return list(unstack_indices(w.index_arrays()))
 
 
 def inner_product(a: LatticeState, b: LatticeState, p: DeformationParams) -> complex:
@@ -186,7 +183,7 @@ def inner_product(a: LatticeState, b: LatticeState, p: DeformationParams) -> com
     order, _, new = _sort(BasisIndex(*map(np.concatenate, zip(a.index, b.index))))
     first = np.flatnonzero(~new) - 1
     ia, ib = order[first], order[first + 1] - len(a)
-    w = qpow_array(p.q, 4 * a.index.M[ia]) * qpow_array(p.q, 2 * a.index.mt[ia])
+    w = Points(BasisIndex(*(x[ia] for x in a.index)), p).weight
     ar, ai, br, bi = a.values[ia].real, a.values[ia].imag, b.values[ib].real, b.values[ib].imag
     with np.errstate(over="ignore", invalid="ignore"):
         # complex(w, 0.0) * conj(a) * b in real arithmetic, rounded as Python's

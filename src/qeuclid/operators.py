@@ -48,9 +48,9 @@ from .core import (
     BasisIndex,
     DeformationParams,
     NotDiagonalError,
+    Points,
     TruncationWindow,
     UnknownOperatorError,
-    qpow_array,
     stack_indices,
     unstack_indices,
     validate_index,
@@ -73,34 +73,6 @@ __all__ = [
     "spectrum_diagonal",
     "save_matrix",
 ]
-
-
-class Points:
-    """Source points of a branch: index arrays, powers of q and coordinates.
-
-    r = r0*q^(4M+2), xi = sigma*q^(2mt-1) and xihat = sigma*q^(2(mt-m)-1)
-    are the lattice coordinates (see :func:`core.lattice_coordinates`).
-    """
-
-    def __init__(self, ix: BasisIndex, p: DeformationParams):
-        self.M, self.sigma, self.mt, self.m = ix
-        self.mk = ix.mk
-        self.p = p
-
-    def q(self, n: np.ndarray) -> np.ndarray:
-        return qpow_array(self.p.q, n)
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.p.r0 * self.q(4 * self.M + 2)
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.sigma * self.q(2 * self.mt - 1)
-
-    @property
-    def xihat(self) -> np.ndarray:
-        return self.sigma * self.q(2 * (self.mt - self.m) - 1)
 
 
 Coeff = Callable[[Points], "np.ndarray | float"]
@@ -173,6 +145,22 @@ _tminus = Branch(
     lambda s: s.sigma * s.q(4 - 2 * s.mt) * np.sqrt(1.0 - s.q(4 * s.mt - 4)) / s.p.lam,
 )
 
+
+def _ladder(dm: int, phase: int, pre: Coeff | None = None) -> Branch:
+    """The K+- ladder branch m -> m + dm with the phase theta (+1) or its
+    conjugate (-1): sqrt(1 - q^(-4*mk - 2 - 2*dm)) / (q^2 - 1), times
+    ``pre`` if given, formed in place (one temporary of the points' length)."""
+
+    def coeff(s: Points) -> np.ndarray:
+        c = np.sqrt(1.0 - s.q(-4 * s.mk - 2 - 2 * dm))
+        if pre is not None:
+            c *= pre(s)
+        c /= s.p.qpow(2) - 1.0
+        return c
+
+    return Branch(0, 0, dm, coeff, phase)
+
+
 CATALOGUE: dict[str, LatticeOperator] = {
     op.name: op
     for op in (
@@ -202,30 +190,15 @@ CATALOGUE: dict[str, LatticeOperator] = {
         ),)),
         LatticeOperator("tplus", (_tplus,)),
         LatticeOperator("tminus", (_tminus,)),
-        LatticeOperator("Kplus", (Branch(
-            0, 0, +1,
-            lambda s: np.sqrt(1.0 - s.q(-4 * s.mk - 4)) / (s.p.qpow(2) - 1.0),
-            +1,
-        ),)),
-        LatticeOperator("Kminus", (Branch(
-            0, 0, -1,
-            lambda s: -s.p.qpow(2) * np.sqrt(1.0 - s.q(-4 * s.mk)) / (s.p.qpow(2) - 1.0),
-            -1,
-        ),)),
-        # The orbital ladder branches are 1/xi times the K+- factors; the
-        # signed 1/xi keeps the printed form, and Torb- keeps theta
-        # unconjugated.
-        LatticeOperator("Torbplus", (_tplus, Branch(
-            0, 0, +1,
-            lambda s: s.sigma * s.q(1 - 2 * s.mt)
-            * np.sqrt(1.0 - s.q(-4 * s.mk - 4)) / (s.p.qpow(2) - 1.0),
-            +1,
+        LatticeOperator("Kplus", (_ladder(+1, +1),)),
+        LatticeOperator("Kminus", (_ladder(-1, -1, lambda s: -s.p.qpow(2)),)),
+        # The orbital ladder branches are the signed 1/xi times the K+-
+        # factors, and Torb- keeps theta unconjugated.
+        LatticeOperator("Torbplus", (_tplus, _ladder(
+            +1, +1, lambda s: s.sigma * s.q(1 - 2 * s.mt)
         ))),
-        LatticeOperator("Torbminus", (_tminus, Branch(
-            0, 0, -1,
-            lambda s: s.sigma * s.q(1 - 2 * s.mt) * s.p.qpow(2)
-            * np.sqrt(1.0 - s.q(-4 * s.mk)) / (s.p.qpow(2) - 1.0),
-            +1,
+        LatticeOperator("Torbminus", (_tminus, _ladder(
+            -1, +1, lambda s: s.sigma * s.q(1 - 2 * s.mt) * s.p.qpow(2)
         ))),
         LatticeOperator("Lambda", (Branch(+1, 0, 0, lambda s: s.p.qpow(-2)),)),
         LatticeOperator("Lambda_inv", (Branch(-1, 0, 0, lambda s: s.p.qpow(2)),)),
@@ -341,15 +314,6 @@ def _pair_rows(a: "Diagonals", b: "Diagonals") -> tuple[np.ndarray, np.ndarray]:
     return np.array(offsets, dtype=np.int64), values
 
 
-def _shift(v: np.ndarray, s: int) -> np.ndarray:
-    """u[i] = v[i + s] where i + s indexes v, else 0."""
-    u = np.zeros_like(v)
-    lo = max(-s, 0)
-    hi = max(min(len(v), len(v) - s), lo)
-    u[lo:hi] = v[lo + s : hi + s]
-    return u
-
-
 @dataclass(frozen=True)
 class Diagonals:
     """A square matrix stored as shifted diagonals (DIA storage; Saad,
@@ -404,14 +368,12 @@ class Diagonals:
 
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the stored entries, row-major."""
-        # Within a row, a higher offset is a lower column.
-        (d, n), down = self.values.shape, self.offsets[::-1]
-        present = np.zeros((n, d), dtype=bool)
-        for j, (o, v) in enumerate(zip(down, self.values[::-1])):
-            present[:, j] = _shift(v != 0, -o)
-        rows, j = np.divmod(np.flatnonzero(present), d)
-        cols = rows - down[j]
-        return rows, cols, self.values.ravel()[(d - 1 - j) * n + cols]
+        d, cols = np.nonzero(self.values)
+        rows = cols + self.offsets[d]
+        # A value stored where the row falls outside the matrix is no entry.
+        keep = np.flatnonzero((rows >= 0) & (rows < self.shape[0]))
+        keep = keep[np.lexsort((cols[keep], rows[keep]))]
+        return rows[keep], cols[keep], self.values[d[keep], cols[keep]]
 
     def __matmul__(self, other: "Diagonals") -> "Diagonals":
         n = self.shape[0]
@@ -441,11 +403,18 @@ class Diagonals:
         return Diagonals.nonempty(offsets, out)
 
     def _combine(self, other: "Diagonals", op: np.ufunc) -> "Diagonals":
+        """``op`` of the two matrices into one zero-started array, whose row
+        stands in for the side that lacks an offset; complex only if a
+        stored diagonal is."""
         mine = dict(zip(self.offsets.tolist(), self.values))
         theirs = dict(zip(other.offsets.tolist(), other.values))
+        offsets = sorted(mine.keys() | theirs.keys())
+        dtypes = [d.values.dtype for d in (self, other) if d.offsets.size]
+        out = np.zeros((len(offsets), self.shape[0]), np.result_type(float, *dtypes))
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = {o: op(mine.get(o, 0), theirs.get(o, 0)) for o in mine.keys() | theirs.keys()}
-        return Diagonals.of(sums, self.shape[0])
+            for o, row in zip(offsets, out):
+                op(mine.get(o, row), theirs.get(o, row), out=row)
+        return Diagonals.nonempty(np.array(offsets, dtype=np.int64), out)
 
     __add__ = partialmethod(_combine, op=np.add)
     __sub__ = partialmethod(_combine, op=np.subtract)
@@ -535,7 +504,7 @@ def adjoint_matrix(A: OperatorMatrix, p: DeformationParams) -> OperatorMatrix:
     ix = A.window.index_arrays()
     # A weight may overflow, underflow to 0 or meet inf * 0 (NaN); its inverse follows.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        wgt = qpow_array(p.q, 4 * ix.M) * qpow_array(p.q, 2 * ix.mt)
+        wgt = Points(ix, p).weight
         inv = 1.0 / wgt
     a, n = A.entries, len(wgt)
     # Column c of A's offset o is column c + o of A^H's offset -o; ascending
@@ -580,8 +549,7 @@ def spectrum_diagonal(
     ]
 
 
-def save_matrix(path: str, A: OperatorMatrix, header: str = "") -> None:
+def save_matrix(path: str, A: OperatorMatrix) -> None:
     """Write nonzero entries as text lines ``row col re im`` (row-major order)."""
-    lines = [f"# {ln}" for ln in header.splitlines()] + ["# row col re im"]
     rows, cols, vals = A.entries.triples()
-    write_rows(path, lines, "%d %d %r %r", (rows, cols, vals.real, vals.imag))
+    write_rows(path, ["# row col re im"], "%d %d %r %r", (rows, cols, vals.real, vals.imag))

@@ -384,6 +384,22 @@ _TMINUS = SmoothBranch(
     arg=2, root=lambda m: 2,
 )
 
+
+def _ladder(dm: int, phase: int, pre: Expr | None = None) -> SmoothBranch:
+    """The K+- ladder branch to mode m + dm, with the phase theta (+1) or
+    its conjugate (-1): theta/(q^2 - 1) for K+, theta*q^2/(q^2 - 1) for
+    K-, times sqrt(1 - q^(+-2) xihat^2) at the post-shift mode, then the
+    prefactor ``pre`` if one is given."""
+
+    def value(s: SmoothPoint) -> np.ndarray:
+        theta = s.p.theta_phase if phase > 0 else s.p.theta_phase.conjugate()
+        k = theta / (s.p.qpow(2) - 1.0) if dm > 0 else theta * s.p.qpow(2) / (s.p.qpow(2) - 1.0)
+        k = k * s.root * s.v
+        return k if pre is None else pre(s) * k
+
+    return SmoothBranch(dm, value, root=lambda m: 2 * dm - 4 * (m + dm))
+
+
 DEFORMED_RULES: dict[str, tuple[SmoothBranch, ...]] = {
     "identity": _shift(0),
     "r": _mul(lambda s: s.r, lambda s: np.zeros_like(s.x)),
@@ -428,31 +444,12 @@ DEFORMED_RULES: dict[str, tuple[SmoothBranch, ...]] = {
     ),),
     "tplus": (_TPLUS,),
     "tminus": (_TMINUS,),
-    # K+- carry sqrt(1 - q^(+-2) xihat^2) at the post-shift mode m +- 1.
-    "Kplus": (SmoothBranch(
-        +1, lambda s: s.p.theta_phase / (s.p.qpow(2) - 1.0) * s.root * s.v,
-        root=lambda m: 2 - 4 * (m + 1),
-    ),),
-    "Kminus": (SmoothBranch(
-        -1, lambda s: -1.0 * (
-            s.p.theta_phase.conjugate() * s.p.qpow(2) / (s.p.qpow(2) - 1.0) * s.root * s.v
-        ),
-        root=lambda m: -2 - 4 * (m - 1),
-    ),),
+    "Kplus": (_ladder(+1, +1),),
+    "Kminus": (_ladder(-1, -1, lambda s: -1.0),),
     # The orbital ladder branches are 1/xi times the K+- factors; Torb-
     # keeps theta unconjugated.
-    "Torbplus": (_TPLUS, SmoothBranch(
-        +1, lambda s: 1.0 / s.x * (
-            s.p.theta_phase / (s.p.qpow(2) - 1.0) * s.root * s.v
-        ),
-        root=lambda m: 2 - 4 * (m + 1),
-    )),
-    "Torbminus": (_TMINUS, SmoothBranch(
-        -1, lambda s: 1.0 / s.x * (
-            s.p.theta_phase * s.p.qpow(2) / (s.p.qpow(2) - 1.0) * s.root * s.v
-        ),
-        root=lambda m: -2 - 4 * (m - 1),
-    )),
+    "Torbplus": (_TPLUS, _ladder(+1, +1, lambda s: 1.0 / s.x)),
+    "Torbminus": (_TMINUS, _ladder(-1, +1, lambda s: 1.0 / s.x)),
 }
 
 

@@ -514,14 +514,10 @@ def _require_path_agreement(
     if ref.offsets.tolist() == mat.offsets.tolist() and (ref.values == mat.values).all():
         return
     gap = _relative_norm((ref - mat).values, ref.values, mat.values)
-    _require_close(gap, spec_id, word)
-
-
-def _require_close(diff: float, spec_id: str, word: tuple[str, ...]) -> None:
-    if diff > 1e-13:
+    if gap > 1e-13:
         raise QeuclidError(
             f"evaluation paths disagree on word {word} of {spec_id}: "
-            f"sparse composition vs path sum differ by {diff:.3e}"
+            f"sparse composition vs path sum differ by {gap:.3e}"
         )
 
 
@@ -687,8 +683,8 @@ def j_solution(x, p: DeformationParams, beta: float = 0.0):
     return -(1.0 + beta * x - p.qpow(2) * x * x) / (p.lam * p.lam)
 
 
-def _midpoints(n: int = 64) -> np.ndarray:
-    return (np.arange(n) + 0.5) / n
+def _midpoints() -> np.ndarray:
+    return (np.arange(64) + 0.5) / 64
 
 
 def _balanced_max(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -696,18 +692,16 @@ def _balanced_max(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def j_recursion_residual(p: DeformationParams, beta: float = 0.0, n: int = 64) -> float:
-    """Residual of J(x) - q^2 J(q^-2 x) = (q/lam)(1 + x^2) at n midpoints."""
-    x = _midpoints(n)
+def j_recursion_residual(p: DeformationParams, beta: float = 0.0) -> float:
+    """Residual of J(x) - q^2 J(q^-2 x) = (q/lam)(1 + x^2) at 64 midpoints."""
+    x = _midpoints()
     lhs = j_solution(x, p, beta) - p.qpow(2) * j_solution(p.qpow(-2) * x, p, beta)
     rhs = (p.q / p.lam) * (1.0 + x * x)
     return _balanced_max(lhs, rhs)
 
 
 def check_recursions(
-    p: DeformationParams,
-    w: TruncationWindow | None = None,
-    tol: float = RECURSION_TOL,
+    p: DeformationParams, w: TruncationWindow | None = None
 ) -> list[ResidualReport]:
     """Verify both first-order q-difference recursions and the phi sign facts.
 
@@ -730,10 +724,10 @@ def check_recursions(
         sign_res = float(np.max(sign_pts, initial=0.0))
         j_res = j_recursion_residual(p, beta=0.0)
     return [
-        ResidualReport("phi_recursion_midpoints", w, p.q, phi_res, tol),
+        ResidualReport("phi_recursion_midpoints", w, p.q, phi_res, RECURSION_TOL),
         ResidualReport("phi_value_at_zero", w, p.q, zero_res, 0.0),
         ResidualReport("phi_nonpositive_on_core", w, p.q, sign_res, 0.0),
-        ResidualReport("j_recursion_midpoints", w, p.q, j_res, tol),
+        ResidualReport("j_recursion_midpoints", w, p.q, j_res, RECURSION_TOL),
     ]
 
 

@@ -2,7 +2,7 @@
 
 Each function restates one Python object at a time what a LatticeState
 computes on arrays: the builder sums the amplitudes of a repeated index in
-input order and drops those with magnitude <= floor, the inner product
+input order and drops those that sum to exactly 0, the inner product
 sums Jackson-weighted terms from 0 in canonical order, and the state-file
 reader parses one row at a time.  Indices are plain ``(M, sigma, mt, m)``
 tuples.
@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from qeuclid.core import BasisIndex, canonical_key, jackson_weight, validate_index
+from qeuclid.core import BasisIndex, canonical_key, validate_index
 
 
 def bits(z: complex) -> bytes:
@@ -22,7 +22,7 @@ def bits(z: complex) -> bytes:
     return struct.pack("<dd", *(x if x == x else math.nan for x in (z.real, z.imag)))
 
 
-def reference_amplitudes(entries, floor: float = 0.0) -> dict[tuple, complex]:
+def reference_amplitudes(entries) -> dict[tuple, complex]:
     """{index: amplitude} in canonical order, summed and pruned entry by entry."""
     acc: dict[tuple, complex] = {}
     for idx, amp in entries:
@@ -30,7 +30,7 @@ def reference_amplitudes(entries, floor: float = 0.0) -> dict[tuple, complex]:
         if idx in acc:
             amp += acc[idx]
         acc[idx] = amp
-    kept = [(i, a) for i, a in acc.items() if math.hypot(a.real, a.imag) > floor]
+    kept = [(i, a) for i, a in acc.items() if math.hypot(a.real, a.imag) > 0.0]
     return dict(sorted(kept, key=lambda item: canonical_key(BasisIndex(*item[0]))))
 
 
@@ -39,7 +39,8 @@ def reference_inner_product(a: dict, b: dict, p) -> complex:
     and in canonical order."""
     out = 0.0 + 0.0j
     for idx in sorted(set(a) & set(b), key=lambda i: canonical_key(BasisIndex(*i))):
-        out += jackson_weight(BasisIndex(*idx), p) * a[idx].conjugate() * b[idx]
+        weight = p.qpow(4 * idx[0]) * p.qpow(2 * idx[2])
+        out += weight * a[idx].conjugate() * b[idx]
     return out
 
 

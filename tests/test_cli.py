@@ -26,7 +26,7 @@ from qeuclid.cli import (
     main,
 )
 from qeuclid.core import BasisIndex, DeformationParams, TruncationWindow
-from qeuclid.lattice import LatticeState, load_state, save_state
+from qeuclid.lattice import LatticeState, build_window, load_state, save_state
 from qeuclid.operators import apply, spectrum_arrays
 from qeuclid.verify import SUITE_NAMES
 
@@ -648,7 +648,7 @@ class TestMatrixCommand:
         # column is on the boundary when some target it reaches is valid
         # but outside the window.  On 0:0,0,0 every Kplus column leaks.
         w = TruncationWindow(*(int(x) for x in window.replace(":", ",").split(",")))
-        order = {tuple(idx) for idx in w.iter_indices()}
+        order = {tuple(idx) for idx in build_window(w)}
         targets = [oracle_action(name, idx, 1.7, r0=1.3) for idx in sorted(order)]
         entries = sum(t in order for out in targets for t in out)
         boundary = sum(any(t not in order for t in out) for out in targets)

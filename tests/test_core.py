@@ -1,4 +1,4 @@
-"""Tests for deformation parameters, lattice indexing, and closed-form values."""
+"""Tests for deformation parameters, lattice indexing, coordinates and weights."""
 
 import math
 
@@ -17,11 +17,10 @@ from qeuclid.core import (
     lattice_coordinates,
     qpow,
     qpow_array,
-    t3_eigenvalue,
-    tauk_eigenvalue,
-    torb3_eigenvalue,
     validate_index,
 )
+from qeuclid.lattice import build_window
+from qeuclid.operators import spectrum_diagonal
 
 
 class TestQpow:
@@ -186,7 +185,7 @@ class TestTruncationWindow:
 
     def test_iteration_matches_size_and_order(self):
         w = TruncationWindow(-1, 0, -2, 3)
-        indices = list(w.iter_indices())
+        indices = build_window(w)
         assert len(indices) == w.size
         keys = [canonical_key(i) for i in indices]
         assert keys == sorted(keys)
@@ -251,30 +250,28 @@ class TestLatticeCoordinates:
         assert a == b
 
 
+def _eigenvalue(name: str, idx: BasisIndex, p: DeformationParams) -> float:
+    """The eigenvalue that a diagonal catalogue row gives one basis state."""
+    w = TruncationWindow(idx.M, idx.M, idx.mt, idx.m - idx.mt)
+    return dict(spectrum_diagonal(name, w, p))[idx]
+
+
 class TestClosedFormEigenvalues:
     def test_t3_at_origin_q2(self):
         p = DeformationParams(q=2.0)
-        assert t3_eigenvalue(0, p) == pytest.approx(10.0 / 3.0, rel=1e-15)
+        assert _eigenvalue("t3", BasisIndex(0, 1, 0, 0), p) == pytest.approx(10.0 / 3.0, rel=1e-15)
 
     def test_tauk_at_origin_q2(self):
         p = DeformationParams(q=2.0)
-        assert tauk_eigenvalue(0, p) == pytest.approx(-0.25, rel=1e-15)
+        assert _eigenvalue("tau_k", BasisIndex(0, 1, 0, 0), p) == pytest.approx(-0.25, rel=1e-15)
 
     def test_torb3_vanishes_at_mode_zero(self):
         p = DeformationParams(q=2.0)
-        assert torb3_eigenvalue(0, p) == 0.0
+        assert _eigenvalue("Torb3", BasisIndex(0, 1, 0, 0), p) == 0.0
 
     @pytest.mark.parametrize("q", [1.1, 2.0, 3.0])
     def test_t3_literal_formula(self, q):
         p = DeformationParams(q=q)
         for mt in (0, -1, -4):
             expected = (1.0 + q ** (2 - 4 * mt)) / (q - 1.0 / q)
-            assert t3_eigenvalue(mt, p) == pytest.approx(expected, rel=1e-13)
-
-    def test_t3_rejects_positive_mt(self):
-        with pytest.raises(ValueError):
-            t3_eigenvalue(1, DeformationParams(q=2.0))
-
-    def test_tauk_rejects_negative_mk(self):
-        with pytest.raises(ValueError):
-            tauk_eigenvalue(-1, DeformationParams(q=2.0))
+            assert _eigenvalue("t3", BasisIndex(0, 1, mt, mt), p) == pytest.approx(expected, rel=1e-13)

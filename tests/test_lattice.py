@@ -125,7 +125,7 @@ _entries = st.lists(
 #: fewer than 8 terms in order anyway.
 _wide_entries = st.lists(
     st.tuples(
-        st.sampled_from(list(TruncationWindow(-1, 1, -2, 2).iter_indices())),
+        st.sampled_from(build_window(TruncationWindow(-1, 1, -2, 2))),
         st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
     ),
     min_size=20,
@@ -152,18 +152,18 @@ class TestStateConstruction:
         s = LatticeState([(IDX, 1.5j), (IDX2, 2.0), (IDX, -1.0j), (IDX, -0.5j)])
         assert s.support() == [IDX2]
 
-    @given(entries=_entries, floor=st.sampled_from([0.0, 0.5, 1.0, 1e3]))
+    @given(entries=_entries)
     @settings(max_examples=300, deadline=None)
-    def test_array_and_dict_constructors_match_the_scalar_loop(self, entries, floor):
-        want = _reference_bits(reference_amplitudes(entries, floor))
+    def test_array_and_dict_constructors_match_the_scalar_loop(self, entries):
+        want = _reference_bits(reference_amplitudes(entries))
         ix = BasisIndex(*(np.array([idx[k] for idx, _ in entries], dtype=np.int64)
                           for k in range(4)))
         amps = np.array([a for _, a in entries], dtype=np.complex128)
-        from_arrays = LatticeState.from_arrays(ix, amps, floor)
+        from_arrays = LatticeState.from_arrays(ix, amps)
         assert _state_bits(from_arrays) == want
-        assert _state_bits(LatticeState(entries, floor)) == want
-        assert from_arrays == LatticeState(entries, floor)
-        assert from_arrays.amplitudes == reference_amplitudes(entries, floor)
+        assert _state_bits(LatticeState(entries)) == want
+        assert from_arrays == LatticeState(entries)
+        assert from_arrays.amplitudes == reference_amplitudes(entries)
 
     @given(entries=_entries, scalar=st.complex_numbers(max_magnitude=1e3))
     @settings(max_examples=100, deadline=None)

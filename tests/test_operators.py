@@ -7,6 +7,7 @@ over a grid of indices, deformation parameters, and ladder phases.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from qeuclid.core import (
     UnknownOperatorError,
 )
 from qeuclid import lattice
-from qeuclid.lattice import LatticeState, load_state, save_state
+from qeuclid.lattice import LatticeState, build_window, load_state, save_state
 from qeuclid.operators import (
     ALIASES,
     Diagonals,
@@ -117,7 +118,7 @@ class TestApplyLinearity:
         # different sources of a block state; apply must add the two terms.
         p = DeformationParams(q=1.5, r0=1.25, theta_phase=cmath.exp(0.7j))
         rng = np.random.default_rng(7)
-        block = list(TruncationWindow(0, 1, -3, 3).iter_indices())
+        block = build_window(TruncationWindow(0, 1, -3, 3))
         amps = rng.uniform(-1, 1, len(block)) + 1j * rng.uniform(-1, 1, len(block))
         state = LatticeState(dict(zip(block, amps)))
         want: dict = {}
@@ -179,7 +180,7 @@ class TestMaterialize:
         assert A.entries.nnz == 0
         assert A.boundary_columns.tolist() == [0, 1]
         assert A.boundary_columns.dtype == np.int64
-        want = [abs(c) ** 2 for i in w.iter_indices() for _, c in operator_action("Kplus", i, P2)]
+        want = [abs(c) ** 2 for i in build_window(w) for _, c in operator_action("Kplus", i, P2)]
         assert np.allclose(A.boundary_leakage, want, rtol=1e-15, atol=0.0)
         assert A.total_leakage == np.sum(A.boundary_leakage)
 
@@ -197,7 +198,7 @@ class TestMaterialize:
         # (M_min, M_max, mt_min, k_max), so entries, boundary columns and
         # leakage are all exercised against the oracle's pointwise rules.
         w = TruncationWindow(-1, 1, -3, 3)
-        order = [tuple(idx) for idx in w.iter_indices()]
+        order = [tuple(idx) for idx in build_window(w)]
         pos = {idx: k for k, idx in enumerate(order)}
         for theta in PHASES:
             p = DeformationParams(q=q, r0=1.25, theta_phase=theta)
@@ -299,6 +300,25 @@ class TestDiagonals:
             for got in (A @ B, A + B, A - B, r * A):
                 assert got.values.dtype == np.float64
 
+
+    def test_difference_holds_its_result_once(self):
+        # A sum or difference writes each diagonal once into the array it
+        # returns; it keeps no second copy of its diagonals.
+        n = 200_000
+        rng = np.random.default_rng(5)
+        A, B = (
+            Diagonals.of({o: _clip(rng.uniform(1, 2, n), o) for o in offsets}, n)
+            for offsets in ((-2, -1, 0, 1), (0, 1, 2))
+        )
+        tracemalloc.start()
+        try:
+            D = A - B
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert D.offsets.tolist() == [-2, -1, 0, 1, 2]
+        assert D.values.nbytes == 8_000_000
+        assert peak <= 1.1 * D.values.nbytes
 
     def test_product_adds_terms_in_ascending_inner_index(self):
         # Three terms meet on every inner entry of the product of two

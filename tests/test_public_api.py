@@ -22,8 +22,7 @@ PUBLIC = [
     "limit_convergence", "limit_grid", "load_state", "materialize", "operator_action",
     "phi_solution", "probe_function", "qpow", "resolve_name", "run_all_suites", "run_suite",
     "save_matrix", "save_state", "smooth_apply", "smooth_names", "spectrum_arrays",
-    "spectrum_diagonal", "t3_eigenvalue", "tauk_eigenvalue", "torb3_eigenvalue",
-    "window_label", "word_matrix",
+    "spectrum_diagonal", "window_label", "word_matrix",
 ]
 
 

@@ -167,7 +167,7 @@ class TestWordMatrices:
             )
 
         expected = 0.0
-        for col in w.iter_indices():
+        for col in build_window(w):
             cur = {tuple(col): 1.0 + 0.0j}
             for name in reversed(word):
                 nxt = {}
@@ -225,7 +225,7 @@ class TestWordMatrices:
                 shifts |= cur
         want = [
             k
-            for k, idx in enumerate(w.iter_indices())
+            for k, idx in enumerate(build_window(w))
             if all(
                 not idx.shifted(*s).is_valid() or w.contains(idx.shifted(*s))
                 for s in shifts
@@ -1008,7 +1008,7 @@ class TestNoScalarWalk:
                     monkeypatch.setattr(mod, attr, spy)
         run_all_suites(TruncationWindow(0, 0, -3, 3), P2, TOL)
         state = lattice.LatticeState(
-            {idx: 1.0 + 0.5j for idx in TruncationWindow(0, 0, -2, 2).iter_indices()}
+            {idx: 1.0 + 0.5j for idx in build_window(TruncationWindow(0, 0, -2, 2))}
         )
         apply("Torbplus", state, P2)
         assert calls == []
