@@ -487,7 +487,9 @@ def materialize(
             leakage[out] += c.real * c.real + c.imag * c.imag
         del pos, c, inside
     boundary = np.flatnonzero(lost)
-    total = float(np.sum(leakage))
+    # A total of finite squares may overflow to inf too, as silently.
+    with np.errstate(over="ignore"):
+        total = float(np.sum(leakage))
     return OperatorMatrix(w, Diagonals.of(diags, n), boundary, leakage[boundary], total)
 
 

@@ -664,10 +664,13 @@ def deformed_images(
     A smooth rule reads powers q^n with |n| <= 4*max|m| + 2 over the modes m
     of f (the K+- square roots).  An h at which such a power leaves the
     normal double range, or at which e^h rounds to 1, raises
-    :class:`RangeError` naming that h.
+    :class:`RangeError` naming that h; a non-positive or repeated h raises
+    ValueError.
     """
     if any(not float(h) > 0.0 for h in h_values):
         raise ValueError("h values must be positive")
+    if len(set(map(float, h_values))) < len(h_values):
+        raise ValueError(f"h values must be distinct, got {[float(h) for h in h_values]}")
     top = max((abs(m) for m in f.mode_indices()), default=0)
     reach = 4 * top + 2
     for h in map(float, h_values):

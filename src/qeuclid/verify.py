@@ -28,9 +28,12 @@ Two evaluation paths
 Every word is composed by multiplying the shifted diagonals of the table's
 letters (:class:`operators.Diagonals`).  One second path, the same at every
 window size, recomputes each word from the same letters without that
-product, so a disagreement beyond 1e-13 can only mean a defect in the
-composition (order, association, a lost letter or entry), and raises; the
-first failing word, in spec, side and term order, names the error.
+product.  With the same term order and the same complex multiply, a
+correct word equals its path sum bit for bit, so any difference, in an
+offset or in an entry that does not compare equal, can only mean a defect
+in the composition (order, association, a lost letter or entry), and
+raises; the first failing word, in spec, side and term order, names the
+error.
 
 The second path is a per-column path sum.  A letter stores at most two
 diagonals, so a word of k letters has at most 2^k paths from each column.
@@ -39,9 +42,7 @@ value is gathered at every path's current row by index arrays, multiplied
 into the path's value, and paths that reach the same total offset add, in
 the product's term order.  It needs no sort, no random vector and no n x n
 array, and it checks the product kernel's indexing and slice bounds with
-different code.  With the same term order and the same complex multiply,
-a correct word is bit for bit equal to its path sum; only a word that is
-not is reduced to a relative Frobenius gap.
+different code.
 """
 
 from __future__ import annotations
@@ -394,13 +395,12 @@ def _shift_prefixes(word: Sequence[str]) -> set[tuple[int, int, int]]:
 def _interior_mask(
     words: Iterable[Sequence[str]],
     w: TruncationWindow,
-    masks: dict[tuple[int, int, int], np.ndarray] | None = None,
+    masks: dict[tuple[int, int, int], np.ndarray],
 ) -> np.ndarray:
     """Boolean mask over canonical positions of the interior columns: the
     AND over every prefix shift of the columns that the shift keeps in the
     window or sends to an invalid index.  ``masks`` keeps each shift's
     columns for later calls over the same window."""
-    masks = {} if masks is None else masks
     ok = np.ones(w.size, dtype=bool)
     for shift in set().union(*(_shift_prefixes(word) for word in words)):
         if shift not in masks:
@@ -413,10 +413,10 @@ def _interior_mask(
 def interior_positions(words: Iterable[Sequence[str]], w: TruncationWindow) -> list[int]:
     """Columns (canonical positions) that no prefix of any word can carry
     outside the window to a valid index (invalid ones carry exact zeros)."""
-    return np.flatnonzero(_interior_mask(words, w)).tolist()
+    return np.flatnonzero(_interior_mask(words, w, {})).tolist()
 
 
-def _norm(v: np.ndarray, e: int = 0) -> float:
+def _norm(v: np.ndarray, e: int) -> float:
     """Frobenius norm of 2^-e * v: ``np.add.reduce`` of squared parts (a
     real array has no imaginary part to add)."""
     total = 0
@@ -454,10 +454,9 @@ def _balanced_residual(L: Diagonals, R: Diagonals, mask: np.ndarray) -> float:
     ``values``: column by column, ascending offset within a column, by one
     ``np.compress`` of the masked columns (no gather at all when every
     column is masked) and a C-order ravel of its transpose.  That order
-    fixes the bits of each sum.
+    fixes the bits of each sum.  With no masked column the gather is empty,
+    and the residual reads 0.0.
     """
-    if not mask.any():
-        return 0.0
     every = mask.all()
 
     def columns(A: Diagonals) -> np.ndarray:
@@ -506,41 +505,31 @@ def _path_sum(mats: Sequence[Diagonals]) -> Diagonals:
 def _require_path_agreement(
     spec_id: str, word: tuple[str, ...], mat: Diagonals, letters: LetterTable
 ) -> None:
-    """Require the composed word ``mat`` to match the path sum of its
-    letters: equal entry for entry (a gap of 0), or else within 1e-13 by
-    ``_relative_norm``, the norm every residual takes.  A gap that reads
-    NaN, from non-finite values on both sides, is left to the residual."""
+    """Require the composed word ``mat`` to be the path sum of its letters:
+    the same offsets, and entries that compare equal, a NaN matching only a
+    NaN in the same part of the same slot.  The error names the first
+    offset and column, ascending, at which the two differ."""
     ref = _path_sum([letters[name].entries for name in word])
+    # A correct word passes on one plain comparison; only a word that fails
+    # it is compared again, offset by offset.
     if ref.offsets.tolist() == mat.offsets.tolist() and (ref.values == mat.values).all():
         return
-    gap = _relative_norm((ref - mat).values, ref.values, mat.values)
-    if gap > 1e-13:
+    mine, theirs = (dict(zip(D.offsets.tolist(), D.values)) for D in (mat, ref))
+    for o in sorted(mine.keys() | theirs.keys()):
+        if o in mine and o in theirs:
+            a, b = mine[o], theirs[o]
+            differ = np.zeros(len(a), dtype=bool)
+            for x, y in ((a.real, b.real), (a.imag, b.imag)):
+                differ |= (x != y) & ~(np.isnan(x) & np.isnan(y))
+            if not differ.any():
+                continue
+        else:
+            # A diagonal that one side lacks differs at its first stored entry.
+            differ = mine.get(o, theirs.get(o)) != 0
         raise QeuclidError(
-            f"evaluation paths disagree on word {word} of {spec_id}: "
-            f"sparse composition vs path sum differ by {gap:.3e}"
+            f"evaluation paths disagree on word {word} of {spec_id}: sparse composition "
+            f"vs path sum differ at offset {o}, column {int(np.argmax(differ))}"
         )
-
-
-def _add_scaled(total: Diagonals, c: float, mat: Diagonals) -> Diagonals:
-    """``total + c * mat``, bit for bit, added into ``total``'s own values
-    (a sum that only the caller holds) when ``mat`` has diagonals, all of
-    them stored in ``total``, at the sum's dtype; otherwise a new sum.
-
-    In place, each scaled diagonal is formed in one scratch row.  A sum
-    built by ``+`` holds no -0.0, so the +0.0 that ``+`` adds to each
-    diagonal ``mat`` lacks changes no bit there; a diagonal that cancels to
-    all zeros is dropped, as ``+`` drops it.
-    """
-    rows = {o: k for k, o in enumerate(total.offsets.tolist())}
-    mine = [rows.get(o) for o in mat.offsets.tolist()]
-    if not mine or None in mine or np.result_type(total.values, mat.values) != total.values.dtype:
-        return total + c * mat
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, v in zip(mine, mat.values):
-            term = v * c
-            term[v == 0] = 0
-            total.values[k] += term
-    return Diagonals.nonempty(total.offsets, total.values)
 
 
 def check_relations(
@@ -548,10 +537,12 @@ def check_relations(
 ) -> list[ResidualReport]:
     """Interior relative residual of each relation over the table's window.
 
-    Every word is composed once from the table's letters and checked, as it
-    is composed, against the path sum of the same letters
+    Every word is composed once from the table's letters and required, as
+    it is composed, to equal the path sum of the same letters
     (``_require_path_agreement``), so the first failing word, in spec, side
-    and term order, raises.
+    and term order, raises.  Each side sums its words as ``total + c * mat``
+    in term order, and the residual of the two sums is taken by
+    ``_balanced_residual`` on the relation's interior columns.
     """
     w, p, n = letters.w, letters.p, letters.n
     reports = []
@@ -565,7 +556,7 @@ def check_relations(
                 _require_path_agreement(spec.id, t.word, mat, letters)
                 # An overflowing word reads inf or NaN and fails the residual.
                 c = float(t.coeff(p))
-                total = _add_scaled(total, c, mat)
+                total = total + c * mat
                 # The next word is composed while this name is still bound.
                 del mat
                 # A word that leaks nothing adds nothing (no inf * 0).  From

@@ -470,6 +470,13 @@ class TestLimitCommand:
     def test_nonpositive_h_is_a_usage_error(self):
         assert main(["limit", "Torb3", "L3", "--h", "0.1,-0.1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("h", ["0.5,0.5", "0.05,0.05,0.05"])
+    def test_repeated_h_is_a_usage_error(self, h, capsys):
+        assert main(["limit", "Torb3", "L3", "--h", h]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: h values must be distinct")
+        assert captured.out == ""
+
     def test_nan_h_is_a_usage_error_naming_h(self, capsys):
         assert main(["limit", "Torb3", "L3", "--h", "0.1,nan"]) == EXIT_USAGE
         err = capsys.readouterr().err

@@ -237,6 +237,14 @@ class TestMaterialize:
         assert np.isinf(A.values).any()
         assert spectrum_arrays("X3", w, p)[1].dtype == np.float64
 
+    @pytest.mark.parametrize("name, q", [("tminus", 400.0), ("Torbminus", 400.0), ("Lambda_xi", 1e154)])
+    def test_overflowing_leakage_total_reads_inf_without_a_warning(self, name, q):
+        # Each boundary loss is finite, but their sum overflows; the total,
+        # like the squares it adds, reads inf silently.
+        A = materialize(name, TruncationWindow(0, 9, -28, 9), DeformationParams(q=q))
+        assert np.isfinite(A.boundary_leakage).all()
+        assert A.total_leakage == math.inf
+
     def test_radial_scaling_commutation(self):
         # r scales by q^4 under the radial shift: r Lambda = q^4 Lambda r
         w = TruncationWindow(-2, 2, -1, 1)

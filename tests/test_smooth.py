@@ -509,6 +509,13 @@ class TestNonFiniteAndRange:
         with pytest.raises(ValueError, match="h values must be positive"):
             deformed_images("Torb3", probe_function([0]), [0.05, h])
 
+    @pytest.mark.parametrize("h_values", [[0.5, 0.5], [0.05, 0.025, 0.05]])
+    def test_repeated_h_is_refused(self, h_values):
+        # A repeated scale makes the log-log fit poorly conditioned, and its
+        # slope meaningless.
+        with pytest.raises(ValueError, match="h values must be distinct"):
+            limit_grid("Torb3", probe_function(range(-3, 4)), h_values)
+
     def test_range_follows_the_modes(self):
         # q^(4|m| + 2) must stay normal: h = 50 passes on |m| <= 3 only.
         limit_grid("Torb3", probe_function(range(-3, 4)), [50.0])

@@ -262,7 +262,7 @@ class TestWordMatrices:
                 for t in terms:
                     total = total + float(t.coeff(P2)) * word_matrix(t.word, letters)[0]
                 sides.append(total)
-            mask = verify._interior_mask(spec.words(), W)
+            mask = verify._interior_mask(spec.words(), W, {})
             assert np.flatnonzero(mask).tolist() == interior_positions(spec.words(), W)
         cols = np.flatnonzero(mask)
         L, R = (_csr(side)[:, cols] for side in sides)
@@ -530,10 +530,10 @@ class TestSecondPathCatchesMutations:
         monkeypatch.setattr(Diagonals, "__matmul__", refuse)
         verify._require_path_agreement("k_exchange", word, mat, letters)
 
-    def test_gap_scales_before_taking_norms(self, monkeypatch):
+    def test_relation_of_overflowing_words_raises(self, monkeypatch):
         # At q = 3 on mt >= -60 both words hold entries near 1e170, whose
-        # squares overflow: unscaled, the comparison would read inf/inf =
-        # NaN and let a perturbed word through.
+        # squares overflow: a comparison of norms would read inf/inf = NaN,
+        # but entries compare one by one, so a perturbed word raises.
         one = lambda p: 1.0
         spec = RelationSpec(
             "t_order", (Term(one, ("t3", "tplus")),), (Term(one, ("tplus", "t3")),)
@@ -547,7 +547,7 @@ class TestSecondPathCatchesMutations:
     @pytest.mark.parametrize("kind", MUTATIONS)
     def test_overflowing_words_are_compared(self, kind):
         # At q = 3 on 0:0,-60,1 (244 states) the word t3 tplus holds entries
-        # near 1e170, so the squares in an unscaled norm overflow: the bound
+        # near 1e170, whose squares overflow: a bound of norms such as
         # max(1, |path sum|, |word|) would read inf and let any word through.
         letters = LetterTable(TruncationWindow(0, 0, -60, 1), DeformationParams(q=3.0))
         word = ("t3", "tplus")
@@ -575,6 +575,65 @@ class TestSecondPathCatchesMutations:
             ref = verify._path_sum([letters[name].entries for name in word])
             assert ref.offsets.tolist() == mat.offsets.tolist(), word
             assert _same_bits(ref.values, mat.values), word
+
+
+class TestExactAgreement:
+    """A word passes only if it equals its path sum entry for entry."""
+
+    @pytest.mark.parametrize("word", [("Kplus", "Kminus"), ("X3", "Xplus"), ("Xminus", "Xplus")])
+    @pytest.mark.parametrize(
+        "w, scale",
+        [(W_162, 1e-12), (W_17298, 1e-12), (W_17298, 1e-11)],
+        ids=["162-1e-12", "17298-1e-12", "17298-1e-11"],
+    )
+    @pytest.mark.parametrize("phase", [-1.0, cmath.exp(0.7j)], ids=["minus", "0.7"])
+    def test_one_scaled_entry_raises(self, word, w, scale, phase):
+        # A relative change far below any residual tolerance still raises,
+        # and the error names the entry's offset and column.
+        letters = LetterTable(w, DeformationParams(q=1.5, theta_phase=phase))
+        mat, _ = word_matrix(word, letters)
+        verify._require_path_agreement("id", word, mat, letters)
+        stored = np.argwhere(mat.values)
+        d, c = stored[len(stored) // 2]
+        values = mat.values.copy()
+        values[d, c] *= 1 + scale
+        pattern = re.escape(f"path sum differ at offset {mat.offsets[d]}, column {c}")
+        with pytest.raises(QeuclidError, match=pattern):
+            verify._require_path_agreement("id", word, Diagonals(mat.offsets, values), letters)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_matches_only_nan_in_the_same_slot(self, monkeypatch, dtype):
+        # The path sum is stubbed to hold a NaN; the word passes with a NaN
+        # in the same part of the same slot, and raises with it elsewhere.
+        values = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 5.0]], dtype=dtype)
+        ref = values.copy()
+        ref[1, 1] = math.nan
+        offsets = np.array([0, 1])
+        monkeypatch.setattr(verify, "_path_sum", lambda mats: Diagonals(offsets, ref))
+        letters = LetterTable(TruncationWindow(0, 0, -1, 0), P2)
+        check = functools.partial(verify._require_path_agreement, "id", ("X3",))
+        check(Diagonals(offsets, ref.copy()), letters)
+        moved = values.copy()
+        moved[1, 2] = math.nan
+        with pytest.raises(QeuclidError, match="differ at offset 1, column 1"):
+            check(Diagonals(offsets, moved), letters)
+        if dtype is complex:
+            other_part = values.copy()
+            other_part[1, 1] = complex(4.0, math.nan)
+            with pytest.raises(QeuclidError, match="differ at offset 1, column 1"):
+                check(Diagonals(offsets, other_part), letters)
+
+    def test_a_diagonal_one_side_lacks_differs_at_its_first_entry(self, monkeypatch):
+        ref = Diagonals(np.array([0]), np.array([[1.0, 2.0, 3.0]]))
+        monkeypatch.setattr(verify, "_path_sum", lambda mats: ref)
+        letters = LetterTable(TruncationWindow(0, 0, -1, 0), P2)
+        extra = Diagonals(np.array([-1, 0]), np.array([[0.0, 7.0, 0.0], [1.0, 2.0, 3.0]]))
+        with pytest.raises(QeuclidError, match="differ at offset -1, column 1"):
+            verify._require_path_agreement("id", ("X3",), extra, letters)
+
+    def test_no_masked_column_reads_zero(self):
+        A = Diagonals.of({0: np.array([1.0, math.inf])}, 2)
+        assert verify._balanced_residual(A, 2.0 * A, np.zeros(2, dtype=bool)) == 0.0
 
 
 @st.composite
@@ -648,51 +707,6 @@ class TestPathSum:
         for A in (mats[1], mats[0]):
             want = sp.csr_matrix(to_dense(A)) @ want
         assert _same_bits(to_dense(verify._path_sum(mats)), want.toarray())
-
-
-@st.composite
-def _scaled_terms(draw):
-    """2-5 (coefficient, matrix) terms on one n x n shape.  A later matrix
-    may keep only the diagonals of the first (so it adds in place), or
-    repeat an earlier one (so the coefficients may cancel it)."""
-    n = draw(st.integers(1, 8))
-    coeff = st.sampled_from([1.0, -1.0, 0.5, -2.5, 1e-320, -1e308, math.inf])
-    first = draw(random_diagonals(n))
-    terms = [(draw(coeff), first)]
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["fresh", "first's offsets", "repeat"]))
-        A = draw(random_diagonals(n))
-        if kind == "first's offsets":
-            keep = np.isin(A.offsets, first.offsets)
-            A = Diagonals(A.offsets[keep], A.values[keep])
-        elif kind == "repeat":
-            c, A = terms[draw(st.integers(0, len(terms) - 1))]
-            terms.append((-c, A))
-            continue
-        terms.append((draw(coeff), A))
-    return n, terms
-
-
-class TestAddScaled:
-    @given(case=_scaled_terms())
-    @settings(max_examples=300, deadline=None)
-    def test_equals_the_sum_bit_for_bit(self, case):
-        n, terms = case
-        want = got = Diagonals.of({}, n)
-        for c, A in terms:
-            want = want + c * A
-            got = verify._add_scaled(got, c, A)
-            assert got.offsets.tolist() == want.offsets.tolist()
-            assert got.values.dtype == want.values.dtype
-            assert _same_bits(got.values, want.values)
-
-    def test_adds_into_the_sum_it_is_given(self):
-        A = Diagonals.of({0: np.array([1.0, 2.0]), 1: np.array([3.0, 0.0])}, 2)
-        total = Diagonals.of({}, 2) + 1.0 * A
-        assert verify._add_scaled(total, 2.0, A).values is total.values
-        assert total.values.tolist() == [[3.0, 6.0], [9.0, 0.0]]
-        # A diagonal that cancels is dropped, as the sum drops it.
-        assert verify._add_scaled(total, -3.0, A).offsets.tolist() == []
 
 
 def _csr(A):
