@@ -2,7 +2,9 @@
 
 The command line is a thin batch layer over the library: it parses the options,
 dispatches one subcommand, and maps library errors onto a fixed exit-code
-contract.
+contract.  Each subcommand imports the library modules it runs when it
+runs, so importing this module loads only :mod:`qeuclid.core` of the
+package.
 
 Exit codes
 ----------
@@ -41,16 +43,8 @@ from .core import (
     RangeError,
     TruncationWindow,
     UnknownOperatorError,
+    window_label,
 )
-from .lattice import format_rows, load_state, save_state
-from .operators import apply, materialize, save_matrix, spectrum_arrays
-from .smooth import (
-    convergence_csv,
-    limit_convergence,
-    limit_grid,
-    probe_function,
-)
-from .verify import SUITE_NAMES, run_all_suites, window_label
 
 __all__ = [
     "EXIT_PASS",
@@ -303,6 +297,8 @@ def _emit(text: str, path: Path | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import SUITE_NAMES, run_all_suites
+
     p = _params(args)
     reports = run_all_suites(args.window, p, args.tolerance, capacity=args.capacity)
     args.output_dir.mkdir(parents=True, exist_ok=True)
@@ -341,6 +337,8 @@ def spectrum_csv(ix: BasisIndex, vals: np.ndarray) -> str:
     """The CSV of ``qeuclid spectrum``: one ``M,sigma,mt,m,eigenvalue`` row
     per index, the value as ``repr`` writes it (a float where the imaginary
     part is zero, else a complex)."""
+    from .lattice import format_rows
+
     eig = _eigenvalue_texts(vals, repr)
     return "M,sigma,mt,m,eigenvalue\n" + format_rows("%d,%d,%d,%d,%s", (*ix, eig))
 
@@ -364,6 +362,8 @@ def spectrum_json(ix: BasisIndex, vals: np.ndarray) -> str:
     Strict JSON has no NaN or Infinity: a non-finite value, or a non-finite
     part of one, reads null, and the row gains ``"non_finite"``, the
     eigenvalue as ``repr`` writes it (as in the CSV)."""
+    from .lattice import format_rows
+
     if not len(vals):
         return "[]\n"
     eig = _eigenvalue_texts(vals, _json_eigenvalue)
@@ -381,6 +381,8 @@ def spectrum_json(ix: BasisIndex, vals: np.ndarray) -> str:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from .operators import spectrum_arrays
+
     p = _params(args)
     ix, vals = spectrum_arrays(args.operator, args.window, p, capacity=args.capacity)
     text = (spectrum_json if args.format == "json" else spectrum_csv)(ix, vals)
@@ -391,6 +393,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_limit(args: argparse.Namespace) -> int:
+    from .smooth import convergence_csv, limit_convergence, limit_grid, probe_function
+
     theta = args.theta_phase
     f = probe_function(args.modes)
     grid = limit_grid(args.deformed, f, args.h, n=args.samples, theta_phase=theta)
@@ -445,6 +449,9 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
+    from .lattice import load_state, save_state
+    from .operators import apply
+
     p = _params(args)
     state = load_state(args.input)
     image = apply(args.operator, state, p)
@@ -458,6 +465,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
+    from .operators import materialize, save_matrix
+
     p = _params(args)
     mat = materialize(args.operator, args.window, p, capacity=args.capacity)
     args.output.parent.mkdir(parents=True, exist_ok=True)

@@ -324,6 +324,15 @@ class TruncationWindow:
         return ix
 
 
+def window_label(w: TruncationWindow) -> str:
+    """The window as the ``--window`` option writes it, ``Mmin:Mmax,mtmin,kmax``.
+
+    ``qeuclid.verify`` exports it; it lives here so that the command line
+    can print a window without loading the verification suites.
+    """
+    return f"{w.M_min}:{w.M_max},{w.mt_min},{w.k_max}"
+
+
 class Points:
     """Lattice points of an array BasisIndex: labels, powers of q, coordinates.
 

@@ -59,6 +59,7 @@ from .core import (
     DeformationParams,
     QeuclidError,
     TruncationWindow,
+    window_label,
 )
 from .lattice import check_capacity
 from .operators import (
@@ -185,10 +186,6 @@ class SuiteReport:
             "pass": self.passed,
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def window_label(w: TruncationWindow) -> str:
-    return f"{w.M_min}:{w.M_max},{w.mt_min},{w.k_max}"
 
 
 def config_dict(w: TruncationWindow, p: DeformationParams, tol: float) -> dict:

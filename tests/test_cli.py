@@ -38,6 +38,18 @@ def _refuse(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
+def _fresh_python(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter that imports this checkout's
+    package, with ``env`` added to the environment."""
+    src = str(Path(qeuclid.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        **env,
+    }
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 class TestVerifyCommand:
     def test_default_configuration_passes(self, tmp_path, capsys):
         code = main(["verify", "--output-dir", str(tmp_path)])
@@ -185,11 +197,8 @@ class TestVerifyCommand:
             "import sys, qeuclid.cli; print('scipy.sparse.linalg' in sys.modules); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        src = str(Path(qeuclid.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
+        out = _fresh_python(["-c", code])
+        assert out.returncode == 0, out.stderr
         assert out.stdout == "False\n[]\n"
 
     def test_package_draws_no_random_numbers(self):
@@ -212,21 +221,63 @@ class TestVerifyCommand:
     def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # A BLAS dot splits a long vector across its threads and so changes
         # the order of the sum; at 17,298 states the reports must not move.
-        src = str(Path(qeuclid.__file__).resolve().parents[1])
         args = ["verify", "--q", "1.5", "--window=-4:4,-30,30", "--output-dir"]
         for threads in ("1", "2"):
-            env = {
-                **os.environ,
-                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-                "OPENBLAS_NUM_THREADS": threads,
-            }
             out = tmp_path / threads
-            cmd = [sys.executable, "-m", "qeuclid.cli", *args, str(out)]
-            assert subprocess.run(cmd, env=env, capture_output=True).returncode == EXIT_PASS
+            cmd = ["-m", "qeuclid.cli", *args, str(out)]
+            assert _fresh_python(cmd, OPENBLAS_NUM_THREADS=threads).returncode == EXIT_PASS
         for name in SUITE_NAMES:
             assert (tmp_path / "1" / f"{name}.json").read_bytes() == (
                 tmp_path / "2" / f"{name}.json"
             ).read_bytes(), name
+
+
+class TestCommandImports:
+    """Each command imports only the package modules it runs."""
+
+    #: Runs ``main`` on the arguments (none: the import alone), then prints
+    #: the exit code and the package modules loaded.
+    CODE = (
+        "import sys, qeuclid.cli\n"
+        "code = qeuclid.cli.main(sys.argv[1:]) if sys.argv[1:] else None\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'qeuclid'))\n"
+    )
+    BASE = ["qeuclid", "qeuclid.cli", "qeuclid.core"]
+
+    def loaded(self, *args: str) -> tuple[int | None, list[str]]:
+        run = _fresh_python(["-c", self.CODE, *args])
+        assert run.returncode == 0, run.stderr
+        code, modules = run.stdout.splitlines()[-1].split(" ", 1)
+        return (None if code == "None" else int(code)), ast.literal_eval(modules)
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            ((), None),
+            (("--help",), EXIT_PASS),
+            (("limit", "Torb3", "L3", "--tolerance", "1"), EXIT_USAGE),
+        ],
+        ids=["import", "help", "usage-error"],
+    )
+    def test_parsing_loads_only_core(self, args, code):
+        assert self.loaded(*args) == (code, self.BASE)
+
+    def test_limit_adds_smooth(self):
+        assert self.loaded("limit", "Torb3", "L3") == (EXIT_PASS, [*self.BASE, "qeuclid.smooth"])
+
+    def test_lattice_commands_add_lattice_and_operators(self, tmp_path):
+        state = tmp_path / "in.txt"
+        save_state(str(state), LatticeState({BasisIndex(0, 1, -1, 0): 1.0}))
+        expected = (EXIT_PASS, [*self.BASE, "qeuclid.lattice", "qeuclid.operators"])
+        out = str(tmp_path / "out.txt")
+        assert self.loaded("apply", "X3", "--input", str(state), "--output", out) == expected
+        assert self.loaded("spectrum", "X3") == expected
+        assert self.loaded("matrix", "X3", "--output", out) == expected
+
+    def test_verify_adds_lattice_operators_and_verify(self, tmp_path):
+        modules = ["qeuclid.lattice", "qeuclid.operators", "qeuclid.verify"]
+        got = self.loaded("verify", "--output-dir", str(tmp_path))
+        assert got == (EXIT_PASS, [*self.BASE, *modules])
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -512,7 +563,7 @@ class TestLimitCommand:
         )
         probe = smooth.probe_function([0])
         monkeypatch.setattr(
-            cli, "probe_function", lambda modes: smooth.SmoothFunction({0: probe[0], 1: nan})
+            smooth, "probe_function", lambda modes: smooth.SmoothFunction({0: probe[0], 1: nan})
         )
 
     def test_non_finite_error_is_a_failure_naming_h(self, nan_probe, capsys):
