@@ -11,6 +11,13 @@ indexed by M in Z, polar points xi = sigma*q^(2*mt-1) indexed by a sign
 sigma and mt <= 0, and Fourier modes m >= mt on the circle.  A basis state
 of the Hilbert space is one such triple per sign sector, and the inner
 product carries the Jackson weight q^(4M) * q^(2*mt).
+
+A product of two complex values follows one rule everywhere (:func:`_times`):
+(ac - bd) + (ad + bc)i with each real operation rounded on its own, never
+numpy's complex loop, which may fuse a multiply and an add.  A real operand
+gives the same bits either way; only ``apply`` and state scaling at a
+complex phase (and a complex multiple of a complex ``Diagonals``) read
+differently from numpy's loop.
 """
 
 from __future__ import annotations
@@ -80,17 +87,13 @@ DEFAULT_WINDOW_CAPACITY = 200_000
 #: exponents up to 8*|M| + 4 in int64.
 LABEL_LIMIT = 2**59
 
-#: Accepted spellings of operator names, shared by the lattice catalogue and
-#: the smooth deformed rules.
+#: Accepted spellings of operator names, the one table that the lattice
+#: catalogue, the smooth deformed rules and the classical rules read.
 ALIASES: dict[str, str] = {
-    "X+": "Xplus",
-    "X-": "Xminus",
-    "t+": "tplus",
-    "t-": "tminus",
-    "K+": "Kplus",
-    "K-": "Kminus",
-    "Torb+": "Torbplus",
-    "Torb-": "Torbminus",
+    "X+": "Xplus", "X-": "Xminus", "t+": "tplus", "t-": "tminus",
+    "K+": "Kplus", "K-": "Kminus", "Torb+": "Torbplus", "Torb-": "Torbminus",
+    # Classical rules only: the lattice catalogue and deformed rules reject these.
+    "L+": "Lplus", "L-": "Lminus", "X+_cl": "Xplus_cl", "X-_cl": "Xminus_cl",
 }
 
 
@@ -136,6 +139,18 @@ def qpow_array(q: float, n) -> np.ndarray:
     exps, inv = np.unique(n, return_inverse=True)
     table = np.array([qpow(q, k) for k in exps.tolist()], dtype=np.float64)
     return table[inv].reshape(n.shape)
+
+
+def _times(a, b, out: np.ndarray | None = None) -> np.ndarray:
+    """a * b entrywise (either may be a scalar), into ``out`` if given, by
+    the product rule of the module docstring, as compressed sparse rows
+    form it.  A real operand's imaginary part reads 0."""
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return np.multiply(a, b, out=out)
+    term = np.empty(np.broadcast(a, b).shape, np.complex128) if out is None else out
+    term.real = a.real * b.real - a.imag * b.imag
+    term.imag = a.real * b.imag + a.imag * b.real
+    return term
 
 
 @dataclass(frozen=True)
@@ -259,8 +274,9 @@ def invalid_indices(ix: BasisIndex) -> np.ndarray:
 
 
 def canonical_key(idx: BasisIndex):
-    """Sort key of the canonical basis order: sigma=+1 block first, then M, mt, m."""
-    return (0 if idx.sigma > 0 else 1, idx.M, idx.mt, idx.m)
+    """Sort key of the canonical basis order: sigma=+1 block first, then M,
+    mt, m; on an array BasisIndex, one key array each, most significant first."""
+    return (idx.sigma < 0, idx.M, idx.mt, idx.m)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from .core import (
     DeformationParams,
     Points,
     TruncationWindow,
+    _times,
+    canonical_key,
     invalid_indices,
     stack_indices,
     unstack_indices,
@@ -38,10 +40,10 @@ __all__ = [
 
 
 def _sort(ix: BasisIndex) -> tuple[np.ndarray, BasisIndex, np.ndarray]:
-    """Stable argsort into canonical order (sigma=+1 block first, then M, mt,
-    m), the sorted labels, and the mask of those unequal to their predecessor.
-    Labels already strictly in that order skip the sort."""
-    n, keys = len(ix.m), (ix.sigma < 0, ix.M, ix.mt, ix.m)
+    """Stable argsort by :func:`canonical_key`, the sorted labels, and the
+    mask of those unequal to their predecessor.  Labels already strictly in
+    that order skip the sort."""
+    n, keys = len(ix.m), canonical_key(ix)
     # Row i + 1 follows row i where it is greater at the first key that differs.
     after, tied = np.zeros(max(n - 1, 0), dtype=bool), np.ones(max(n - 1, 0), dtype=bool)
     for a in keys:
@@ -103,8 +105,9 @@ class LatticeState:
     @classmethod
     def from_arrays(cls, index: BasisIndex, amplitudes: np.ndarray) -> "LatticeState":
         """State from equal-length label arrays and amplitudes in any order."""
-        state = cls()
+        state = cls.__new__(cls)
         state.index, state.values = _canonical(index, amplitudes)
+        state._amplitudes = None
         return state
 
     @property
@@ -147,7 +150,7 @@ class LatticeState:
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "LatticeState":
-        return LatticeState.from_arrays(self.index, complex(scalar) * self.values)
+        return LatticeState.from_arrays(self.index, _times(complex(scalar), self.values))
 
     def __repr__(self) -> str:
         return f"LatticeState({len(self)} amplitudes)"
@@ -184,14 +187,10 @@ def inner_product(a: LatticeState, b: LatticeState, p: DeformationParams) -> com
     first = np.flatnonzero(~new) - 1
     ia, ib = order[first], order[first + 1] - len(a)
     w = Points(BasisIndex(*(x[ia] for x in a.index)), p).weight
-    ar, ai, br, bi = a.values[ia].real, a.values[ia].imag, b.values[ib].real, b.values[ib].imag
     with np.errstate(over="ignore", invalid="ignore"):
-        # complex(w, 0.0) * conj(a) * b in real arithmetic, rounded as Python's
-        # complex multiply rounds it (numpy's may fuse terms).
-        wr, wi = w * ar - 0.0 * -ai, w * -ai + 0.0 * ar
-        re, im = wr * br - wi * bi, wr * bi + wi * br
+        terms = _times(_times(w, np.conj(a.values[ia])), b.values[ib])
         # cumsum adds in order from 0.0; np.sum would add pairwise.
-        return complex(*(np.cumsum(np.append(0.0, x))[-1] for x in (re, im)))
+        return complex(*(np.cumsum(np.append(0.0, x))[-1] for x in (terms.real, terms.imag)))
 
 
 _STATE_HEADER = "# qeuclid state: M sigma mt m re im"

@@ -51,6 +51,7 @@ from .core import (
     Points,
     TruncationWindow,
     UnknownOperatorError,
+    _times,
     stack_indices,
     unstack_indices,
     validate_index,
@@ -286,21 +287,8 @@ def apply(name: str, state: LatticeState, p: DeformationParams) -> LatticeState:
     parts = list(images(name, state.index, p))
     tgt = BasisIndex(*map(np.concatenate, zip(*(t for _, t, _ in parts))))
     # Adding 0.0 turns a -0.0 part into +0.0, as a sum started at 0 would.
-    amps = np.concatenate([state.values[pos] * c for pos, _, c in parts]) + 0.0
+    amps = np.concatenate([_times(state.values[pos], c) for pos, _, c in parts]) + 0.0
     return LatticeState.from_arrays(tgt, amps)
-
-
-def _times(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a * b entrywise, into ``out`` if given.  A complex product is
-    (ac - bd) + (ad + bc)i with every operation rounded on its own, as
-    compressed sparse rows form it; numpy's complex loops may fuse them.  A
-    real operand's imaginary part reads 0."""
-    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-        return np.multiply(a, b, out=out)
-    term = np.empty(len(a), dtype=np.complex128) if out is None else out
-    term.real = a.real * b.real - a.imag * b.imag
-    term.imag = a.real * b.imag + a.imag * b.real
-    return term
 
 
 def _pair_rows(a: "Diagonals", b: "Diagonals") -> tuple[np.ndarray, np.ndarray]:
@@ -421,7 +409,7 @@ class Diagonals:
 
     def __rmul__(self, c: complex) -> "Diagonals":
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = self.values * c
+            vals = _times(c, self.values)
         vals[self.values == 0] = 0
         return Diagonals(self.offsets, vals)
 

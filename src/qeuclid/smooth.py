@@ -487,19 +487,13 @@ CLASSICAL_RULES: dict[str, tuple[SmoothBranch, ...]] = {
     "Xminus_cl": (SmoothBranch(-1, lambda s: s.r * s.sin * s.v / math.sqrt(2.0)),),
 }
 
-# The classical spellings stay out of core.ALIASES: that table is shared
-# with the lattice catalogue, where every alias must name an operator, and
-# L+- and X+-_cl have no lattice operator.
-_CLASSICAL_ALIASES = {"L+": "Lplus", "L-": "Lminus", "X+_cl": "Xplus_cl", "X-_cl": "Xminus_cl"}
-
-
 def classical_names() -> tuple[str, ...]:
     return tuple(sorted(CLASSICAL_RULES))
 
 
 def classical_apply(name: str, f: SmoothFunction) -> SmoothFunction:
     """Apply a classical (q = 1) operator; mode derivatives must be supplied."""
-    cname = _CLASSICAL_ALIASES.get(name, name)
+    cname = ALIASES.get(name, name)
     if cname not in CLASSICAL_RULES:
         known = ", ".join(classical_names())
         raise UnknownOperatorError(f"unknown classical operator {name!r}; have: {known}")

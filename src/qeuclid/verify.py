@@ -59,6 +59,7 @@ from .core import (
     DeformationParams,
     QeuclidError,
     TruncationWindow,
+    _times,
     window_label,
 )
 from .lattice import check_capacity
@@ -66,10 +67,8 @@ from .operators import (
     Diagonals,
     OperatorMatrix,
     _pair_rows,
-    _times,
     adjoint_matrix,
     get_operator,
-    images,
     materialize,
 )
 
@@ -722,19 +721,17 @@ def check_recursions(
 def check_lowest_weight(letters: LetterTable) -> list[ResidualReport]:
     """The mode-lowering ladder must kill every m = mt state exactly.
 
-    The residual is the total magnitude the rule emits from those states:
-    it must be identically zero (the rule produces no targets at all), not
-    merely small.
+    The residual is the largest magnitude of the ``Kminus`` coefficient
+    evaluated on the window's m = mt labels themselves (their targets
+    m - 1 < mt are invalid, so ``operators.images`` never evaluates it
+    there); it must be identically zero, not merely small.
     """
-    w, p = letters.w, letters.p
-    ix = w.index_arrays()
+    ix = letters.w.index_arrays()
     bottom = ix.mk == 0
     lowest = BasisIndex(*(a[bottom] for a in ix))
-    emitted = np.zeros(len(lowest.M))
-    for pos, _, c in images("Kminus", lowest, p):
-        np.add.at(emitted, pos, np.abs(c))
+    (branch,) = get_operator("Kminus").branches
     # np.max, unlike the builtin max, propagates a NaN.
-    worst = float(np.max(emitted))
+    worst = float(np.max(np.abs(branch.values(lowest, letters.p))))
     return [_report(letters, "lowest_weight_annihilation", worst, 0.0)]
 
 

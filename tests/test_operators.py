@@ -7,6 +7,7 @@ over a grid of indices, deformation parameters, and ladder phases.
 
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from qeuclid.operators import (
     adjoint_matrix,
     apply,
     catalogue_names,
+    images,
     materialize,
     operator_action,
     resolve_name,
@@ -149,10 +151,62 @@ class TestApplyLinearity:
                 assert lhs[idx] == pytest.approx(rhs[idx], abs=1e-12)
 
 
+def _textbook(a: complex, c: complex) -> complex:
+    """a * c with each part formed in Python floats, every operation rounded
+    on its own."""
+    return complex(a.real * c.real - a.imag * c.imag, a.real * c.imag + a.imag * c.real)
+
+
+class TestComplexPhaseProducts:
+    # At a complex phase both factors of each amplitude product are complex;
+    # numpy's complex loop may fuse its multiply-adds, the package's one
+    # product rule does not.
+    P = DeformationParams(q=1.5, theta_phase=cmath.exp(0.7j))
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        block = TruncationWindow(-2, 2, -8, 8).index_arrays()
+        rng = np.random.default_rng(28)
+        amps = rng.standard_normal(len(block.M)) + 1j * rng.standard_normal(len(block.M))
+        return LatticeState.from_arrays(block, amps)
+
+    @staticmethod
+    def _bits(s: LatticeState) -> tuple:
+        return (*(a.tolist() for a in s.index), s.values.view(float).tolist())
+
+    @pytest.mark.parametrize("name", ["Kplus", "Kminus", "Torbplus", "Torbminus"])
+    def test_apply_forms_each_product_part_by_part(self, state, name):
+        tgts, amps = [], []
+        for pos, tgt, c in images(name, state.index, self.P):
+            tgts.append(tgt)
+            for a, cc in zip(state.values[pos].tolist(), c.tolist()):
+                z = _textbook(a, cc)
+                amps.append(complex(z.real + 0.0, z.imag + 0.0))
+        want = LatticeState.from_arrays(BasisIndex(*map(np.concatenate, zip(*tgts))), amps)
+        assert self._bits(apply(name, state, self.P)) == self._bits(want)
+
+    def test_scaling_forms_each_product_part_by_part(self, state):
+        z = self.P.theta_phase
+        want = LatticeState.from_arrays(
+            state.index, [_textbook(a, z) for a in state.values.tolist()]
+        )
+        assert self._bits(z * state) == self._bits(want)
+
+
+#: The aliases that name a lattice operator; the other four name classical rules.
+LATTICE_ALIASES = sorted((a, c) for a, c in ALIASES.items() if c in catalogue_names())
+
+
 class TestNameResolution:
-    @pytest.mark.parametrize("alias, canonical", sorted(ALIASES.items()))
+    @pytest.mark.parametrize("alias, canonical", LATTICE_ALIASES)
     def test_aliases_resolve(self, alias, canonical):
         assert resolve_name(alias) == canonical
+
+    @pytest.mark.parametrize("alias", ["L+", "L-", "X+_cl", "X-_cl"])
+    def test_classical_spellings_are_unknown_operators(self, alias):
+        msg = rf"^unknown operator '{re.escape(alias)}'; catalogue: K3, "
+        with pytest.raises(UnknownOperatorError, match=msg):
+            resolve_name(alias)
 
     def test_unknown_operator_lists_catalogue(self):
         with pytest.raises(UnknownOperatorError, match="catalogue:.*Xplus"):
@@ -262,6 +316,13 @@ def _clip(v, o):
     return np.where((cols + o >= 0) & (cols + o < len(v)), v, 0)
 
 
+def _scaled(c: complex, M: sp.csr_matrix) -> sp.csr_matrix:
+    """c * M, each entry formed part by part in Python floats."""
+    out = sp.csr_matrix(M, dtype=complex, copy=True)
+    out.data = np.array([_textbook(c, v) for v in M.data.tolist()], dtype=complex)
+    return out
+
+
 class TestDiagonals:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -269,7 +330,9 @@ class TestDiagonals:
         # scipy's CSR arithmetic is the reference: the same stored entries,
         # in the same row-major order, with the same bits and dtype.  Each
         # operand and scalar is real or complex, so real, mixed and complex
-        # pairs are all drawn.
+        # pairs are all drawn.  The complex multiple's reference forms each
+        # entry part by part, since scipy scales by numpy's complex loop,
+        # which may fuse a multiply and an add.
         n = data.draw(st.integers(1, 8))
         A, B = data.draw(random_diagonals(n)), data.draw(random_diagonals(n))
         r = data.draw(st.floats(-8, 8))
@@ -281,7 +344,7 @@ class TestDiagonals:
             (A @ B, csr_a @ csr_b),
             (A + B, csr_a + csr_b),
             (A - B, csr_a - csr_b),
-            (c * A, c * csr_a),
+            (c * A, _scaled(c, csr_a)),
             (r * A, r * csr_a),
             (r * B, r * csr_b),
         ):

@@ -47,6 +47,12 @@ from qeuclid.smooth import (
 )
 
 P2 = DeformationParams(q=2.0)
+#: The accepted spellings of operator names, by the rules they name.
+DEFORMED_SPELLINGS = {
+    "X+": "Xplus", "X-": "Xminus", "t+": "tplus", "t-": "tminus",
+    "K+": "Kplus", "K-": "Kminus", "Torb+": "Torbplus", "Torb-": "Torbminus",
+}
+CLASSICAL_SPELLINGS = {"L+": "Lplus", "L-": "Lminus", "X+_cl": "Xplus_cl", "X-_cl": "Xminus_cl"}
 H_LIST = [0.1, 0.05, 0.025, 0.0125]
 
 
@@ -81,7 +87,39 @@ class TestRuleTables:
             "Xplus_cl",
         )
 
-    @pytest.mark.parametrize("alias, canonical", sorted(ALIASES.items()))
+    def test_one_alias_table_holds_every_spelling(self):
+        assert ALIASES == {**DEFORMED_SPELLINGS, **CLASSICAL_SPELLINGS}
+        assert set(DEFORMED_SPELLINGS.values()) <= set(catalogue_names())
+        assert set(DEFORMED_SPELLINGS.values()) <= set(smooth_names())
+        assert set(CLASSICAL_SPELLINGS.values()) <= set(classical_names())
+
+    @pytest.mark.parametrize("alias, canonical", sorted(CLASSICAL_SPELLINGS.items()))
+    def test_classical_aliases_resolve_to_classical_rules(self, alias, canonical):
+        f = SmoothFunction({0: _poly_mode(), 1: _poly_mode()})
+        a = classical_apply(alias, f)
+        b = classical_apply(canonical, f)
+        assert a.mode_indices() == b.mode_indices()
+        r, x = np.float64(1.0), np.float64(0.2)
+        for m in a.mode_indices():
+            assert complex(a.modes[m](r, x)) == complex(b.modes[m](r, x))
+
+    @pytest.mark.parametrize("alias", sorted(CLASSICAL_SPELLINGS))
+    def test_classical_spellings_are_unknown_deformed_operators(self, alias):
+        f = SmoothFunction({0: _const_mode()})
+        msg = rf"^unknown smooth operator '{re.escape(alias)}'; have: K3, "
+        with pytest.raises(UnknownOperatorError, match=msg):
+            smooth_apply(alias, f, P2)
+
+    @pytest.mark.parametrize("alias", sorted(DEFORMED_SPELLINGS))
+    def test_deformed_spellings_are_unknown_classical_operators(self, alias):
+        f = SmoothFunction({0: _const_mode()})
+        msg = rf"^unknown classical operator '{re.escape(alias)}'; have: L3, Lminus, "
+        with pytest.raises(UnknownOperatorError, match=msg):
+            classical_apply(alias, f)
+
+    @pytest.mark.parametrize(
+        "alias, canonical", sorted((a, c) for a, c in ALIASES.items() if c in smooth_names())
+    )
     def test_aliases_resolve_to_deformed_rules(self, alias, canonical):
         f = SmoothFunction({0: _poly_mode()})
         a = smooth_apply(alias, f, P2)

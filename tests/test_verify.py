@@ -142,6 +142,18 @@ class TestNegativeControls:
         report = run_suite("tensor", LetterTable(W, p_plus), TOL)
         assert not report.passed
 
+    def test_lowering_that_spares_the_lowest_mode_fails(self, monkeypatch):
+        # A Kminus whose coefficient is 1.0 everywhere does not kill the
+        # m = mt states.  Its targets there, m - 1 < mt, are invalid indices,
+        # so a check that walked the images would never see the coefficient.
+        spare = operators.LatticeOperator(
+            "Kminus", (operators.Branch(0, 0, -1, lambda s: 1.0, -1),)
+        )
+        monkeypatch.setitem(operators.CATALOGUE, "Kminus", spare)
+        (report,) = run_suite("lowest_weight", LetterTable(W, P2), TOL).checks
+        assert report.max_interior_residual == 1.0
+        assert not report.passed
+
 
 class TestWordMatrices:
     def test_leakage_counts_window_escapes(self):
@@ -1046,6 +1058,14 @@ class TestNonFiniteResiduals:
         with np.errstate(all="ignore"):
             reports = {r.id: r for r in check_recursions(DeformationParams(q=1e155))}
         check = reports["phi_nonpositive_on_core"]
+        assert math.isnan(check.max_interior_residual)
+        assert not check.passed
+
+    def test_nan_coefficient_fails_lowest_weight(self):
+        # At q = 1e160, q^2 overflows, so the Kminus coefficient on m = mt
+        # meets 0 * inf and reads NaN rather than an exact zero.
+        letters = LetterTable(TruncationWindow(0, 0, -6, 6), DeformationParams(q=1e160))
+        (check,) = run_suite("lowest_weight", letters, TOL).checks
         assert math.isnan(check.max_interior_residual)
         assert not check.passed
 
