@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
+import io
 import json
 import math
 import sys
@@ -287,13 +289,16 @@ def _params(args: argparse.Namespace) -> DeformationParams:
     return DeformationParams(q=args.q, r0=args.r0, theta_phase=args.theta_phase)
 
 
-def _emit(text: str, path: Path | None) -> None:
-    """Write text to path, making its directory, or to stdout without one."""
+@contextlib.contextmanager
+def _output(path: Path | None):
+    """The text stream a command writes its body to: the file at path,
+    its directory made, or stdout without one."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        yield sys.stdout
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -333,14 +338,14 @@ def _eigenvalue_texts(vals: np.ndarray, text) -> np.ndarray:
     return out
 
 
-def spectrum_csv(ix: BasisIndex, vals: np.ndarray) -> str:
-    """The CSV of ``qeuclid spectrum``: one ``M,sigma,mt,m,eigenvalue`` row
-    per index, the value as ``repr`` writes it (a float where the imaginary
-    part is zero, else a complex)."""
-    from .lattice import format_rows
+def _write_spectrum_csv(out, ix: BasisIndex, vals: np.ndarray) -> None:
+    """Write the CSV of ``qeuclid spectrum`` to the text stream ``out``:
+    one ``M,sigma,mt,m,eigenvalue`` row per index, the value as ``repr``
+    writes it (a float where the imaginary part is zero, else a complex)."""
+    from .lattice import write_rows
 
     eig = _eigenvalue_texts(vals, repr)
-    return "M,sigma,mt,m,eigenvalue\n" + format_rows("%d,%d,%d,%d,%s", (*ix, eig))
+    write_rows(out, ["M,sigma,mt,m,eigenvalue"], "%d,%d,%d,%d,%s", (*ix, eig))
 
 
 def _json_number(x: float) -> str:
@@ -353,31 +358,52 @@ def _json_eigenvalue(v: float | complex) -> str:
     return _json_number(v)
 
 
-def spectrum_json(ix: BasisIndex, vals: np.ndarray) -> str:
-    """The JSON of ``qeuclid spectrum``: the bytes of
-    ``json.dumps(rows, sort_keys=True, indent=2)`` over one object per
-    index, a real eigenvalue as a float and any other as ``[re, im]``,
-    written from a fixed row template.
+def _write_spectrum_json(out, ix: BasisIndex, vals: np.ndarray) -> None:
+    """Write the JSON of ``qeuclid spectrum`` to the text stream ``out``:
+    the bytes of ``json.dumps(rows, sort_keys=True, indent=2)`` over one
+    object per index, a real eigenvalue as a float and any other as
+    ``[re, im]``, written from a fixed row template.
 
     Strict JSON has no NaN or Infinity: a non-finite value, or a non-finite
     part of one, reads null, and the row gains ``"non_finite"``, the
     eigenvalue as ``repr`` writes it (as in the CSV)."""
-    from .lattice import format_rows
+    from .lattice import write_rows
 
     if not len(vals):
-        return "[]\n"
+        out.write("[]\n")
+        return
     eig = _eigenvalue_texts(vals, _json_eigenvalue)
     off = ~np.isfinite(vals)
     bad = np.full(len(vals), "", dtype=object)
     bad[off] = [
         '\n    "non_finite": %s,' % json.dumps(text) for text in _eigenvalue_texts(vals[off], repr)
     ]
+    comma = np.full(len(vals), ",", dtype=object)
+    comma[-1] = ""  # the encoder puts a comma between rows, not after the last
     row = (
         '  {\n    "M": %d,\n    "eigenvalue": %s,\n    "m": %d,\n    "mt": %d,%s\n'
-        '    "sigma": %d\n  },'
+        '    "sigma": %d\n  }%s'
     )
-    body = format_rows(row, (ix.M, eig, ix.m, ix.mt, bad, ix.sigma))
-    return "[\n" + body[:-2] + "\n]\n"
+    write_rows(out, ["["], row, (ix.M, eig, ix.m, ix.mt, bad, ix.sigma, comma))
+    out.write("]\n")
+
+
+def _text(write, ix: BasisIndex, vals: np.ndarray) -> str:
+    buf = io.StringIO()
+    write(buf, ix, vals)
+    return buf.getvalue()
+
+
+def spectrum_csv(ix: BasisIndex, vals: np.ndarray) -> str:
+    """The CSV of ``qeuclid spectrum`` as one string (see
+    :func:`_write_spectrum_csv`)."""
+    return _text(_write_spectrum_csv, ix, vals)
+
+
+def spectrum_json(ix: BasisIndex, vals: np.ndarray) -> str:
+    """The JSON of ``qeuclid spectrum`` as one string (see
+    :func:`_write_spectrum_json`)."""
+    return _text(_write_spectrum_json, ix, vals)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -385,8 +411,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
     p = _params(args)
     ix, vals = spectrum_arrays(args.operator, args.window, p, capacity=args.capacity)
-    text = (spectrum_json if args.format == "json" else spectrum_csv)(ix, vals)
-    _emit(text, args.output)
+    write = _write_spectrum_json if args.format == "json" else _write_spectrum_csv
+    with _output(args.output) as out:
+        write(out, ix, vals)
     if args.output is not None:
         print(f"wrote {len(vals)} eigenvalues to {args.output}")
     return EXIT_PASS
@@ -419,7 +446,8 @@ def cmd_limit(args: argparse.Namespace) -> int:
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
         text = convergence_csv(result)
-    _emit(text, args.output)
+    with _output(args.output) as out:
+        out.write(text)
 
     if bad:
         print(

@@ -10,6 +10,10 @@ and truncation windows serialize to plain text so CLI runs can be chained.
 from __future__ import annotations
 
 import io
+import math
+import os
+import re
+import warnings
 from array import array
 from typing import Iterable, Mapping
 
@@ -39,35 +43,55 @@ __all__ = [
 ]
 
 
-def _sort(ix: BasisIndex) -> tuple[np.ndarray, BasisIndex, np.ndarray]:
-    """Stable argsort by :func:`canonical_key`, the sorted labels, and the
-    mask of those unequal to their predecessor.  Labels already strictly in
-    that order skip the sort."""
-    n, keys = len(ix.m), canonical_key(ix)
-    # Row i + 1 follows row i where it is greater at the first key that differs.
-    after, tied = np.zeros(max(n - 1, 0), dtype=bool), np.ones(max(n - 1, 0), dtype=bool)
-    for a in keys:
-        after |= tied & (a[1:] > a[:-1])
-        tied &= a[1:] == a[:-1]
-    if after.all():
-        return np.arange(n), ix, np.ones(n, dtype=bool)
-    order = np.lexsort(keys[::-1])
-    ix = BasisIndex(*(a[order] for a in ix))
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any([a[1:] != a[:-1] for a in ix], axis=0)
-    return order, ix, new
+def _packed_key(keys) -> np.ndarray | None:
+    """One int64 per entry that orders as the tuples of ``keys`` (most
+    significant first) order: each key less its least value, scaled by the
+    spans of the keys after it.  None where the spans multiply past the
+    int64 range (labels reach 2^59)."""
+    if not len(keys[0]):
+        return np.zeros(0, dtype=np.int64)
+    lows = [int(a.min()) for a in keys]
+    spans = [int(a.max()) - lo + 1 for a, lo in zip(keys, lows)]
+    if math.prod(spans) > 2**63:
+        return None
+    key = np.zeros(len(keys[0]), dtype=np.int64)
+    for a, lo, span in zip(keys, lows, spans):
+        key *= span
+        key += np.subtract(a, lo, dtype=np.int64)
+    return key
+
+
+def _sort(ix: BasisIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Stable argsort of the labels by :func:`canonical_key`, on one packed
+    int64 key where the label spans allow it, and the mask of the sorted
+    labels unequal to their predecessor."""
+    keys = canonical_key(ix)
+    new = np.ones(len(ix.m), dtype=bool)
+    key = _packed_key(keys)
+    if key is None:
+        order = np.lexsort(keys[::-1])
+        new[1:] = False
+        for a in ix:
+            a = a[order]
+            new[1:] |= a[1:] != a[:-1]
+        return order, new
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new[1:] = key[1:] != key[:-1]
+    return order, new
 
 
 def _canonical(index: BasisIndex, amplitudes) -> tuple[BasisIndex, np.ndarray]:
     """Validated labels in canonical order and their amplitudes: those of a
-    repeated label summed in input order, exact zeros dropped."""
+    repeated label summed in input order, exact zeros dropped.  The labels
+    are gathered once, at the first entry of each label kept."""
     ix = BasisIndex(*(np.asarray(a, dtype=np.int64) for a in index))
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1 or any(a.shape != amps.shape for a in ix):
         raise ValueError("labels and amplitudes must be 1-d arrays of one length")
     for k in invalid_indices(ix)[:1]:
         validate_index(BasisIndex(*(int(a[k]) for a in ix)))
-    order, ix, new = _sort(ix)
+    order, new = _sort(ix)
     amps = amps[order]
     starts = np.flatnonzero(new)
     sizes = np.diff(starts, append=len(amps))
@@ -77,7 +101,8 @@ def _canonical(index: BasisIndex, amplitudes) -> tuple[BasisIndex, np.ndarray]:
             sel = np.flatnonzero(sizes > k)
             acc[sel] += amps[starts[sel] + k]
         keep = np.hypot(acc.real, acc.imag) > 0.0  # a magnitude past 1.8e308 reads inf
-    return BasisIndex(*(a[starts[keep]] for a in ix)), acc[keep]
+    at = order[starts[keep]]
+    return BasisIndex(*(a[at] for a in ix)), acc[keep]
 
 
 class LatticeState:
@@ -183,7 +208,7 @@ def inner_product(a: LatticeState, b: LatticeState, p: DeformationParams) -> com
     """
     # Both supports are sorted and distinct, so after a stable sort of the two
     # together a shared label is an adjacent pair, a's entry first.
-    order, _, new = _sort(BasisIndex(*map(np.concatenate, zip(a.index, b.index))))
+    order, new = _sort(BasisIndex(*map(np.concatenate, zip(a.index, b.index))))
     first = np.flatnonzero(~new) - 1
     ia, ib = order[first], order[first + 1] - len(a)
     w = Points(BasisIndex(*(x[ia] for x in a.index)), p).weight
@@ -196,13 +221,19 @@ def inner_product(a: LatticeState, b: LatticeState, p: DeformationParams) -> com
 _STATE_HEADER = "# qeuclid state: M sigma mt m re im"
 #: One state-file row: four int64 labels, then the real and imaginary parts.
 _ROW = np.dtype([("labels", np.int64, (4,)), ("parts", np.float64, (2,))])
+#: Rows that :func:`write_rows` formats and writes at a time, so that the
+#: text it holds does not grow with the file.
+ROW_BLOCK = 1024
+#: A byte that ``bytes.split()`` does not split at: part of a field.
+_FIELD_BYTE = re.compile(rb"[^ \t\n\x0b\x0c\r]")
 
 
 def format_rows(fmt: str, columns) -> str:
     """One line ``fmt % row``, ending in a newline, per row of the
-    equal-length arrays ``columns``, in one ``%`` pass over the interleaved
-    columns (``%d``, ``%+d`` and ``%r`` write what ``str``, ``{:+d}`` and
-    ``repr`` write)."""
+    equal-length arrays ``columns``, all in one ``%`` pass over the
+    interleaved columns (``%d``, ``%+d`` and ``%r`` write what ``str``,
+    ``{:+d}`` and ``repr`` write).  :func:`write_rows` calls it once per
+    block of rows."""
     cols = [c.tolist() for c in columns]
     n = len(cols[0]) if cols else 0
     flat = [None] * (n * len(cols))
@@ -211,12 +242,19 @@ def format_rows(fmt: str, columns) -> str:
     return ((fmt + "\n") * n) % tuple(flat)
 
 
-def write_rows(path: str, header: Iterable[str], fmt: str, columns) -> None:
-    """Write the header lines, then the rows of :func:`format_rows`, as
-    UTF-8 text; a file with neither is one empty line."""
-    text = "".join(f"{line}\n" for line in header) + format_rows(fmt, columns)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text or "\n")
+def write_rows(dest, header: Iterable[str], fmt: str, columns) -> None:
+    """Write the header lines, then the rows of :func:`format_rows`
+    formatted and written ``ROW_BLOCK`` rows at a time, as UTF-8 text to
+    the path or the open text stream ``dest``; a file with neither header
+    nor rows is one empty line."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8") as fh:
+            return write_rows(fh, header, fmt, columns)
+    n = len(columns[0]) if len(columns) else 0
+    head = "".join(f"{line}\n" for line in header)
+    dest.write(head if head or n else "\n")
+    for lo in range(0, n, ROW_BLOCK):
+        dest.write(format_rows(fmt, [c[lo : lo + ROW_BLOCK] for c in columns]))
 
 
 def save_state(path: str, state: LatticeState) -> None:
@@ -231,45 +269,43 @@ def load_state(path: str) -> LatticeState:
     A line whose first field starts with '#' is a comment.  Rows may come in
     any order; a repeated index sums its amplitudes.  A malformed row, an
     invalid index, a label beyond 2^59 or a non-finite amplitude raises
-    ValueError naming ``path:line``.  The file is parsed in one array pass;
-    a file that pass declines is read again row by row, which names the line.
+    ValueError naming ``path:line``.  The file's bytes are parsed in one
+    ``np.loadtxt`` pass, with no decoded copy of the text; a file that pass
+    declines is read again row by row, which names the line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    parsed = _parse_bulk(data)
-    ix, amps = parsed if parsed is not None else _parse_rows(path, data)
+    ix, amps = _parse_bulk(data) or _parse_rows(path, data)
+    del data  # the labels and amplitudes are all that is left to sort
     return LatticeState.from_arrays(ix, amps)
 
 
 def _parse_bulk(data: bytes) -> tuple[BasisIndex, np.ndarray] | None:
-    """Labels and amplitudes of a well-formed state file in one ``np.loadtxt``
-    pass, or None where the row reader must decide (and name the line)."""
+    """Labels and amplitudes of a well-formed state file, parsed from its
+    bytes in one ``np.loadtxt`` pass that decodes one line at a time, or
+    None where the row reader must decide (and name the line): a lone
+    ``\r``, a ``#`` after a row's fields, or a line the pass refuses, such
+    as one that is not UTF-8 (``UnicodeDecodeError`` is a ValueError)."""
+    if data.count(b"\r") != data.count(b"\r\n"):  # the row reader ends a line there
+        return None
+    # np.loadtxt cuts a comment from '#' to the line's end: every '#' must
+    # start a line's first field, as it does for the row reader.
+    start = 0
+    while (pos := data.find(b"#", start)) >= 0:
+        if _FIELD_BYTE.search(data, data.rfind(b"\n", 0, pos) + 1, pos):
+            return None
+        start = data.find(b"\n", pos) + 1 or len(data)
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
+        with warnings.catch_warnings():
+            # A file of comments and blank lines has no rows; that is no fault.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            parsed = np.loadtxt(
+                io.BytesIO(data), dtype=_ROW, comments="#", ndmin=1, encoding="utf-8"
+            )
+    except ValueError:
         return None
-    if "\r" in text and text.count("\r") != text.count("\r\n"):  # the row reader ends a line there
-        return None
-    # Cut out the comment lines; a '#' after a row's fields is left to the
-    # row reader.  Lines end at \n, so every \r left sits before one.
-    body, start = [], 0
-    while (pos := text.find("#", start)) >= 0:
-        head = text.rfind("\n", start, pos) + 1 or start
-        if text[head:pos].strip():
-            return None
-        body.append(text[start:head])
-        start = text.find("\n", pos) + 1 or len(text)
-    body.append(text[start:])
-    body = "".join(body)
-    if body.isspace() or not body:  # np.loadtxt warns on an empty body
-        rows = np.zeros(0, dtype=_ROW)
-    else:
-        try:
-            rows = np.loadtxt(io.StringIO(body), dtype=_ROW, comments=None, ndmin=1)
-        except ValueError:
-            return None
-    ix = BasisIndex(*rows["labels"].T.copy())
-    amps = rows["parts"].copy().view(np.complex128).ravel()
+    ix = BasisIndex(*parsed["labels"].T.copy())
+    amps = parsed["parts"].copy().view(np.complex128).ravel()
     if len(invalid_indices(ix)) or not np.isfinite(amps).all():
         return None
     return ix, amps

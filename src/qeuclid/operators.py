@@ -286,8 +286,9 @@ def apply(name: str, state: LatticeState, p: DeformationParams) -> LatticeState:
     """
     parts = list(images(name, state.index, p))
     tgt = BasisIndex(*map(np.concatenate, zip(*(t for _, t, _ in parts))))
-    # Adding 0.0 turns a -0.0 part into +0.0, as a sum started at 0 would.
-    amps = np.concatenate([_times(state.values[pos], c) for pos, _, c in parts]) + 0.0
+    amps = np.concatenate([_times(state.values[pos], c) for pos, _, c in parts])
+    del parts  # the branches' parts are all in tgt and amps now
+    amps += 0.0  # turns a -0.0 part into +0.0, as a sum started at 0 would
     return LatticeState.from_arrays(tgt, amps)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import qeuclid
-from qeuclid import cli, smooth
+from qeuclid import cli, lattice, smooth
 from qeuclid.cli import (
     EXIT_CAPACITY,
     EXIT_CHECK_FAILURE,
@@ -359,6 +359,25 @@ class TestPointwiseGoldens:
             assert out.read_bytes() == (POINTWISE / cmd["output"]).read_bytes()
 
 
+def _spectrum_rows(ix, vals) -> list[dict]:
+    """The rows ``qeuclid spectrum --format json`` writes, built one by one:
+    a non-finite value, or part of one, reads null, and "non_finite" holds
+    the value as ``repr`` writes it."""
+    finite = lambda x: x if math.isfinite(x) else None
+    rows = []
+    for M, sigma, mt, m, v in zip(*(a.tolist() for a in ix), vals.tolist()):
+        row = {"M": M, "sigma": sigma, "mt": mt, "m": m}
+        if isinstance(v, complex) and v.imag == 0.0:
+            v = v.real
+        row["eigenvalue"] = (
+            [finite(v.real), finite(v.imag)] if isinstance(v, complex) else finite(v)
+        )
+        if not cmath.isfinite(v):
+            row["non_finite"] = repr(v)
+        rows.append(row)
+    return rows
+
+
 class TestSpectrumCommand:
     def test_coordinate_spectrum_csv(self, capsys):
         code = main(["spectrum", "X3", "--q", "2.0", "--window", "0:0,0,0"])
@@ -443,21 +462,52 @@ class TestSpectrumCommand:
             vals[6:9] = [complex(1.5, np.inf), complex(np.nan, -2.0), complex(-np.inf, np.nan)]
         elif case == "empty":
             ix, vals = BasisIndex(*(a[:0] for a in ix)), vals[:0]
-        finite = lambda x: x if math.isfinite(x) else None
-        rows = []
-        for M, sigma, mt, m, v in zip(*(a.tolist() for a in ix), vals.tolist()):
-            row = {"M": M, "sigma": sigma, "mt": mt, "m": m}
-            if isinstance(v, complex) and v.imag == 0.0:
-                v = v.real
-            row["eigenvalue"] = (
-                [finite(v.real), finite(v.imag)] if isinstance(v, complex) else finite(v)
-            )
-            if not cmath.isfinite(v):
-                row["non_finite"] = repr(v)
-            rows.append(row)
+        rows = _spectrum_rows(ix, vals)
         text = cli.spectrum_json(ix, vals)
         assert text == json.dumps(rows, sort_keys=True, indent=2) + "\n"
         assert json.loads(text, parse_constant=_refuse) == rows
+
+    def test_blocks_have_the_bytes_of_the_reference(self):
+        # Rows are written ROW_BLOCK at a time: at row counts on both sides
+        # of a block's edge, with complex and non-finite values at the
+        # edges, the CSV and the JSON equal references built row by row.
+        B = lattice.ROW_BLOCK
+        ix, vals = spectrum_arrays(
+            "K3", TruncationWindow(-1, 1, -20, 20), DeformationParams(q=1.7, r0=0.8)
+        )
+        vals = vals * np.exp(0.3j)
+        vals[::3] = vals[::3].real
+        vals[[0, B - 1, B, 2 * B]] = [complex(np.inf, 0.0), np.nan, complex(1.5, -np.inf), -0.0]
+        for n in (0, 1, B - 1, B, B + 1, 2 * B + 1):
+            part, v = BasisIndex(*(a[:n] for a in ix)), vals[:n]
+            csv = [
+                f"{M},{sigma},{mt},{m},{x.real if x.imag == 0.0 else x!r}"
+                for M, sigma, mt, m, x in zip(*(a.tolist() for a in part), v.tolist())
+            ]
+            assert cli.spectrum_csv(part, v) == "\n".join(["M,sigma,mt,m,eigenvalue", *csv]) + "\n"
+            rows = _spectrum_rows(part, v)
+            assert cli.spectrum_json(part, v) == json.dumps(rows, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["R2", "--q", "40", "--window=24:24,0,0"],  # inf eigenvalues
+            ["K3", "--theta-phase", "0.7", "--window=0:0,0,1024"],  # 2,050 rows
+        ],
+        ids=["non-finite", "blocks"],
+    )
+    def test_output_file_has_the_bytes_of_stdout(self, tmp_path, capsys, fmt, args):
+        # The file, stdout and the one-string writer carry the same bytes.
+        args = ["spectrum", *args, "--format", fmt]
+        assert main(args) == EXIT_PASS
+        printed = capsys.readouterr().out
+        out_file = tmp_path / "sub" / f"spec.{fmt}"
+        assert main([*args, "--output", str(out_file)]) == EXIT_PASS
+        ns = cli._parser().parse_args(args)
+        ix, vals = spectrum_arrays(ns.operator, ns.window, cli._params(ns))
+        text = (cli.spectrum_json if fmt == "json" else cli.spectrum_csv)(ix, vals)
+        assert out_file.read_bytes() == printed.encode() == text.encode()
 
     def test_non_finite_json_is_strict(self, capsys):
         # At q = 40 on M = 24 the R2 spectrum overflows to inf.

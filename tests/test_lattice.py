@@ -1,6 +1,8 @@
 """Tests for sparse lattice states, the Jackson inner product, and state files."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from qeuclid.core import (
     jackson_weight,
 )
 from qeuclid import lattice
+from qeuclid.operators import apply
 from qeuclid.lattice import (
     LatticeState,
     build_window,
@@ -211,18 +214,34 @@ def _reference_sort(ix: BasisIndex):
     return order, ix, new
 
 
+def _far_indices():
+    """Valid labels out to 2^59, whose spans overflow one int64 key."""
+    lim = 2**59
+    far = st.sampled_from([-lim, -lim + 1, -1, 0, 1, lim - 1, lim])
+    return st.builds(BasisIndex, far, st.sampled_from([1, -1]), far, far).filter(
+        lambda i: i.is_valid()
+    )
+
+
 class TestCanonicalSort:
-    @given(labels=st.lists(_indices(), max_size=12))
-    @settings(max_examples=200, deadline=None)
-    def test_sorted_labels_skip_the_sort_with_the_same_result(self, labels):
-        # The labels as drawn, and sorted with repeats dropped (which skips
-        # the lexsort), give what the lexsort gives.
+    @given(labels=st.lists(st.one_of(_indices(), _indices(), _far_indices()), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_one_key_sorts_as_the_lexsort(self, labels):
+        # The packed int64 key, and the lexsort where the label spans
+        # overflow it, give the order and the repeats of a stable lexsort:
+        # for the labels as drawn, sorted, and sorted with repeats dropped.
         ix = BasisIndex(*(np.array([i[k] for i in labels], dtype=np.int64) for k in range(4)))
         _, srt, new = _reference_sort(ix)
         for case in (ix, srt, BasisIndex(*(a[new] for a in srt))):
-            got, want = lattice._sort(case), _reference_sort(case)
-            for a, b in zip((got[0], *got[1], got[2]), (want[0], *want[1], want[2])):
-                assert np.array_equal(a, b)
+            (order, repeats), want = lattice._sort(case), _reference_sort(case)
+            assert np.array_equal(order, want[0])
+            assert np.array_equal(repeats, want[2])
+
+    def test_both_sorts_are_taken(self):
+        near = BasisIndex(*map(np.array, ([2, 0], [1, -1], [-3, 0], [0, 1])))
+        far = BasisIndex(*map(np.array, ([2**59, 0], [1, -1], [-(2**59), 0], [0, 2**59])))
+        assert lattice._packed_key(canonical_key(near)) is not None
+        assert lattice._packed_key(canonical_key(far)) is None
 
 
 class TestBuildWindow:
@@ -313,20 +332,29 @@ class TestStateFiles:
         assert lines[1] == "0 -1 -2 1 1.5 0.0"
 
     def test_rows_have_the_bytes_of_the_format_template(self, tmp_path):
-        # The % row template against the str.format template it replaced.
+        # The % row template, written in blocks of ROW_BLOCK rows, against
+        # the str.format template it replaced, at row counts on both sides
+        # of a block's edge; neither header nor rows is one empty line.
         parts = [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, 0.1, -2.5e-300]
         big = 2**59
-        cols = (
-            np.array([big, -big, 0, 1, -1, big - 1, 3, -7]),
-            np.array([1, -1] * 4),
-            np.array([-big, 0, -3, big, 0, -1, 2, -big + 1]),
-            np.array([big, -big, 7, 0, -2, 1, -big, 5]),
-            np.array(parts),
-            np.array(parts[::-1]),
+        B = lattice.ROW_BLOCK
+        counts = (0, 1, B - 1, B, B + 1, 2 * B + 1)
+        reps = -(-counts[-1] // 8)
+        cols = tuple(
+            np.tile(np.array(c), reps)[: counts[-1]]
+            for c in (
+                [big, -big, 0, 1, -1, big - 1, 3, -7],
+                [1, -1] * 4,
+                [-big, 0, -3, big, 0, -1, 2, -big + 1],
+                [big, -big, 7, 0, -2, 1, -big, 5],
+                parts,
+                parts[::-1],
+            )
         )
+        cols[0][8::8] = np.arange(1, reps)  # no two blocks alike
         old = "{} {:+d} {} {} {!r} {!r}".format
         for header in (("# a", "# b"), ()):
-            for n in (8, 0):
+            for n in counts:
                 path = tmp_path / "rows.txt"
                 write_rows(str(path), header, "%d %+d %d %d %r %r", [c[:n] for c in cols])
                 rows = map(old, *(c[:n].tolist() for c in cols))
@@ -409,6 +437,11 @@ class TestStateLoader:
     @example(data=b"# c\r0 +1 0 0 1.0 0.0\n")
     @example(data=b"0 +1 0 0 1.0 0.0 # tail\n")
     @example(data=b"# header only\n")
+    # The bytes reader decodes each line as UTF-8 and keeps a BOM as text.
+    @example(data=b"# \xc3\xa9tat\n0 +1 0 0 1.0 0.0\n")
+    @example(data=b"# header only\r\n")
+    @example(data=b"\xef\xbb\xbf0 +1 0 0 1.0 0.0\n")
+    @example(data=b"\xef\xbb\xbf# header\n0 +1 0 0 1.0 0.0\n")
     @settings(
         max_examples=400,
         deadline=None,
@@ -470,3 +503,41 @@ class TestStateLoader:
             path = tmp_path / "s.txt"
             save_state(str(path), state)
             assert _state_bits(load_state(str(path))) == _state_bits(state)
+
+
+def _peak_bytes(run) -> int:
+    """tracemalloc's peak while ``run()`` runs, above what was traced before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestStateMemory:
+    @pytest.mark.parametrize(
+        "step, budget", [("load_state", 250), ("save_state", 100), ("apply Torb+", 280)]
+    )
+    def test_state_io_holds_at_most_its_budget_per_state(self, tmp_path, step, budget):
+        # The peak of each step in bytes per state of the 17,298-state
+        # window: rows are formatted a block at a time, the file is parsed
+        # as bytes and the labels are sorted on one key.  A step that held
+        # the whole text (save_state once held 306 bytes a state, and
+        # load_state 415 with a decoded copy) or a sorted copy of every
+        # label (apply held 385) breaks its budget.
+        ix = TruncationWindow(-4, 4, -30, 30).index_arrays()
+        rng = np.random.default_rng(3)
+        n = len(ix.M)
+        amps = rng.uniform(0.1, 1.0, n) * rng.choice([-1.0, 1.0], n) + 1j * rng.uniform(-1, 1, n)
+        state = LatticeState.from_arrays(ix, amps)
+        path = str(tmp_path / "state.txt")
+        save_state(path, state)
+        run = {
+            "load_state": lambda: load_state(path),
+            "save_state": lambda: save_state(path, state),
+            "apply Torb+": lambda: apply("Torb+", state, DeformationParams(q=1.5)),
+        }[step]
+        assert _peak_bytes(run) <= budget * n

@@ -23,6 +23,7 @@ from qeuclid.core import (
     NotDiagonalError,
     TruncationWindow,
     UnknownOperatorError,
+    _times,
 )
 from qeuclid import lattice
 from qeuclid.lattice import LatticeState, build_window, load_state, save_state
@@ -191,6 +192,37 @@ class TestComplexPhaseProducts:
             state.index, [_textbook(a, z) for a in state.values.tolist()]
         )
         assert self._bits(z * state) == self._bits(want)
+
+
+#: Zeros, subnormals, the ends of the float range, inf and nan.
+SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 2.2250738585072014e-308, -1e-160,
+    0.5, -1.0, 3.0, 1e160, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
+
+
+def _part_bits(z: complex) -> tuple[str, str]:
+    """Both parts with the sign of a zero; every NaN reads alike."""
+    return tuple("nan" if math.isnan(x) else x.hex() for x in (z.real, z.imag))
+
+
+class TestRealOperandProducts:
+    def test_a_real_operand_takes_the_part_by_part_rule(self):
+        # _times with one float64 operand forms the textbook product with
+        # that operand's imaginary part 0.0.  numpy's complex-by-real loop
+        # skips the zero terms and so differs in the sign of some zeros:
+        # (-1e-320 - 0j) * 5e-324 has real part +0.0 here, -0.0 from numpy
+        # on x86-64.  A faster path for a real operand must keep these bits.
+        z = np.array([complex(x, y) for x in SPECIAL for y in SPECIAL])
+        r = np.array(SPECIAL)
+        Z, R = (a.ravel() for a in np.meshgrid(z, r, indexing="ij"))
+        with np.errstate(all="ignore"):
+            pairs = ((_times(Z, R), Z, R), (_times(R, Z), R, Z))
+        for got, a, b in pairs:
+            want = [_textbook(complex(x), complex(y)) for x, y in zip(a.tolist(), b.tolist())]
+            assert list(map(_part_bits, got.tolist())) == list(map(_part_bits, want))
+        one = _times(np.array([complex(-1e-320, -0.0)]), np.array([5e-324]))
+        assert _part_bits(complex(one[0])) == ("0x0.0p+0", "-0x0.0p+0")
 
 
 #: The aliases that name a lattice operator; the other four name classical rules.
