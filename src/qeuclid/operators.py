@@ -120,18 +120,21 @@ class Branch:
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """A named catalogue operator: one or two branches, block-diagonal in sigma."""
+    """A named catalogue operator: one or two branches, block-diagonal in sigma.
+    Each coefficient is r^``r_degree`` times a function of (sigma, mt, m);
+    ``Lambda`` and ``Lambda_inv`` shift M by a constant and have degree 0."""
 
     name: str
     branches: tuple[Branch, ...]
+    r_degree: int = 0
 
     @property
     def is_diagonal(self) -> bool:
         return all(b.shift == (0, 0, 0) for b in self.branches)
 
 
-def _diag(name: str, coeff: Coeff) -> LatticeOperator:
-    return LatticeOperator(name, (Branch(0, 0, 0, coeff),))
+def _diag(name: str, coeff: Coeff, r_degree: int = 0) -> LatticeOperator:
+    return LatticeOperator(name, (Branch(0, 0, 0, coeff),), r_degree)
 
 
 # Raising in mt multiplies by the square-root factor at the post-shift polar
@@ -166,13 +169,13 @@ CATALOGUE: dict[str, LatticeOperator] = {
     op.name: op
     for op in (
         _diag("identity", lambda s: 1.0),
-        _diag("r", lambda s: s.r),
+        _diag("r", lambda s: s.r, 1),
         _diag("xi", lambda s: s.xi),
         _diag("xi_inv", lambda s: s.sigma * s.q(1 - 2 * s.mt)),
         _diag("abs_xi_inv", lambda s: s.q(1 - 2 * s.mt)),
         _diag("xihat", lambda s: s.xihat),
-        _diag("R2", lambda s: s.p.r0 * s.p.r0 * s.q(8 * s.M + 4)),
-        _diag("X3", lambda s: s.r * s.xi),
+        _diag("R2", lambda s: s.p.r0 * s.p.r0 * s.q(8 * s.M + 4), 2),
+        _diag("X3", lambda s: s.r * s.xi, 1),
         _diag("t3", lambda s: (1.0 + np.square(s.q(1 - 2 * s.mt))) / s.p.lam),
         _diag("K3", lambda s: (1.0 + s.q(-4 * s.mk - 2)) / s.p.lam),
         _diag("tau_k", lambda s: -np.square(s.xihat)),
@@ -183,12 +186,12 @@ CATALOGUE: dict[str, LatticeOperator] = {
             0, +1, +1,
             lambda s: -s.r * s.p.qpow(-1)
             * np.sqrt((1.0 - s.q(4 * s.mt)) / (1.0 + s.p.qpow(-2))),
-        ),)),
+        ),), 1),
         LatticeOperator("Xminus", (Branch(
             0, -1, -1,
             lambda s: s.r * s.p.q
             * np.sqrt((1.0 - s.q(4 * s.mt - 4)) / (1.0 + s.p.qpow(2))),
-        ),)),
+        ),), 1),
         LatticeOperator("tplus", (_tplus,)),
         LatticeOperator("tminus", (_tminus,)),
         LatticeOperator("Kplus", (_ladder(+1, +1),)),

@@ -43,6 +43,15 @@ into the path's value, and paths that reach the same total offset add, in
 the product's term order.  It needs no sort, no random vector and no n x n
 array, and it checks the product kernel's indexing and slice bounds with
 different code.
+
+One M-slab
+----------
+Each identity is homogeneous in r, and a letter of ``r_degree`` k on slab M
+is q^(4k(M - M*)) times the letter on M*, the slab nearest M = 0.  Letters
+live on M* only: norms scale by s_k (``LetterTable.scale``), excluded
+columns count once per slab, and ``Lambda``/``Lambda_inv`` are checked on
+two slabs.  Each letter's coefficients at M_min and M_max must scale as
+r^k; a letter that does not reads NaN.
 """
 
 from __future__ import annotations
@@ -55,11 +64,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import (
-    BasisIndex,
     DeformationParams,
     QeuclidError,
     TruncationWindow,
     _times,
+    qpow,
     window_label,
 )
 from .lattice import check_capacity
@@ -103,6 +112,9 @@ __all__ = [
 
 #: Fixed tolerance of the two recursion identities and the closed-form checks.
 RECURSION_TOL = 1e-13
+
+#: Relative gap allowed between an end slab's coefficients and q^(4k dM) times the slab's.
+FACTOR_RTOL = 1e-13
 
 Coeff = Callable[[DeformationParams], float]
 
@@ -306,31 +318,69 @@ ADJOINT_PAIRS: tuple[tuple[str, Coeff, str], ...] = (
 # --- letter table -------------------------------------------------------------
 
 class LetterTable:
-    """The catalogue operators of one verify run over one window.
+    """The catalogue operators of one verify run, on one M-slab of its window.
 
-    ``letters[name]`` is the operator at the run's phase and
-    ``letters.at(name, phase)`` at another ladder phase; each distinct
-    (name, phase) is materialized once, on first read, and only read after.
-    ``letters.masks`` holds, made once on first use, each composite shift's
-    column mask of ``_interior_mask``.
+    The capacity bounds the window ``w`` of ``slabs`` slabs.  ``letters[name]``
+    is the operator on ``slab`` (``n`` states) at the run's phase, and
+    ``letters.at(name, phase, on)`` at another phase or window; each is
+    materialized once, on first read, and only read after.  ``letters.masks``
+    holds, made once on first use, each shift's mask of ``_interior_mask``.
     """
 
     def __init__(self, w: TruncationWindow, p: DeformationParams, capacity: int | None = None):
         self.w, self.p = w, p
-        self.n = check_capacity(w, capacity)
-        self._made: dict[tuple[str, complex], OperatorMatrix] = {}
+        check_capacity(w, capacity)
+        mid = min(max(0, w.M_min), w.M_max)
+        self.slab = w if w.M_min == w.M_max else replace(w, M_min=mid, M_max=mid)
+        self.n, self.slabs = self.slab.size, w.M_max - w.M_min + 1
+        self._made: dict[tuple[str, complex, TruncationWindow], OperatorMatrix] = {}
         self.masks: dict[tuple[int, int, int], np.ndarray] = {}
 
     def __getitem__(self, name: str) -> OperatorMatrix:
         return self.at(name, self.p.theta_phase)
 
-    def at(self, name: str, phase: complex) -> OperatorMatrix:
-        key = (name, complex(phase))
+    def at(self, name: str, phase: complex, on: TruncationWindow | None = None) -> OperatorMatrix:
+        w = on or self.slab
+        key = (name, complex(phase), w)
         if key not in self._made:
             p = replace(self.p, theta_phase=phase)
-            # The window passed the caller's capacity above; n is a cap it meets.
-            self._made[key] = materialize(name, self.w, p, self.n)
+            # The window passed the caller's capacity above; w lies within it.
+            letter = materialize(name, w, p, w.size)
+            if self.slabs > 1 and not self._factors(name, p):
+                # Every check that reads the letter reads NaN.
+                nan = Diagonals.of({0: np.full(w.size, math.nan)}, w.size)
+                letter = replace(letter, entries=nan)
+            self._made[key] = letter
         return self._made[key]
+
+    def _factors(self, name: str, p: DeformationParams) -> bool:
+        """Whether each branch coefficient at M_min and M_max is finite,
+        nonzero where the slab's is, and the slab's times q^(4k dM)."""
+        op, ix, mid = get_operator(name), self.slab.index_arrays(), self.slab.M_min
+        moves = [0, *{self.w.M_min - mid, self.w.M_max - mid} - {0}]
+        for br in op.branches:
+            # One evaluation over the slab's points with a valid target, then
+            # the same points on each end slab.
+            M, *rest = (a[ix.shifted(*br.shift).is_valid()] for a in ix)
+            src = [np.concatenate([M + d for d in moves])] + [np.tile(a, len(moves)) for a in rest]
+            here, *ends = br.values(ix._make(src), p).reshape(len(moves), -1)
+            for d, there in zip(moves[1:], ends):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = here * qpow(p.q, 4 * op.r_degree * d)
+                    gap = np.abs(there - want)
+                ok = (gap <= FACTOR_RTOL * np.abs(want)) & np.isfinite(gap)
+                if not (ok & ((there != 0) | (here == 0))).all():
+                    return False
+        return True
+
+    def scale(self, k: int, squared: bool = False) -> float:
+        """s_k = sqrt(sum over the window's M of q^(8k(M - M*))), or s_k^2, the
+        term at M_max factored out: it overflows only where that term does."""
+        x = -8 * k * math.log(self.p.q)
+        # The geometric sum of q^(-8kj), j < slabs, in log space.
+        total = math.expm1(self.slabs * x) / math.expm1(x) if k else self.slabs
+        top = 4 * k * (self.w.M_max - self.slab.M_min) * (2 if squared else 1)
+        return qpow(self.p.q, top) * (total if squared else math.sqrt(total))
 
 
 def _report(
@@ -345,20 +395,23 @@ def _report(
 # --- word evaluation ----------------------------------------------------------
 
 def word_matrix(word: Sequence[str], letters: LetterTable) -> tuple[Diagonals, float]:
-    """Windowed matrix of an operator word plus the squared leakage it drops.
+    """An operator word's matrix on the table's slab plus the squared
+    leakage it drops over the window, each term ``_spread`` at the r-degree
+    of the word up to and including the letter that drops it.
 
     The word is the product of its letters' materialized matrices, applied
     rightmost first; the leakage sums the squared magnitude of every
-    amplitude a step carries to a valid index outside the window.  The
+    amplitude a step carries to a valid index outside the slab.  The
     first letter adds its stored total.  What a later letter drops from
     column j scales with the squared norm of row j of the product so far,
     which is formed only at the letter's boundary columns: a letter that
     leaks nowhere costs nothing, and no array of length n is made.
     """
-    n = letters.n
+    n, d = letters.n, get_operator(word[-1]).r_degree
     *rest, first = [letters[name] for name in word]
-    prod, leak = first.entries, first.total_leakage
-    for letter in reversed(rest):
+    prod, leak = first.entries, _spread(first.total_leakage, d, letters)
+    for name, letter in zip(word[-2::-1], reversed(rest)):
+        d += get_operator(name).r_degree
         cols, lost = letter.boundary_columns, letter.boundary_leakage
         if len(cols):
             # Row j holds, on offset o, the entry of column j - o; each
@@ -370,11 +423,17 @@ def word_matrix(word: Sequence[str], letters: LetterTable) -> tuple[Diagonals, f
                 for o, v in zip(prod.offsets.tolist(), prod.values):
                     src = cols - o
                     row = (src >= 0) & (src < n)
-                    reach[row] += np.square(np.abs(v[src[row]]))
+                    x = v[src[row]]
+                    reach[row] += x.real * x.real + x.imag * x.imag
                 hit = (reach != 0.0) & (lost != 0.0)
-                leak += float(np.add.reduce(reach[hit] * lost[hit]))
+                leak += _spread(float(np.add.reduce(reach[hit] * lost[hit])), d, letters)
         prod = letter.entries @ prod
     return prod, leak
+
+
+def _spread(leak: float, d: int, letters: LetterTable) -> float:
+    """A slab's leakage term at r-degree d over the window; 0 stays 0 (no 0 * inf)."""
+    return leak * letters.scale(d, squared=True) if leak else leak
 
 
 def _shift_prefixes(word: Sequence[str]) -> set[tuple[int, int, int]]:
@@ -423,13 +482,15 @@ def _norm(v: np.ndarray, e: int) -> float:
     return math.sqrt(total)
 
 
-def _relative_norm(gap: np.ndarray, *refs: np.ndarray) -> float:
-    """Frobenius norm of ``gap`` over max(1, the norm of each of ``refs``).
+def _relative_norm(gap: np.ndarray, *refs: np.ndarray, scale: float = 1.0) -> float:
+    """Frobenius norm of ``gap`` over max(1, the norm of each of ``refs``),
+    each norm multiplied by ``scale`` (the norm over every slab).
 
     When every entry is finite, all arrays are scaled by 2^-e with 2^e just
     above the largest entry (e >= 0), so no square overflows and the floor 1
-    becomes 2^-e; a power of two scales exactly.  A non-finite entry leaves
-    them unscaled, and the quotient reads inf or NaN.  Zeros add nothing.
+    becomes 2^-e / scale; a power of two scales exactly.  A non-finite
+    entry leaves them unscaled, and the quotient reads inf or NaN; so does a
+    non-finite ``scale``.  Zeros add nothing.
     """
     parts = (gap, *refs)
     big = max((float(np.max(np.abs(d))) for d in parts if d.size), default=0.0)
@@ -437,14 +498,18 @@ def _relative_norm(gap: np.ndarray, *refs: np.ndarray) -> float:
     # Unscaled, the squares of finite entries beside a non-finite one overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [_norm(d, e) for d in parts]
-    return norms[0] / max(math.ldexp(1.0, -e), *norms[1:])
+    floor = max(math.ldexp(1.0, -e) / scale, *norms[1:])
+    # Past an infinite scale the far slabs overflow; a floor that underflows
+    # to 0 meets only a gap of 0 or a non-finite one.
+    return math.nan if not scale < math.inf else norms[0] / floor if floor else norms[0]
 
 
-def _balanced_residual(L: Diagonals, R: Diagonals, mask: np.ndarray) -> float:
+def _balanced_residual(L: Diagonals, R: Diagonals, mask: np.ndarray, scale=1.0) -> float:
     """Frobenius norm of (L-R) on the masked columns over max(1, |L|, |R|),
-    taken by ``_relative_norm`` (finite entries never read NaN) over those
-    columns of the stored diagonal values; an absent entry, and every slot
-    whose row falls outside the matrix, is an exact 0.
+    each ``scale`` times the slab's, taken by ``_relative_norm`` (finite
+    entries never read NaN) over those columns of the stored diagonal
+    values; an absent entry, and every slot whose row falls outside the
+    matrix, is an exact 0.
 
     The entries are gathered in a named order, whatever the layout of
     ``values``: column by column, ascending offset within a column, by one
@@ -459,7 +524,7 @@ def _balanced_residual(L: Diagonals, R: Diagonals, mask: np.ndarray) -> float:
         return (A.values if every else np.compress(mask, A.values, axis=1)).T.ravel()
 
     # L - R is freed once its columns are gathered.
-    return _relative_norm(columns(L - R), columns(L), columns(R))
+    return _relative_norm(columns(L - R), columns(L), columns(R), scale=scale)
 
 
 def _path_sum(mats: Sequence[Diagonals]) -> Diagonals:
@@ -538,11 +603,18 @@ def check_relations(
     (``_require_path_agreement``), so the first failing word, in spec, side
     and term order, raises.  Each side sums its words as ``total + c * mat``
     in term order, and the residual of the two sums is taken by
-    ``_balanced_residual`` on the relation's interior columns.
+    ``_balanced_residual`` on the relation's interior columns, at the
+    relation's r-degree.
     """
-    w, p, n = letters.w, letters.p, letters.n
+    w, p, n = letters.slab, letters.p, letters.n
     reports = []
     for spec in specs:
+        # Words of unequal r-degree, or that move M, do not factor over the
+        # slabs: on several, their residual reads NaN.
+        degrees = {sum(get_operator(name).r_degree for name in word) for word in spec.words()}
+        moves = any(s[0] for word in spec.words() for s in _shift_prefixes(word))
+        one = len(degrees) == 1 and not moves or letters.slabs == 1
+        scale = letters.scale(max(degrees)) if one else math.nan
         sums, leaks = [], []
         for terms in (spec.lhs, spec.rhs):
             total = Diagonals.of({}, n)
@@ -563,8 +635,9 @@ def check_relations(
             leaks.append(leak)
         interior = _interior_mask(spec.words(), w, letters.masks)
         reports.append(_report(
-            letters, spec.id, _balanced_residual(*sums, interior), tol, asserted,
-            boundary_rows_excluded=n - int(interior.sum()), leakage_norm=math.sqrt(sum(leaks)),
+            letters, spec.id, _balanced_residual(*sums, interior, scale), tol, asserted,
+            boundary_rows_excluded=(n - int(interior.sum())) * letters.slabs,
+            leakage_norm=math.sqrt(sum(leaks)),
         ))
     return reports
 
@@ -575,15 +648,20 @@ def check_adjointness(
     """Verify adjoint(A) = c * B entrywise over the window for each pair.
 
     Windowed entries of single catalogue operators are exact, so the
-    comparison holds on every entry and nothing is excluded.
+    comparison holds on every entry and nothing is excluded.  A pair that
+    shifts M is compared on the slab pair, one block for the window's n_M - 1.
     """
     p = letters.p
-    every_column = np.ones(letters.n, dtype=bool)
     reports = []
     for a_name, coeff, b_name in pairs:
-        adj = adjoint_matrix(letters[a_name], p).entries
-        target = float(coeff(p)) * letters[b_name].entries
-        residual = _balanced_residual(adj, target, every_column)
+        op = get_operator(a_name)
+        on, scale = letters.slab, letters.scale(op.r_degree)
+        if letters.slabs > 1 and any(br.dM for br in op.branches):
+            low = min(on.M_min, letters.w.M_max - 1)
+            on, scale = replace(on, M_min=low, M_max=low + 1), math.sqrt(letters.slabs - 1)
+        adj = adjoint_matrix(letters.at(a_name, p.theta_phase, on), p).entries
+        target = float(coeff(p)) * letters.at(b_name, p.theta_phase, on).entries
+        residual = _balanced_residual(adj, target, np.ones(on.size, dtype=bool), scale)
         reports.append(_report(letters, f"adjoint_{a_name}_vs_{b_name}", residual, tol))
     return reports
 
@@ -604,9 +682,9 @@ def check_homomorphism(letters: LetterTable, tol: float) -> list[ResidualReport]
 
 
 def _hopping_residual(letters: LetterTable) -> float:
-    """The worst residual of the three assembled hopping operators."""
-    w, p = letters.w, letters.p
-    x3 = get_operator("X3").branches[0].values(w.index_arrays(), p)
+    """The worst residual of the three assembled hopping operators (r-degree 0)."""
+    p, X3 = letters.p, letters["X3"].entries
+    x3 = dict(zip(X3.offsets.tolist(), X3.values)).get(0, np.zeros(letters.n))
     lam, root = p.lam, math.sqrt(1.0 + p.qpow(2))
     # Where X3 underflows to 0 its inverse reads inf and the residual NaN.
     with np.errstate(all="ignore"):
@@ -619,7 +697,7 @@ def _hopping_residual(letters: LetterTable) -> float:
     }
     every_column = np.ones(letters.n, dtype=bool)
     residuals = [
-        _balanced_residual(mat, letters[name].entries, every_column)
+        _balanced_residual(mat, letters[name].entries, every_column, letters.scale(0))
         for name, mat in assembled.items()
     ]
     # np.max, unlike the builtin max, propagates a NaN residual.
@@ -642,11 +720,11 @@ def check_tensor_torb(letters: LetterTable, tol: float) -> list[ResidualReport]:
         "Torbplus": letters["tplus"].entries + abs_inv @ letters["Kplus"].entries,
         "Torbminus": letters["tminus"].entries - abs_inv @ letters["Kminus"].entries,
     }
-    sigma = letters.w.index_arrays().sigma
+    sigma = letters.slab.index_arrays().sigma
     sectors = (("sector_plus", sigma > 0, True), ("sector_minus", sigma < 0, False))
     return [
-        _report(letters, f"tensor_{name}_{label}",
-                _balanced_residual(mat, letters.at(name, -1.0).entries, sector), tol, asserted)
+        _report(letters, f"tensor_{name}_{label}", _balanced_residual(
+            mat, letters.at(name, -1.0).entries, sector, letters.scale(0)), tol, asserted)
         for name, mat in assembled.items()
         for label, sector, asserted in sectors
     ]
@@ -724,11 +802,10 @@ def check_lowest_weight(letters: LetterTable) -> list[ResidualReport]:
     The residual is the largest magnitude of the ``Kminus`` coefficient
     evaluated on the window's m = mt labels themselves (their targets
     m - 1 < mt are invalid, so ``operators.images`` never evaluates it
-    there); it must be identically zero, not merely small.
+    there, and the window of depth 0 holds just them); it must be
+    identically zero, not merely small.
     """
-    ix = letters.w.index_arrays()
-    bottom = ix.mk == 0
-    lowest = BasisIndex(*(a[bottom] for a in ix))
+    lowest = replace(letters.w, k_max=0).index_arrays()
     (branch,) = get_operator("Kminus").branches
     # np.max, unlike the builtin max, propagates a NaN.
     worst = float(np.max(np.abs(branch.values(lowest, letters.p))))

@@ -288,14 +288,13 @@ class TestGoldenReports:
 
     q3.0-sparse holds 2,890 states.
     q1.1-phase0.7 runs at a complex phase, while the direct operators of
-    the tensor suite stay at phase -1.  Every stdout.txt was written by the
-    code that still materialized every letter once per check; the reports
-    were last rewritten when the residual norms became fixed-order sums,
-    which moved some residuals in their last bits and no verdict.  They
-    kept their bytes when the values at a real phase became float64.
-    q1.5-window17298 is the 17,298-state window of the benchmark; it was
-    written by the code whose diagonal kernels still built a shifted,
-    zero-filled copy of every diagonal.
+    the tensor suite stay at phase -1.
+    q1.5-window17298 is the 17,298-state window of the benchmark.  Every
+    window here holds several M-slabs, and every file was last rewritten
+    when verify came to evaluate one slab and scale its norms to the
+    window, which moved residuals and leakages in their last bits (at most
+    4.5e-16 relative, or 3.6e-16 absolute below 1e-3) and no verdict,
+    excluded column count or exit code.
     """
 
     @pytest.mark.parametrize(

@@ -784,27 +784,34 @@ class TestFirstError:
 
 
 def _dense_word_leakage(word, letters):
-    """A word's leakage by whole-window arrays: each letter's loss spread
+    """A word's leakage by whole-slab arrays: each letter's loss spread
     over every column, the squared row norms of the product so far over
-    every row, the rows that are reached and leak, then ``np.add.reduce``."""
+    every row, the rows that are reached and leak, then ``np.add.reduce``,
+    each term scaled to the window by s_d^2, d the r-degree of the word up
+    to and including the letter that drops it."""
     n = letters.n
+
+    def spread(leak, d):
+        return leak * letters.scale(d, squared=True) if leak else leak
 
     def per_column(letter):
         lost = np.zeros(n)
         lost[letter.boundary_columns] = letter.boundary_leakage
         return lost
 
+    degrees = list(itertools.accumulate(get_operator(name).r_degree for name in word[::-1]))
     *rest, first = [letters[name] for name in word]
-    prod, leak = first.entries, float(per_column(first).sum())
-    for letter in reversed(rest):
+    prod, leak = first.entries, spread(float(per_column(first).sum()), degrees[0])
+    for letter, d in zip(reversed(rest), degrees[1:]):
         with np.errstate(over="ignore"):
             reach = np.zeros(n)
             for o, v in zip(prod.offsets.tolist(), prod.values):
                 lo, hi = max(-o, 0), min(n, n - o)
-                reach[lo + o : hi + o] += np.square(np.abs(v[lo:hi]))
+                x = v[lo:hi]
+                reach[lo + o : hi + o] += x.real * x.real + x.imag * x.imag
             lost = per_column(letter)
             hit = (reach != 0.0) & (lost != 0.0)
-            leak += float(np.add.reduce(reach[hit] * lost[hit]))
+            leak += spread(float(np.add.reduce(reach[hit] * lost[hit])), d)
         prod = letter.entries @ prod
     return leak
 
@@ -880,17 +887,39 @@ def _held_bytes(obj):
     return 0
 
 
+def _slab_bytes(w):
+    """Bytes that each letter of a verify run over ``w`` holds, by (name,
+    window the letter lives on)."""
+    letters = LetterTable(w, DeformationParams(q=1.5))
+    for name in SUITE_NAMES:
+        run_suite(name, letters, TOL)
+    return letters, {(name, on): _held_bytes(m) for (name, _, on), m in letters._made.items()}
+
+
 class TestLetterMemory:
-    def test_letters_hold_at_most_180_bytes_per_state(self):
-        # The 18 letters store their diagonals (8 bytes a state each, 166
-        # bytes a state in all) and their boundary columns; one per-column
-        # array in every letter, even of bools, would break this budget.
-        letters = LetterTable(W_17298, DeformationParams(q=1.5))
-        for name in SUITE_NAMES:
-            run_suite(name, letters, TOL)
-        assert len(letters._made) == 18
-        held = sum(_held_bytes(letter) for letter in letters._made.values())
-        assert held <= 180 * letters.n
+    def test_letters_hold_at_most_220_bytes_per_slab_state(self):
+        # The 16 letters on the slab store their diagonals (8 bytes a slab
+        # state each, 147 bytes a slab state in all) and their boundary
+        # columns; Lambda and Lambda_inv live on two slabs, 32 bytes a slab
+        # state each.  One per-column array in every letter, even of bools,
+        # would break this budget.
+        letters, held = _slab_bytes(W_17298)
+        assert len(held) == 18
+        assert sum(held.values()) <= 220 * letters.n
+
+    def test_nine_slabs_hold_what_one_slab_holds(self):
+        # Letters live on the slab nearest M = 0, whatever the M range;
+        # Lambda and Lambda_inv, which shift M, live on that slab and its
+        # neighbour and are counted apart.
+        many, held_many = _slab_bytes(W_17298)
+        one, held_one = _slab_bytes(TruncationWindow(0, 0, -30, 30))
+        assert many.slab == one.slab == one.w and many.slabs == 9
+        pair = TruncationWindow(0, 1, -30, 30)
+        assert {key[1] for key in held_many} == {many.slab, pair}
+        shifts = {"Lambda", "Lambda_inv"}
+        on_slab = {name: b for (name, on), b in held_many.items() if on == many.slab}
+        assert on_slab == {name: b for (name, _), b in held_one.items() if name not in shifts}
+        assert {name for name, on in held_many if on == pair} == shifts
 
 
 def _spy_on_matrices(monkeypatch, check):
@@ -908,10 +937,10 @@ def _spy_on_matrices(monkeypatch, check):
         monkeypatch.setattr(Diagonals, name, classmethod(spy))
     residual = verify._balanced_residual
 
-    def residual_spy(L, R, mask):
+    def residual_spy(L, R, mask, *scale):
         check(L)
         check(R)
-        return residual(L, R, mask)
+        return residual(L, R, mask, *scale)
 
     monkeypatch.setattr(verify, "_balanced_residual", residual_spy)
 
@@ -940,33 +969,40 @@ class TestLetterMatrices:
         assert sorted(made) == ["X3", "Xminus", "Xplus"]
         assert walked == []
 
+    @pytest.mark.parametrize("w", [W, W_486], ids=["one-slab", "three-slabs"])
     @pytest.mark.parametrize(
         "phase, count",
         [(-1.0, 18), (1.0, 21), (cmath.exp(0.7j), 21)],
         ids=["phase-1", "phase+1", "phase0.7"],
     )
-    def test_one_table_per_run(self, monkeypatch, phase, count):
+    def test_one_table_per_run(self, monkeypatch, w, phase, count):
         # run_all_suites materializes each distinct (name, phase) once; away
         # from phase -1 the tensor suite adds its three direct Torb operators
-        # at -1.  No suite changes an entry of the shared table.
+        # at -1.  Every letter lives on the slab nearest M = 0, save Lambda
+        # and Lambda_inv, which on a window of several slabs live on that
+        # slab and its neighbour.  No suite changes an entry of the shared
+        # table.
         made = []
         materialize = operators.materialize
 
-        def materialize_spy(name, w, p, capacity=None):
-            made.append((name, p, materialize(name, w, p, capacity)))
-            return made[-1][2]
+        def materialize_spy(name, on, p, capacity=None):
+            made.append((name, on, p, materialize(name, on, p, capacity)))
+            return made[-1][3]
 
         for mod in (operators, verify):
             monkeypatch.setattr(mod, "materialize", materialize_spy)
         p = DeformationParams(q=1.5, theta_phase=phase)
-        assert all(r.passed for r in run_all_suites(W, p, TOL).values()) == (phase == -1.0)
-        keys = [(name, q.theta_phase) for name, q, _ in made]
+        assert all(r.passed for r in run_all_suites(w, p, TOL).values()) == (phase == -1.0)
+        keys = [(name, q.theta_phase) for name, _, q, _ in made]
         assert len(keys) == len(set(keys)) == count
         assert {key for key in keys if key[1] != p.theta_phase} == (
             set() if phase == -1.0 else {(n, -1.0) for n in ("Torb3", "Torbplus", "Torbminus")}
         )
-        for name, q, entry in made:
-            fresh = materialize(name, W, q).entries
+        slab = dataclasses.replace(w, M_max=w.M_min)
+        pair = dataclasses.replace(w, M_max=w.M_min + 1) if w.M_max > w.M_min else slab
+        for name, on, q, entry in made:
+            assert on == (pair if name in ("Lambda", "Lambda_inv") else slab), name
+            fresh = materialize(name, on, q).entries
             for field in ("offsets", "values"):
                 assert np.array_equal(getattr(entry.entries, field), getattr(fresh, field))
 
@@ -1120,3 +1156,267 @@ class TestCallerCapacity:
         assert w.size > 100
         report = run_suite("adjointness", LetterTable(w, P2, capacity=1000), TOL)
         assert report.passed
+
+
+#: 2,366 states: seven slabs of 338.
+W_SEVEN = TruncationWindow(-3, 3, -12, 12)
+SHIFTS_M = ("Lambda", "Lambda_inv")
+
+
+def _slab_block(A, w, rows_at, cols_at):
+    """The dense block of a windowed matrix from the columns of slab
+    ``cols_at`` to the rows of slab ``rows_at``, in the slab's own order."""
+    rows, cols, vals = A.entries.triples()
+    M = w.index_arrays().M
+    pos = {at: np.flatnonzero(M == at) for at in (rows_at, cols_at)}
+    rank = {at: np.cumsum(M == at) - 1 for at in (rows_at, cols_at)}
+    keep = (M[rows] == rows_at) & (M[cols] == cols_at)
+    out = np.zeros((len(pos[rows_at]), len(pos[cols_at])), dtype=vals.dtype)
+    out[rank[rows_at][rows[keep]], rank[cols_at][cols[keep]]] = vals[keep]
+    return out
+
+
+class TestSlabFactorization:
+    """Each slab of a window is the slab nearest M = 0 times q^(4k dM)."""
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 3.0])
+    @pytest.mark.parametrize("phase", [-1.0, cmath.exp(0.7j)], ids=["-1", "0.7"])
+    @pytest.mark.parametrize("name", catalogue_names())
+    def test_every_slab_is_the_middle_slab_scaled_by_its_degree(self, name, q, phase):
+        p = DeformationParams(q=q, theta_phase=phase)
+        A = operators.materialize(name, W_SEVEN, p)
+        rows, cols, _ = A.entries.triples()
+        M = W_SEVEN.index_arrays().M
+        k = get_operator(name).r_degree
+        if name in SHIFTS_M:
+            # Every block between neighbouring slabs is the same.
+            step = 1 if name == "Lambda" else -1
+            assert (M[rows] == M[cols] + step).all()
+            blocks = [_slab_block(A, W_SEVEN, at + step, at) for at in range(-3, 4)
+                      if -3 <= at + step <= 3]
+            assert all(np.array_equal(b, blocks[0]) for b in blocks)
+            return
+        assert (M[rows] == M[cols]).all()
+        middle = _slab_block(A, W_SEVEN, 0, 0)
+        for at in range(-3, 4):
+            want = middle * p.qpow(4 * k * at)
+            got = _slab_block(A, W_SEVEN, at, at)
+            assert np.array_equal(got != 0, want != 0), (name, at)
+            assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all(), (name, at)
+
+    @pytest.mark.parametrize("end", ["M_min", "M_max"])
+    @pytest.mark.parametrize(
+        "name", [n for n in catalogue_names() if n not in ("identity", "r", "xi", "xi_inv",
+                                                        "tau_k", "tau_orb", "Lambda_xi",
+                                                        "Lambda_xi_inv", "exp_iphi",
+                                                        "exp_minus_iphi")]
+    )
+    def test_a_coefficient_off_at_one_end_fails_a_check(self, monkeypatch, name, end):
+        # The first branch of a letter that some check reads, scaled by
+        # 1 + 1e-9 on one end slab only: the letter no longer factors, and
+        # a check that reads it fails with a NaN residual.
+        w = TruncationWindow(-2, 2, -8, 8)
+        at = getattr(w, end)
+        op = get_operator(name)
+        br = op.branches[0]
+        off = dataclasses.replace(
+            br, coeff=lambda s, c=br.coeff: c(s) * np.where(s.M == at, 1 + 1e-9, 1.0)
+        )
+        monkeypatch.setitem(
+            operators.CATALOGUE, name, dataclasses.replace(op, branches=(off, *op.branches[1:]))
+        )
+        reports = run_all_suites(w, DeformationParams(q=1.5), TOL)
+        failed = [c for r in reports.values() for c in r.checks if c.asserted and not c.passed]
+        assert failed and all(math.isnan(c.max_interior_residual) for c in failed), name
+
+    def test_a_wrong_degree_fails_a_check(self, monkeypatch):
+        # X3 scales as r, not r^2: declared with degree 2, its end slabs do
+        # not match the middle one scaled by q^(8 dM).
+        w = TruncationWindow(-2, 2, -8, 8)
+        x3 = dataclasses.replace(get_operator("X3"), r_degree=2)
+        monkeypatch.setitem(operators.CATALOGUE, "X3", x3)
+        reports = run_all_suites(w, DeformationParams(q=1.5), TOL)
+        assert not reports["x_relations"].passed
+        assert not reports["homomorphism"].passed
+        residual = reports["x_relations"].checks[0].max_interior_residual
+        assert math.isnan(residual)
+
+    def test_a_single_slab_has_no_ends_to_check(self, monkeypatch):
+        # On one slab, the window is the slab: nothing is scaled, and a
+        # letter is never compared with another slab.
+        calls = []
+        monkeypatch.setattr(LetterTable, "_factors", lambda *args: calls.append(args))
+        letters = LetterTable(W, P2)
+        assert letters.slab is W and letters.slabs == 1
+        assert letters.scale(0) == letters.scale(2) == letters.scale(1, squared=True) == 1.0
+        run_all_suites(W, P2, TOL)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "w, mid",
+        [(TruncationWindow(-3, 3, 0, 0), 0), (TruncationWindow(2, 5, 0, 0), 2),
+         (TruncationWindow(-6, -2, 0, 0), -2)],
+    )
+    def test_the_slab_is_the_one_nearest_m_zero(self, w, mid):
+        letters = LetterTable(w, P2)
+        assert letters.slab == TruncationWindow(mid, mid, 0, 0)
+        assert letters.slabs == w.M_max - w.M_min + 1
+        assert letters.n * letters.slabs == w.size
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 40.0])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_scale_is_the_root_of_the_slab_sum(self, q, k):
+        w = TruncationWindow(-4, 3, 0, 0)
+        letters = LetterTable(w, DeformationParams(q=q))
+        terms = [q ** (8 * k * (M - 0)) for M in range(-4, 4)]
+        want = math.sqrt(math.fsum(terms))
+        assert letters.scale(k) == pytest.approx(want, rel=1e-14)
+        assert letters.scale(k, squared=True) == pytest.approx(want * want, rel=1e-14)
+        assert letters.scale(0, squared=True) == 8.0
+
+    def test_scale_overflows_only_with_its_largest_term(self):
+        # q^(4k dM) at dM = 60 and q = 40 is 40^480, past the double range:
+        # s_2 overflows; s_1 (40^240 = 1.8e384) too; at dM = 20, 40^160
+        # (1.5e256) stays finite while its square does not.
+        far = LetterTable(TruncationWindow(0, 60, 0, 0), DeformationParams(q=40.0))
+        near = LetterTable(TruncationWindow(0, 20, 0, 0), DeformationParams(q=40.0))
+        assert far.scale(1) == far.scale(2) == math.inf
+        assert math.isfinite(near.scale(2)) and near.scale(2, squared=True) == math.inf
+
+
+@given(
+    lo=st.integers(-80, 80),
+    span=st.integers(0, 160),
+    mt_min=st.integers(-3, 0),
+    k_max=st.integers(0, 2),
+    q=st.floats(1.01, 40.0),
+    phase=st.sampled_from([-1.0, cmath.exp(0.7j)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_far_m_ranges_end_in_finite_or_failing_nan_residuals(lo, span, mt_min, k_max, q, phase):
+    # Far slabs overflow or underflow where near ones do not: every check
+    # still ends in a finite residual or a NaN that fails, with no
+    # exception and no library warning.
+    w = TruncationWindow(lo, min(lo + span, 80), mt_min, k_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        reports = run_all_suites(w, DeformationParams(q=q, theta_phase=phase), TOL)
+    for report in reports.values():
+        for c in report.checks:
+            r = c.max_interior_residual
+            assert math.isfinite(r) or (math.isnan(r) and not c.passed), (c.id, r)
+            assert not (c.passed and c.asserted) or math.isfinite(c.leakage_norm), c.id
+
+
+class _WholeWindow:
+    """Letters materialized on a whole window, not on one slab."""
+
+    def __init__(self, w, p):
+        self.w, self.p, self.n = w, p, w.size
+
+    @functools.cache
+    def at(self, name, phase):
+        return operators.materialize(name, self.w, dataclasses.replace(self.p, theta_phase=phase))
+
+    def __getitem__(self, name):
+        return self.at(name, self.p.theta_phase)
+
+    def scale(self, k, squared=False):
+        return 1.0
+
+
+def _fsum_residual(L, R, mask):
+    """|L - R| over max(1, |L|, |R|) on the masked columns, each norm one
+    correctly rounded sum of squares."""
+    norm = lambda A: math.sqrt(math.fsum(  # noqa: E731
+        np.square(np.compress(mask, A.values, axis=1).view(float)).ravel().tolist()
+    ))
+    return norm(L - R) / max(1.0, norm(L), norm(R))
+
+
+def _whole_window_checks(w, p):
+    """Every matrix check of a run over ``w``, recomputed from letters on
+    the whole window: id -> (residual, leakage, excluded columns, asserted)."""
+    full = _WholeWindow(w, p)
+    n, every = w.size, np.ones(w.size, dtype=bool)
+    out = {}
+
+    def relations(specs, asserted=True):
+        for spec in specs:
+            sides, leak = [], 0.0
+            for terms in (spec.lhs, spec.rhs):
+                total = Diagonals.of({}, n)
+                for t in terms:
+                    c = float(t.coeff(p))
+                    word = functools.reduce(
+                        lambda prod, name: full[name].entries @ prod,
+                        t.word[-2::-1], full[t.word[-1]].entries,
+                    )
+                    total = total + c * word
+                    leak += c * c * _dense_word_leakage(t.word, full)
+                sides.append(total)
+            interior = np.zeros(n, dtype=bool)
+            interior[interior_positions(spec.words(), w)] = True
+            out[spec.id] = (_fsum_residual(*sides, interior), math.sqrt(leak),
+                            n - int(interior.sum()), asserted)
+
+    relations(X_RELATIONS)
+    relations(K_RELATIONS)
+    for a, coeff, b in ADJOINT_PAIRS:
+        adj = operators.adjoint_matrix(full[a], p).entries
+        out[f"adjoint_{a}_vs_{b}"] = (
+            _fsum_residual(adj, float(coeff(p)) * full[b].entries, every), 0.0, 0, True
+        )
+    relations(CASIMIR)
+    relations(COMMUTANT)
+    x3 = Diagonals.of({0: 1.0 / full["X3"].entries.values[0]}, n)
+    one = Diagonals.of({0: np.ones(n)}, n)
+    lam, root = p.lam, math.sqrt(1.0 + p.q**2)
+    hopping = [
+        (-root / (lam * p.q**3)) * (full["Xplus"].entries @ x3),
+        (p.q**2 * root / lam) * (full["Xminus"].entries @ x3),
+        (1 / lam) * (one + full["R2"].entries @ x3 @ x3),
+    ]
+    out["hopping_from_coordinate_ladder"] = (max(
+        _fsum_residual(mat, full[name].entries, every)
+        for name, mat in zip(("tplus", "tminus", "t3"), hopping)
+    ), 0.0, 0, True)
+    relations(T_TEMPLATE + TORB_TEMPLATE, asserted=False)
+    abs_inv = full["abs_xi_inv"].entries
+    assembled = {
+        "Torb3": full["t3"].entries + full["tau_t"].entries @ full["K3"].entries,
+        "Torbplus": full["tplus"].entries + abs_inv @ full["Kplus"].entries,
+        "Torbminus": full["tminus"].entries - abs_inv @ full["Kminus"].entries,
+    }
+    sigma = w.index_arrays().sigma
+    for name, mat in assembled.items():
+        for label, sector, asserted in (("plus", sigma > 0, True), ("minus", sigma < 0, False)):
+            out[f"tensor_{name}_sector_{label}"] = (
+                _fsum_residual(mat, full.at(name, -1.0).entries, sector), 0.0, 0, asserted
+            )
+    return out
+
+
+class TestSecondPathForTheReduction:
+    """The slab's scaled norms against the whole window's own."""
+
+    @pytest.mark.parametrize(
+        "w, p",
+        [(TruncationWindow(-2, 2, -16, 16), DeformationParams(q=1.5)),
+         (TruncationWindow(0, 2, -8, 8), DeformationParams(q=1.1, theta_phase=cmath.exp(0.7j)))],
+        ids=["2890-q1.5", "486-q1.1-phase0.7"],
+    )
+    def test_slab_reports_match_the_whole_window(self, w, p):
+        want = _whole_window_checks(w, p)
+        got = {c.id: c for r in run_all_suites(w, p, TOL).values() for c in r.checks}
+        assert set(want) <= set(got) and len(want) == 37
+        for cid, (residual, leakage, excluded, asserted) in want.items():
+            c = got[cid]
+            assert c.asserted == asserted, cid
+            assert c.passed == (not asserted or (residual <= TOL and math.isfinite(leakage))), cid
+            assert c.boundary_rows_excluded == excluded, cid
+            assert c.leakage_norm == pytest.approx(leakage, rel=1e-14, abs=0.0), cid
+            if residual < 1e-3:
+                assert abs(c.max_interior_residual - residual) <= 1e-14, cid
+            else:
+                assert c.max_interior_residual == pytest.approx(residual, rel=1e-13), cid
