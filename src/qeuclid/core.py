@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -174,6 +174,8 @@ class DeformationParams:
     q: float
     r0: float = 1.0
     theta_phase: complex = -1.0 + 0.0j
+    #: [first exponent, table] of :meth:`_powers_of`, empty in each new instance.
+    _powers: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.q, (int, float)) and math.isfinite(self.q)):
@@ -201,6 +203,23 @@ class DeformationParams:
         if isinstance(n, np.ndarray):
             return qpow_array(self.q, n)
         return qpow(self.q, n)
+
+    def _powers_of(self, n: np.ndarray) -> np.ndarray:
+        """q**n for an int array n from this instance's :func:`qpow` table,
+        grown only for an array that :func:`qpow_array` tables, while the
+        table's span stays within its bound; other arrays go to qpow_array."""
+        first, table = self._powers or (0, np.zeros(0))
+        lo, hi = (int(n.min()), int(n.max())) if n.size else (first, first - 1)
+        if not (first <= lo and hi < first + len(table)):
+            old = dict(zip(range(first, first + len(table)), table.tolist()))
+            # The span that qpow_array tables n within; none for one exponent or a short n.
+            bound = max(n.size // 16, 64) if lo < hi and n.size > min(hi - lo, 64) else -1
+            lo, hi = min([lo, *old]), max([hi, *old])
+            if hi - lo > bound:
+                return qpow_array(self.q, n)
+            grown = [old[k] if k in old else qpow(self.q, k) for k in range(lo, hi + 1)]
+            first, table = self._powers[:] = lo, np.array(grown)
+        return table[n - first]
 
 
 class BasisIndex(NamedTuple):
@@ -355,8 +374,8 @@ class Points:
     r = r0*q^(4M+2) is the radial point, xi = sigma*q^(2mt-1) the polar
     point, xihat = sigma*q^(2(mt-m)-1) the eigenvalue of the mode-twisted
     polar coordinate xi*q^(2i d/dphi), and ``weight`` = q^(4M)*q^(2mt) the
-    Jackson weight.  Powers are read from :func:`qpow_array`, so each value
-    equals its scalar :func:`qpow` form bit for bit.
+    Jackson weight.  Powers are read from the params' :func:`qpow` table, so
+    each value equals its scalar :func:`qpow` form bit for bit.
     """
 
     def __init__(self, ix: BasisIndex, p: DeformationParams):
@@ -364,7 +383,7 @@ class Points:
         self.p = p
 
     def q(self, n: np.ndarray) -> np.ndarray:
-        return qpow_array(self.p.q, n)
+        return self.p._powers_of(n)
 
     @property
     def mk(self) -> np.ndarray:

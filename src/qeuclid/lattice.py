@@ -61,13 +61,16 @@ def _packed_key(keys) -> np.ndarray | None:
     return key
 
 
-def _sort(ix: BasisIndex) -> tuple[np.ndarray, np.ndarray]:
+def _sort(ix: BasisIndex, skip: bool = False) -> tuple[np.ndarray | None, np.ndarray]:
     """Stable argsort of the labels by :func:`canonical_key`, on one packed
     int64 key where the label spans allow it, and the mask of the sorted
-    labels unequal to their predecessor."""
+    labels unequal to their predecessor; with ``skip``, no order (None)
+    where that key already increases strictly, the labels canonical."""
     keys = canonical_key(ix)
     new = np.ones(len(ix.m), dtype=bool)
     key = _packed_key(keys)
+    if skip and key is not None and np.all(key[1:] > key[:-1]):
+        return None, new
     if key is None:
         order = np.lexsort(keys[::-1])
         new[1:] = False
@@ -91,7 +94,12 @@ def _canonical(index: BasisIndex, amplitudes) -> tuple[BasisIndex, np.ndarray]:
         raise ValueError("labels and amplitudes must be 1-d arrays of one length")
     for k in invalid_indices(ix)[:1]:
         validate_index(BasisIndex(*(int(a[k]) for a in ix)))
-    order, new = _sort(ix)
+    order, new = _sort(ix, skip=True)
+    if order is None:  # no repeats: only exact zeros drop; copies, never views
+        with np.errstate(over="ignore", invalid="ignore"):
+            keep = np.hypot(amps.real, amps.imag) > 0.0
+        take = (lambda a: a.copy()) if keep.all() else (lambda a: a[keep])
+        return BasisIndex(*map(take, ix)), take(amps)
     amps = amps[order]
     starts = np.flatnonzero(new)
     sizes = np.diff(starts, append=len(amps))

@@ -246,14 +246,15 @@ def images(
 
 
 def _image(
-    br: Branch, src: BasisIndex, p: DeformationParams
+    br: Branch, src: BasisIndex, p: DeformationParams, values: Callable | None = None
 ) -> tuple[np.ndarray, BasisIndex, np.ndarray]:
-    """One branch's entry of :func:`images`."""
+    """One branch's entry of :func:`images`; ``values(br, at)``, if given,
+    evaluates the coefficients at the points ``at`` in place of ``br.values``."""
     valid = src.shifted(br.dM, br.dmt, br.dm).is_valid()
     whole = bool(valid.all())
     pos = np.arange(len(valid)) if whole else np.flatnonzero(valid)
     at = src if whole else _take(src, pos)
-    c = br.values(at, p)
+    c = br.values(at, p) if values is None else values(br, at)
     keep = c != 0.0
     if not keep.all():
         pos, c, at = pos[keep], c[keep], _take(at, keep)
@@ -454,14 +455,20 @@ def materialize(
     whole window, summed with ``np.sum`` (whose pairwise order follows the
     positions) into the total, and kept only at the boundary columns.
     """
-    n = check_capacity(w, capacity)
-    op = get_operator(name)
-    nk = w.k_max + 1
+    check_capacity(w, capacity)
+    return _materialize(get_operator(name), w, p)
+
+
+def _materialize(
+    op: LatticeOperator, w: TruncationWindow, p: DeformationParams, values: Callable | None = None
+) -> OperatorMatrix:
+    """:func:`materialize` without its capacity check; ``values`` as in ``_image``."""
+    n, nk = w.size, w.k_max + 1
     diags: dict[int, np.ndarray] = {}
     lost = np.zeros(n, dtype=bool)
     leakage = np.zeros(n)
     for br in op.branches:
-        pos, tgt, c = _image(br, w.index_arrays(), p)
+        pos, tgt, c = _image(br, w.index_arrays(), p, values)
         inside = w.contains(tgt)
         # Each array is dropped once read, so none is left bound while the
         # next branch is evaluated.

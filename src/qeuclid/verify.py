@@ -50,8 +50,9 @@ Each identity is homogeneous in r, and a letter of ``r_degree`` k on slab M
 is q^(4k(M - M*)) times the letter on M*, the slab nearest M = 0.  Letters
 live on M* only: norms scale by s_k (``LetterTable.scale``), excluded
 columns count once per slab, and ``Lambda``/``Lambda_inv`` are checked on
-two slabs.  Each letter's coefficients at M_min and M_max must scale as
-r^k; a letter that does not reads NaN.
+two slabs.  One evaluation of each branch, on M* stacked with M_min and
+M_max, builds the letter and checks that it scales as r^k; a letter that
+does not reads NaN.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ from .lattice import check_capacity
 from .operators import (
     Diagonals,
     OperatorMatrix,
+    _materialize,
     _pair_rows,
     adjoint_matrix,
     get_operator,
@@ -323,8 +325,8 @@ class LetterTable:
     The capacity bounds the window ``w`` of ``slabs`` slabs.  ``letters[name]``
     is the operator on ``slab`` (``n`` states) at the run's phase, and
     ``letters.at(name, phase, on)`` at another phase or window; each is
-    materialized once, on first read, and only read after.  ``letters.masks``
-    holds, made once on first use, each shift's mask of ``_interior_mask``.
+    built once, on first read, from ``params(phase)`` (one per phase), and
+    only read after.  ``masks`` keeps each shift's ``_interior_mask`` mask.
     """
 
     def __init__(self, w: TruncationWindow, p: DeformationParams, capacity: int | None = None):
@@ -334,44 +336,52 @@ class LetterTable:
         self.slab = w if w.M_min == w.M_max else replace(w, M_min=mid, M_max=mid)
         self.n, self.slabs = self.slab.size, w.M_max - w.M_min + 1
         self._made: dict[tuple[str, complex, TruncationWindow], OperatorMatrix] = {}
+        self._params: dict[complex, DeformationParams] = {}
         self.masks: dict[tuple[int, int, int], np.ndarray] = {}
 
     def __getitem__(self, name: str) -> OperatorMatrix:
         return self.at(name, self.p.theta_phase)
 
+    def params(self, phase: complex) -> DeformationParams:
+        return self._params.setdefault(complex(phase), replace(self.p, theta_phase=phase))
+
     def at(self, name: str, phase: complex, on: TruncationWindow | None = None) -> OperatorMatrix:
         w = on or self.slab
         key = (name, complex(phase), w)
         if key not in self._made:
-            p = replace(self.p, theta_phase=phase)
-            # The window passed the caller's capacity above; w lies within it.
-            letter = materialize(name, w, p, w.size)
-            if self.slabs > 1 and not self._factors(name, p):
-                # Every check that reads the letter reads NaN.
-                nan = Diagonals.of({0: np.full(w.size, math.nan)}, w.size)
-                letter = replace(letter, entries=nan)
-            self._made[key] = letter
+            self._made[key] = self._letter(name, self.params(phase), w)
         return self._made[key]
 
-    def _factors(self, name: str, p: DeformationParams) -> bool:
-        """Whether each branch coefficient at M_min and M_max is finite,
-        nonzero where the slab's is, and the slab's times q^(4k dM)."""
-        op, ix, mid = get_operator(name), self.slab.index_arrays(), self.slab.M_min
-        moves = [0, *{self.w.M_min - mid, self.w.M_max - mid} - {0}]
-        for br in op.branches:
-            # One evaluation over the slab's points with a valid target, then
-            # the same points on each end slab.
-            M, *rest = (a[ix.shifted(*br.shift).is_valid()] for a in ix)
+    def _letter(self, name: str, p: DeformationParams, on: TruncationWindow) -> OperatorMatrix:
+        """The letter on ``on``; on several slabs, each branch is evaluated
+        once on the points of ``on`` stacked with them moved to end on M_min
+        and on M_max, and the letter reads NaN unless those ``_factors``."""
+        if self.slabs == 1:
+            return materialize(name, on, p, on.size)  # capacity checked above
+        op, ok = get_operator(name), []
+        moves = [0, *{self.w.M_min - on.M_min, self.w.M_max - on.M_max} - {0}]
+
+        def values(br, at):
+            M, *rest = at
             src = [np.concatenate([M + d for d in moves])] + [np.tile(a, len(moves)) for a in rest]
-            here, *ends = br.values(ix._make(src), p).reshape(len(moves), -1)
-            for d, there in zip(moves[1:], ends):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    want = here * qpow(p.q, 4 * op.r_degree * d)
-                    gap = np.abs(there - want)
-                ok = (gap <= FACTOR_RTOL * np.abs(want)) & np.isfinite(gap)
-                if not (ok & ((there != 0) | (here == 0))).all():
-                    return False
-        return True
+            here, *ends = br.values(at._make(src), p).reshape(len(moves), -1)
+            ok.extend(self._factors(here, x, op.r_degree * d) for d, x in zip(moves[1:], ends))
+            return here
+
+        letter = _materialize(op, on, p, values)
+        if all(ok):
+            return letter
+        # Every check that reads the letter reads NaN.
+        return replace(letter, entries=Diagonals.of({0: np.full(on.size, math.nan)}, on.size))
+
+    def _factors(self, here: np.ndarray, there: np.ndarray, kd: int) -> bool:
+        """Whether an end slab's coefficients are finite, nonzero where the
+        slab's are, and the slab's times q^(4k dM)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = here * qpow(self.p.q, 4 * kd)
+            gap = np.abs(there - want)
+        ok = (gap <= FACTOR_RTOL * np.abs(want)) & np.isfinite(gap)
+        return bool((ok & ((there != 0) | (here == 0))).all())
 
     def scale(self, k: int, squared: bool = False) -> float:
         """s_k = sqrt(sum over the window's M of q^(8k(M - M*))), or s_k^2, the
@@ -651,7 +661,7 @@ def check_adjointness(
     comparison holds on every entry and nothing is excluded.  A pair that
     shifts M is compared on the slab pair, one block for the window's n_M - 1.
     """
-    p = letters.p
+    p = letters.params(letters.p.theta_phase)
     reports = []
     for a_name, coeff, b_name in pairs:
         op = get_operator(a_name)

@@ -1,5 +1,6 @@
 """Tests for deformation parameters, lattice indexing, coordinates and weights."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -95,6 +96,73 @@ class TestQpow:
         assert got.shape == n.shape
         assert got.ravel().tolist() == [p.qpow(int(k)) for k in n.ravel()]
         assert isinstance(p.qpow(3), float)
+
+
+def _exponents(draw_kind, lo, span, size, seed):
+    """One exponent array of a kind: short (fewer entries than its span),
+    long (within the span that qpow_array tables), or far (out to 2^59)."""
+    rng = np.random.default_rng(seed)
+    if draw_kind == "far":
+        return rng.integers(-(2**59), 2**59, size, endpoint=True)
+    if draw_kind == "short":
+        size = min(size, 64, max(span, 1))
+    else:
+        span = min(span, max(size // 16, 64))
+    return rng.integers(lo, lo + span, size, endpoint=True)
+
+
+class TestPowerTable:
+    @given(
+        q=st.floats(1.0, 40.0, exclude_min=True),
+        requests=st.lists(
+            st.tuples(
+                st.sampled_from(["short", "long", "far"]),
+                st.integers(-300, 300),
+                st.integers(0, 400),
+                st.integers(1, 3000),
+                st.integers(0, 2**32),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_table_per_params_keeps_the_scalar_bits(self, q, requests):
+        # Short, long and far arrays, overlapping or disjoint, on one params
+        # instance: every power has the bits of qpow, the table spans no
+        # more than the widest bound of a request that qpow_array tables,
+        # and the instance still equals, and hashes as, a fresh one.
+        p = DeformationParams(q=q)
+        points = core.Points(BasisIndex(*[np.zeros(0, dtype=np.int64)] * 4), p)
+        widest = 0
+        for request in requests:
+            n = _exponents(*request)
+            got = points.q(n)
+            want = np.array([qpow(q, k) for k in n.tolist()], dtype=np.float64)
+            assert got.shape == n.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            lo, hi = int(n.min()), int(n.max())
+            if lo < hi and n.size > min(hi - lo, 64):  # an array that qpow_array tables
+                widest = max(widest, n.size // 16, 64)
+            assert (len(p._powers[1]) if p._powers else 0) <= widest + 1
+        fresh = DeformationParams(q=q)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert dataclasses.replace(p)._powers == []
+
+    def test_a_covered_request_calls_no_qpow(self, monkeypatch):
+        # The table grows once for a long array; a later array inside its
+        # span, short or long, is read from it without a qpow call.
+        calls = []
+        real = core.qpow
+        monkeypatch.setattr(core, "qpow", lambda q, k: calls.append(k) or real(q, k))
+        p = DeformationParams(q=1.5)
+        points = core.Points(BasisIndex(*[np.zeros(0, dtype=np.int64)] * 4), p)
+        points.q(np.arange(-60, 61).repeat(20))
+        assert calls == list(range(-60, 61))
+        calls.clear()
+        for n in (np.array([-60, 7, 60]), np.arange(-30, 30).repeat(40), np.array([4])):
+            assert np.array_equal(points.q(n), [real(1.5, k) for k in n.tolist()])
+        assert calls == []
 
 
 class TestDeformationParams:

@@ -237,6 +237,31 @@ class TestCanonicalSort:
             assert np.array_equal(order, want[0])
             assert np.array_equal(repeats, want[2])
 
+    @given(
+        labels=st.lists(st.one_of(_indices(), _far_indices()), max_size=12),
+        amps=st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0 + 0.5j, 1e308 + 1e308j]), max_size=12),
+        order=st.sampled_from(["sorted", "reversed", "repeated", "as drawn"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_labels_skip_the_sort_with_the_same_result(self, labels, amps, order):
+        # Sorted, reversed and repeated labels, near and far (no packed
+        # key): only distinct labels in canonical order under one packed
+        # key skip the sort, and every state has the bits of the
+        # entry-by-entry reference and holds no view of the caller's arrays.
+        labels = sorted(set(labels), key=canonical_key) if order != "as drawn" else labels
+        labels = {"reversed": labels[::-1], "repeated": labels + labels[:2]}.get(order, labels)
+        amps = (amps + [1.0] * len(labels))[: len(labels)]
+        ix = BasisIndex(*(np.array([i[k] for i in labels], dtype=np.int64) for k in range(4)))
+        want, _, new = _reference_sort(ix)
+        canonical = np.array_equal(want, np.arange(len(labels))) and new.all()
+        packed = lattice._packed_key(canonical_key(ix)) is not None
+        assert (lattice._sort(ix, skip=True)[0] is None) == (canonical and packed)
+        values = np.array(amps, dtype=np.complex128)
+        s = LatticeState.from_arrays(ix, values)
+        assert _state_bits(s) == _reference_bits(reference_amplitudes(zip(labels, amps)))
+        for mine, theirs in zip((*s.index, s.values), (*ix, values)):
+            assert not np.shares_memory(mine, theirs)
+
     def test_both_sorts_are_taken(self):
         near = BasisIndex(*map(np.array, ([2, 0], [1, -1], [-3, 0], [0, 1])))
         far = BasisIndex(*map(np.array, ([2**59, 0], [1, -1], [-(2**59), 0], [0, 2**59])))

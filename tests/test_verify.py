@@ -6,6 +6,7 @@ otherwise the residual machinery is vacuous.
 """
 
 import cmath
+import collections
 import dataclasses
 import functools
 import itertools
@@ -976,25 +977,26 @@ class TestLetterMatrices:
         ids=["phase-1", "phase+1", "phase0.7"],
     )
     def test_one_table_per_run(self, monkeypatch, w, phase, count):
-        # run_all_suites materializes each distinct (name, phase) once; away
-        # from phase -1 the tensor suite adds its three direct Torb operators
-        # at -1.  Every letter lives on the slab nearest M = 0, save Lambda
-        # and Lambda_inv, which on a window of several slabs live on that
-        # slab and its neighbour.  No suite changes an entry of the shared
-        # table.
+        # run_all_suites builds each distinct (name, phase) once; away from
+        # phase -1 the tensor suite adds its three direct Torb operators at
+        # -1.  Every letter lives on the slab nearest M = 0, save Lambda and
+        # Lambda_inv, which on a window of several slabs live on that slab
+        # and its neighbour.  Each equals the public materialize bit for
+        # bit, and no suite changes an entry of the shared table.
         made = []
-        materialize = operators.materialize
+        build = LetterTable._letter
 
-        def materialize_spy(name, on, p, capacity=None):
-            made.append((name, on, p, materialize(name, on, p, capacity)))
+        def letter_spy(self, name, p, on):
+            made.append((name, on, p, build(self, name, p, on)))
             return made[-1][3]
 
-        for mod in (operators, verify):
-            monkeypatch.setattr(mod, "materialize", materialize_spy)
+        monkeypatch.setattr(LetterTable, "_letter", letter_spy)
         p = DeformationParams(q=1.5, theta_phase=phase)
         assert all(r.passed for r in run_all_suites(w, p, TOL).values()) == (phase == -1.0)
         keys = [(name, q.theta_phase) for name, _, q, _ in made]
         assert len(keys) == len(set(keys)) == count
+        # One params instance, and so one power table, per phase.
+        assert len({id(q) for _, _, q, _ in made}) == len({phase for _, phase in keys})
         assert {key for key in keys if key[1] != p.theta_phase} == (
             set() if phase == -1.0 else {(n, -1.0) for n in ("Torb3", "Torbplus", "Torbminus")}
         )
@@ -1002,9 +1004,35 @@ class TestLetterMatrices:
         pair = dataclasses.replace(w, M_max=w.M_min + 1) if w.M_max > w.M_min else slab
         for name, on, q, entry in made:
             assert on == (pair if name in ("Lambda", "Lambda_inv") else slab), name
-            fresh = materialize(name, on, q).entries
+            # A fresh params instance starts a fresh power table.
+            fresh = operators.materialize(name, on, dataclasses.replace(q))
             for field in ("offsets", "values"):
-                assert np.array_equal(getattr(entry.entries, field), getattr(fresh, field))
+                assert np.array_equal(getattr(entry.entries, field), getattr(fresh.entries, field))
+            for field in ("boundary_columns", "boundary_leakage", "total_leakage"):
+                assert np.array_equal(getattr(entry, field), getattr(fresh, field)), name
+
+    @pytest.mark.parametrize("phase", [-1.0, cmath.exp(0.7j)], ids=["phase-1", "phase0.7"])
+    def test_each_branch_is_evaluated_once_per_letter(self, monkeypatch, phase):
+        # On a window of several slabs one evaluation of a branch serves
+        # both its letter and the letter's end-slab check.  Only
+        # lowest_weight evaluates the Kminus branch once more, on the
+        # window's m = mt states.
+        calls = collections.Counter()
+        values = operators.Branch.values
+
+        def values_spy(br, src, p):
+            calls[id(br)] += 1
+            return values(br, src, p)
+
+        monkeypatch.setattr(operators.Branch, "values", values_spy)
+        letters = LetterTable(W_486, DeformationParams(q=1.5, theta_phase=phase))
+        for name in SUITE_NAMES:
+            run_suite(name, letters, TOL)
+        want = collections.Counter(
+            id(br) for name, _, _ in letters._made for br in get_operator(name).branches
+        )
+        want[id(get_operator("Kminus").branches[0])] += 1
+        assert letters.slabs == 3 and calls == want
 
     def test_slots_outside_the_matrix_hold_exact_zeros(self, monkeypatch):
         # The residual norms read the masked columns of every diagonal as
